@@ -1,8 +1,6 @@
 """Sparse weighted graph learning from smooth signals via majorization-minimization."""
 
 from .graph_model import (
-    DegreeOperator,
-    EdgeIndexMap,
     ProblemInstance,
     degrees,
     edge_index,
@@ -15,8 +13,6 @@ from .baseline_oracle import OracleConfig, brute_force, pg_solve
 from .data_gen import GroundTruthGraph, SignalModel, assemble, gen_er, gen_sbm, gen_signals, laplacian_pinv
 
 __all__ = [
-    "DegreeOperator",
-    "EdgeIndexMap",
     "GroundTruthGraph",
     "OracleConfig",
     "ProblemInstance",

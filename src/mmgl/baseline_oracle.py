@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import degrees, edge_pairs, objective, objective_gradient
+from .graph_model import edge_pairs, gradient_value, node_degrees, objective, objective_value
 from .mm_solver import ConvergenceTrace, SolveResult
 
 # Projection floor: keeps the log-barrier finite during line searches.
@@ -31,8 +31,8 @@ class OracleConfig:
     backtrack_factor: float = 0.5
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.max_iters >= 1 and self.initial_step > 0):
-            raise ValueError("tol, max_iters and initial_step must be positive")
+        if not (0 < self.tol < np.inf and self.max_iters >= 1 and 0 < self.initial_step < np.inf):
+            raise ValueError("tol, max_iters and initial_step must be positive and finite")
         if not 0 < self.backtrack_factor < 1:
             raise ValueError(f"need 0 < backtrack_factor < 1, got {self.backtrack_factor}")
 
@@ -54,9 +54,12 @@ def pg_solve(prob, cfg=None):
     """
     if cfg is None:
         cfg = OracleConfig()
+    p, d, alpha, beta = prob.p, prob.d, prob.alpha, prob.beta
+    I, J = edge_pairs(p)
     w = np.ones(prob.m)
-    f = objective(w, prob)
-    g = objective_gradient(w, prob)
+    deg = node_degrees(w, I, J, p)
+    f = objective_value(w, d, deg, alpha, beta)
+    g = gradient_value(w, d, deg, I, J, alpha, beta)
     ks = [0]
     fs = [f]
     actives = [int(np.count_nonzero(w > REPORT_CUTOFF))]
@@ -74,7 +77,8 @@ def pg_solve(prob, cfg=None):
         accepted = False
         while t >= 1e-20:
             w_new = np.maximum(w - t * g, PROJECTION_FLOOR)
-            f_new = objective(w_new, prob)
+            deg_new = node_degrees(w_new, I, J, p)
+            f_new = objective_value(w_new, d, deg_new, alpha, beta)
             if f_new <= f + ARMIJO_SIGMA * (g @ (w_new - w)):
                 accepted = True
                 break
@@ -82,7 +86,7 @@ def pg_solve(prob, cfg=None):
         if not accepted or np.array_equal(w_new, w):
             # Numerically stationary: no representable step decreases f.
             break
-        g_new = objective_gradient(w_new, prob)
+        g_new = gradient_value(w_new, d, deg_new, I, J, alpha, beta)
         # Barzilai-Borwein trial step for the next iteration (Armijo above
         # keeps the method monotone regardless of the guess).
         dw = w_new - w
@@ -128,7 +132,7 @@ def _coordinate_derivative(t, j, w, prob, rest_a, rest_b):
 
 def _minimize_coordinate(j, w, prob, box_upper):
     I, J = edge_pairs(prob.p)
-    deg = degrees(w, prob.p)
+    deg = node_degrees(w, I, J, prob.p)
     rest_a = deg[I[j]] - w[j]
     rest_b = deg[J[j]] - w[j]
     # Minimizer is 0 exactly when the one-sided derivative there is already

@@ -221,12 +221,15 @@ def parse_config_file(path):
     """Key-value solver config: one `key=value` per line, # comments.
 
     Recognized keys: epsilon, max_iters, elim_threshold, elim_enabled.
+    The first three come back under their SolverConfig field names;
+    elim_enabled comes back as a bool under its own name, for the caller
+    to fold into elimination_threshold (false means a threshold of 0).
     """
     mapping = {
         "epsilon": ("epsilon", float),
         "max_iters": ("max_iters", int),
         "elim_threshold": ("elimination_threshold", float),
-        "elim_enabled": ("elimination_enabled", _parse_bool),
+        "elim_enabled": ("elim_enabled", _parse_bool),
     }
     out = {}
     with open(path, "r", encoding="utf-8") as fh:

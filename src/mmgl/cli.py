@@ -5,6 +5,7 @@ iteration cap, 2 usage errors, 1 file or data errors.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -53,6 +54,7 @@ def _solver_config(args):
     kwargs = {}
     if args.config:
         kwargs.update(bench.parse_config_file(args.config))
+    elim_enabled = kwargs.pop("elim_enabled", True)
     if args.epsilon is not None:
         kwargs["epsilon"] = args.epsilon
     if args.max_iters is not None:
@@ -60,8 +62,10 @@ def _solver_config(args):
     if args.elim_threshold is not None:
         kwargs["elimination_threshold"] = args.elim_threshold
     if args.elim_enabled is not None:
-        kwargs["elimination_enabled"] = args.elim_enabled == "true"
-    return SolverConfig(**kwargs)
+        elim_enabled = args.elim_enabled == "true"
+    cfg = SolverConfig(**kwargs)
+    # Elimination off is a zero threshold, whatever threshold was given.
+    return cfg if elim_enabled else dataclasses.replace(cfg, elimination_threshold=0.0)
 
 
 def _oracle_config(args):

@@ -49,8 +49,8 @@ class SignalModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.sigma < 0:
-            raise ValueError(f"need sigma >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"need finite sigma >= 0, got {self.sigma}")
 
 
 def gen_er(p, prob_edge, seed):

@@ -1,9 +1,15 @@
-"""Shared data model: edge indexing, degree operator, distances, objective.
+"""Shared data model: edge indexing, edge kernels, distances, objective.
 
 A weighted undirected graph on p nodes with no self-loops is stored as a
 vector w of length m = p(p-1)/2 holding the strict upper triangle of the
 adjacency matrix W in row-major order. All solvers operate on this
 vectorized form; the adjacency matrix is only materialized on demand.
+
+The edge kernels (node_degrees, inverse_degrees, objective_value,
+gradient_value) take explicit edge arrays (w, d, I, J) and check nothing,
+so the solvers can run them on any edge subset. The public functions
+(degrees, objective, objective_gradient) validate their inputs and then
+call the same kernels.
 """
 
 from dataclasses import dataclass
@@ -61,66 +67,58 @@ def edge_pairs(p):
     return I, J
 
 
-@dataclass(frozen=True)
-class EdgeIndexMap:
-    """Bijection between node pairs (i, j), i < j, and linear edge indices."""
-
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"need p >= 2, got p={self.p}")
-
-    @property
-    def m(self):
-        return num_edges(self.p)
-
-    def index(self, i, j):
-        return edge_index(i, j, self.p)
-
-    def endpoints(self, k):
-        return edge_endpoints(k, self.p)
-
-    def pairs(self):
-        return edge_pairs(self.p)
+def _checked_weights(w, m):
+    """w as a float vector of length m; ValueError on another shape or a
+    negative entry."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (m,):
+        raise ValueError(f"vector has length {w.shape}, expected ({m},)")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    return w
 
 
-class DegreeOperator:
-    """The implicit binary map S with S w = W 1 (node degree vector).
+def node_degrees(w, I, J, p):
+    """Degree vector S w = W 1 over the edges (I, J); no input checks.
 
-    S is never materialized: each edge contributes its weight to the degree
-    of both endpoints. Accumulation runs in ascending edge order, so results
-    are reproducible run to run on one platform.
+    Each edge adds its weight to the degree of both endpoints. Accumulation
+    runs in ascending edge order, so results are reproducible run to run on
+    one platform, and dropping zero-weight edges leaves them bit-identical.
     """
+    return (np.bincount(I, weights=w, minlength=p)
+            + np.bincount(J, weights=w, minlength=p))
 
-    def __init__(self, p):
-        if p < 2:
-            raise ValueError(f"need p >= 2, got p={p}")
-        self.p = p
-        self.m = num_edges(p)
 
-    def apply(self, w):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.m,):
-            raise ValueError(f"weight vector has length {w.shape}, expected ({self.m},)")
-        I, J = edge_pairs(self.p)
-        return (np.bincount(I, weights=w, minlength=self.p)
-                + np.bincount(J, weights=w, minlength=self.p))
+def inverse_degrees(deg):
+    """1 / deg, with 0 in place of the inverse of a zero degree."""
+    return np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+
+
+def objective_value(w, d, deg, alpha, beta):
+    """f from edge arrays and their node degrees; +inf when a degree is zero."""
+    if np.any(deg <= 0):
+        return np.inf
+    return 2.0 * (w @ d) - alpha * np.sum(np.log(deg)) + beta * (w @ w)
+
+
+def gradient_value(w, d, deg, I, J, alpha, beta):
+    """Gradient 2 d_j + 2 beta w_j - alpha (1/deg_a + 1/deg_b) over the edges
+    (I, J); every degree must be positive."""
+    inv = inverse_degrees(deg)
+    return 2.0 * d + 2.0 * beta * w - alpha * (inv[I] + inv[J])
 
 
 def degrees(w, p):
     """Node degree vector S w for edge weights w; cost O(p^2)."""
-    return DegreeOperator(p).apply(w)
+    I, J = edge_pairs(p)
+    return node_degrees(_checked_weights(w, I.size), I, J, p)
 
 
 def weights_to_matrix(w, p):
     """Symmetric adjacency matrix W with zero diagonal from edge weights w."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (num_edges(p),):
-        raise ValueError(f"weight vector has length {w.shape}, expected ({num_edges(p)},)")
-    W = np.zeros((p, p))
     I, J = edge_pairs(p)
-    W[I, J] = w
+    W = np.zeros((p, p))
+    W[I, J] = _checked_weights(w, I.size)
     W += W.T
     return W
 
@@ -175,8 +173,8 @@ class ProblemInstance:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"need p >= 2, got p={self.p}")
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"need alpha > 0 and beta > 0, got alpha={self.alpha}, beta={self.beta}")
+        if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
+            raise ValueError(f"need finite alpha > 0 and beta > 0, got alpha={self.alpha}, beta={self.beta}")
         d = np.array(self.d, dtype=float)
         if d.shape != (num_edges(self.p),):
             raise ValueError(f"distance vector has length {d.shape}, expected ({num_edges(self.p)},)")
@@ -198,15 +196,9 @@ def objective(w, prob):
     ValueError
         On a negative weight (distinct from the +inf barrier return).
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (prob.m,):
-        raise ValueError(f"weight vector has length {w.shape}, expected ({prob.m},)")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    deg = degrees(w, prob.p)
-    if np.any(deg <= 0):
-        return np.inf
-    return 2.0 * w @ prob.d - prob.alpha * np.sum(np.log(deg)) + prob.beta * (w @ w)
+    w = _checked_weights(w, prob.m)
+    I, J = edge_pairs(prob.p)
+    return objective_value(w, prob.d, node_degrees(w, I, J, prob.p), prob.alpha, prob.beta)
 
 
 def objective_gradient(w, prob):
@@ -214,15 +206,12 @@ def objective_gradient(w, prob):
 
     Requires every node degree strictly positive.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (prob.m,):
-        raise ValueError(f"weight vector has length {w.shape}, expected ({prob.m},)")
-    deg = degrees(w, prob.p)
+    w = _checked_weights(w, prob.m)
+    I, J = edge_pairs(prob.p)
+    deg = node_degrees(w, I, J, prob.p)
     if np.any(deg <= 0):
         raise ValueError("gradient undefined: some node degree is zero")
-    inv = 1.0 / deg
-    I, J = edge_pairs(prob.p)
-    return 2.0 * prob.d + 2.0 * prob.beta * w - prob.alpha * (inv[I] + inv[J])
+    return gradient_value(w, prob.d, deg, I, J, prob.alpha, prob.beta)
 
 
 def load_signals_csv(path, skip_header=False):

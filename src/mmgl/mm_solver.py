@@ -8,11 +8,11 @@ eliminated edges can be dropped from the working arrays.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import degrees, edge_pairs
+from .graph_model import _checked_weights, edge_pairs, inverse_degrees, node_degrees, objective_value
 
 
 @dataclass
@@ -21,20 +21,20 @@ class SolverConfig:
 
     epsilon is the relative-objective stopping tolerance; weights below
     elimination_threshold are clamped to exact zero and retired permanently.
+    A threshold of 0 turns elimination off.
     """
 
     epsilon: float = 1e-4
     max_iters: int = 10000
     elimination_threshold: float = 1e-8
-    elimination_enabled: bool = True
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"need epsilon > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"need finite epsilon > 0, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"need max_iters >= 1, got {self.max_iters}")
-        if self.elimination_threshold < 0:
-            raise ValueError(f"need elimination_threshold >= 0, got {self.elimination_threshold}")
+        if not 0 <= self.elimination_threshold < np.inf:
+            raise ValueError(f"need finite elimination_threshold >= 0, got {self.elimination_threshold}")
 
 
 @dataclass
@@ -59,43 +59,6 @@ class SolveResult:
     iters: int
 
 
-@dataclass
-class SolverState:
-    """Snapshot of a run: full-length iterate plus the live edge index set."""
-
-    w: np.ndarray
-    active: np.ndarray
-    f_trace: list = field(default_factory=list)
-    iters: int = 0
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        self.active = np.asarray(self.active, dtype=int)
-        mask = np.zeros(self.w.size, dtype=bool)
-        mask[self.active] = True
-        if np.any(self.w[~mask] != 0):
-            raise ValueError("inactive edges must carry exactly zero weight")
-
-
-@dataclass
-class CompactView:
-    """Problem data restricted to the live edges of a SolverState.
-
-    indices maps view positions back to original edge ids; endpoint arrays
-    are the corresponding slices of the canonical edge enumeration.
-    """
-
-    p: int
-    indices: np.ndarray
-    d: np.ndarray
-    w: np.ndarray
-
-    @property
-    def endpoints(self):
-        I, J = edge_pairs(self.p)
-        return I[self.indices], J[self.indices]
-
-
 def compute_c(w, prob):
     """Surrogate coefficients c_j = alpha * w_j * (1/deg_a + 1/deg_b).
 
@@ -103,18 +66,14 @@ def compute_c(w, prob):
     exactly when w_j = 0, and sum(c) = alpha * (number of nodes with
     positive degree).
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (prob.m,):
-        raise ValueError(f"weight vector has length {w.shape}, expected ({prob.m},)")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    deg = degrees(w, prob.p)
+    w = _checked_weights(w, prob.m)
     I, J = edge_pairs(prob.p)
-    zero = deg <= 0
-    if np.any(zero) and np.any((w > 0) & (zero[I] | zero[J])):
-        raise RuntimeError("zero degree on a node with positive incident weight")
-    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=~zero)
-    return prob.alpha * w * (inv[I] + inv[J])
+    inv = inverse_degrees(node_degrees(w, I, J, prob.p))
+    return _coefficients(w, inv, I, J, prob.alpha)
+
+
+def _coefficients(w, inv, I, J, alpha):
+    return alpha * w * (inv[I] + inv[J])
 
 
 def mm_update(w, c, prob):
@@ -125,13 +84,8 @@ def mm_update(w, c, prob):
     c_j / (d_j + sqrt(d_j^2 + 2 beta c_j)) to avoid cancellation; c_j = 0
     maps to exactly 0.
     """
-    w = np.asarray(w, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if w.shape != (prob.m,) or c.shape != (prob.m,):
-        raise ValueError(f"expected vectors of length {prob.m}")
-    if np.any(c < 0):
-        raise ValueError("coefficients must be nonnegative")
-    return _root_update(prob.d, c, prob.beta)
+    _checked_weights(w, prob.m)
+    return _root_update(prob.d, _checked_weights(c, prob.m), prob.beta)
 
 
 def _root_update(d, c, beta):
@@ -146,41 +100,18 @@ def surrogate_value(w, w_k, prob):
     Only used for majorization checks in tests, never in the solve loop.
     Returns +inf when some w_j = 0 (the surrogate's log diverges there).
     """
-    w = np.asarray(w, dtype=float)
-    w_k = np.asarray(w_k, dtype=float)
-    if w.shape != (prob.m,) or w_k.shape != (prob.m,):
-        raise ValueError(f"expected vectors of length {prob.m}")
-    if np.any(w_k <= 0):
+    w_k = _checked_weights(w_k, prob.m)
+    if np.any(w_k == 0):
         raise ValueError("expansion point w_k must be strictly positive")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    w = _checked_weights(w, prob.m)
     if np.any(w == 0):
         return np.inf
-    deg = degrees(w_k, prob.p)
-    inv = 1.0 / deg
     I, J = edge_pairs(prob.p)
+    deg = node_degrees(w_k, I, J, prob.p)
+    inv = inverse_degrees(deg)
     ratio = w / w_k
     barrier = w_k * (inv[I] * np.log(deg[I] * ratio) + inv[J] * np.log(deg[J] * ratio))
     return 2.0 * w @ prob.d + prob.beta * (w @ w) - prob.alpha * np.sum(barrier)
-
-
-def compress_active(state, prob):
-    """Restrict problem data to the live edges of `state`.
-
-    Running the MM loop on the view reproduces the uncompacted iterates
-    exactly: eliminated edges contribute zero to every degree and their
-    updates stay pinned at zero.
-    """
-    idx = np.asarray(state.active, dtype=int)
-    return CompactView(p=prob.p, indices=idx, d=np.asarray(prob.d)[idx].copy(),
-                       w=state.w[idx].copy())
-
-
-def _objective_compact(w, d, deg, alpha, beta):
-    """f on (possibly compacted) arrays; +inf when a degree hits zero."""
-    if np.any(deg <= 0):
-        return np.inf
-    return 2.0 * (w @ d) - alpha * np.sum(np.log(deg)) + beta * (w @ w)
 
 
 def _stop_test(f_prev, f_new, epsilon):
@@ -192,50 +123,37 @@ def _stop_test(f_prev, f_new, epsilon):
     return change <= epsilon
 
 
-def _mm_loop(p, d, I, J, w0, alpha, beta, cfg, callback=None, compaction=True,
-             orig=None, m_full=None):
-    """MM iterations over an explicit edge subset.
+def _mm_loop(p, d, I, J, alpha, beta, cfg, callback=None):
+    """MM iterations from the all-ones start over the edges (I, J).
 
     All reads come from the iteration-k snapshot and all writes go to the
-    k+1 buffer; there are no cross-edge dependencies. `orig` maps array
-    positions to original edge ids (for callbacks and the final scatter);
-    `m_full` is the full edge count of the uncompacted problem.
+    k+1 buffer; there are no cross-edge dependencies. Once fewer than half
+    of the working edges are live, the retired ones are dropped from the
+    arrays; `orig` maps array positions back to input edge ids for the
+    callback and the final scatter. Nothing is validated inside the loop.
     """
-    w = np.asarray(w0, dtype=float).copy()
-    d = np.asarray(d, dtype=float)
-    I = np.asarray(I)
-    J = np.asarray(J)
-    if orig is None:
-        orig = np.arange(w.size)
-    else:
-        orig = np.asarray(orig, dtype=int).copy()
-    if m_full is None:
-        m_full = w.size
+    m = d.size
+    w = np.ones(m)
+    orig = np.arange(m)
     tau = cfg.elimination_threshold
-
-    def node_degrees(wv, Iv, Jv):
-        return (np.bincount(Iv, weights=wv, minlength=p)
-                + np.bincount(Jv, weights=wv, minlength=p))
-
-    deg = node_degrees(w, I, J)
-    f_prev = _objective_compact(w, d, deg, alpha, beta)
+    deg = node_degrees(w, I, J, p)
+    f_prev = objective_value(w, d, deg, alpha, beta)
     ks = [0]
     fs = [f_prev]
-    actives = [int(np.count_nonzero(w))]
+    actives = [m]
     walls = [0.0]
     converged = False
     iters = 0
-    last_compact_size = w.size
+    last_compact_size = m
 
     for k in range(1, cfg.max_iters + 1):
         t_start = time.perf_counter()
-        inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-        c = alpha * w * (inv[I] + inv[J])
+        c = _coefficients(w, inverse_degrees(deg), I, J, alpha)
         w = _root_update(d, c, beta)
-        if cfg.elimination_enabled and tau > 0:
+        if tau > 0:
             w[w < tau] = 0.0
-        deg = node_degrees(w, I, J)
-        f_new = _objective_compact(w, d, deg, alpha, beta)
+        deg = node_degrees(w, I, J, p)
+        f_new = objective_value(w, d, deg, alpha, beta)
         nnz = int(np.count_nonzero(w))
         iters = k
         ks.append(k)
@@ -243,23 +161,25 @@ def _mm_loop(p, d, I, J, w0, alpha, beta, cfg, callback=None, compaction=True,
         actives.append(nnz)
         walls.append(time.perf_counter() - t_start)
         if callback is not None:
-            w_full = np.zeros(m_full)
+            w_full = np.zeros(m)
             w_full[orig] = w
-            c_full = np.zeros(m_full)
+            c_full = np.zeros(m)
             c_full[orig] = c
             callback(k, w_full, c_full)
+        if not np.isfinite(f_new):
+            # Some node lost its last edge, so f is +inf from here on:
+            # retired edges never return.
+            break
         if _stop_test(f_prev, f_new, cfg.epsilon):
             converged = True
             break
         f_prev = f_new
-        if nnz == 0:
-            break
-        if compaction and nnz < 0.5 * last_compact_size:
+        if nnz < 0.5 * last_compact_size:
             keep = w > 0
             w, d, I, J, orig = w[keep], d[keep], I[keep], J[keep], orig[keep]
             last_compact_size = w.size
 
-    w_full = np.zeros(m_full)
+    w_full = np.zeros(m)
     w_full[orig] = w
     trace = ConvergenceTrace(
         iterations=np.array(ks, dtype=int),
@@ -282,10 +202,8 @@ def solve(prob, cfg=None, callback=None):
     """
     if cfg is None:
         cfg = SolverConfig()
-    m = prob.m
     I, J = edge_pairs(prob.p)
-    w0 = np.ones(m)
     w_star, trace, converged, iters = _mm_loop(
-        prob.p, prob.d, I, J, w0, prob.alpha, prob.beta, cfg, callback=callback)
+        prob.p, prob.d, I, J, prob.alpha, prob.beta, cfg, callback=callback)
     return SolveResult(w_star=w_star, f_star=float(trace.f[-1]), trace=trace,
                        converged=converged, iters=iters)

@@ -179,7 +179,7 @@ def test_criterion_8_per_iteration_cost_scaling():
         X = dg.gen_signals(g, dg.SignalModel(sigma=0.1, n=1200), 42)
         prob = dg.assemble(X, BENCH_ALPHA, BENCH_BETA)
         # vanilla loop (no elimination) isolates the O(p^2) per-iteration cost
-        cfg = ms.SolverConfig(epsilon=1e-300, max_iters=40, elimination_enabled=False)
+        cfg = ms.SolverConfig(epsilon=1e-300, max_iters=40, elimination_threshold=0.0)
         times = []
         for _ in range(reps):
             res = ms.solve(prob, cfg)

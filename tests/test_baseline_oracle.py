@@ -23,6 +23,10 @@ def test_oracle_config_validation():
         bo.OracleConfig(backtrack_factor=1.0)
     with pytest.raises(ValueError):
         bo.OracleConfig(initial_step=-1.0)
+    with pytest.raises(ValueError):
+        bo.OracleConfig(tol=np.inf)
+    with pytest.raises(ValueError):
+        bo.OracleConfig(initial_step=np.inf)
 
 
 def test_pg_solve_p2_closed_forms():

@@ -124,7 +124,7 @@ def test_parse_config_file(tmp_path):
         encoding="utf-8")
     parsed = bench.parse_config_file(cfgfile)
     assert parsed == {"epsilon": 1e-6, "max_iters": 123,
-                      "elimination_threshold": 1e-9, "elimination_enabled": False}
+                      "elimination_threshold": 1e-9, "elim_enabled": False}
     cfgfile.write_text("nonsense = 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown key"):
         bench.parse_config_file(cfgfile)
@@ -191,6 +191,17 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     echo = (out / "spec.echo").read_text()
     assert "solver_config.epsilon=1e-05" in echo  # explicit flag wins
     assert "solver_config.max_iters=7" in echo  # config file applies
+    # elim_enabled=false in the file means a zero threshold unless a flag
+    # turns elimination back on
+    cfgfile.write_text("max_iters = 7\nelim_enabled = false\n", encoding="utf-8")
+    for flags, threshold in ((["--elim-threshold", "1e-6"], "0.0"),
+                             (["--elim-threshold", "1e-6", "--elim-enabled", "true"], "1e-06")):
+        out = tmp_path / f"elim-{threshold}"
+        cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
+                  "--n", "20", "--seed", "2", "--config", str(cfgfile), *flags,
+                  "--out", str(out)])
+        echo = (out / "spec.echo").read_text()
+        assert f"solver_config.elimination_threshold={threshold}\n" in echo
 
 
 def test_cli_usage_errors(tmp_path):

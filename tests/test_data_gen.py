@@ -182,6 +182,10 @@ def test_signal_model_validation():
         dg.SignalModel(sigma=-0.1, n=5)
     with pytest.raises(ValueError):
         dg.SignalModel(sigma=0.1, n=0)
+    with pytest.raises(ValueError):
+        dg.SignalModel(sigma=np.nan, n=5)
+    with pytest.raises(ValueError):
+        dg.SignalModel(sigma=np.inf, n=5)
 
 
 def test_graph_save_load_round_trip(tmp_path):

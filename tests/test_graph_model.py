@@ -56,15 +56,10 @@ def test_edge_pairs_matches_closed_form():
     I, J = gm.edge_pairs(7)
     for k in range(gm.num_edges(7)):
         assert gm.edge_index(int(I[k]), int(J[k]), 7) == k
-
-
-def test_edge_index_map():
-    emap = gm.EdgeIndexMap(5)
-    assert emap.m == 10
-    assert emap.index(1, 3) == gm.edge_index(1, 3, 5)
-    assert emap.endpoints(7) == gm.edge_endpoints(7, 5)
     with pytest.raises(ValueError):
-        gm.EdgeIndexMap(1)
+        gm.edge_pairs(1)
+    with pytest.raises(ValueError):
+        gm.degrees(np.ones(0), 1)
 
 
 # ----------------------------------------------------------------- distances
@@ -123,11 +118,11 @@ def test_degrees_rejects_length_mismatch():
 
 
 def test_degree_operator_single_edge_touches_two_nodes():
-    op = gm.DegreeOperator(6)
-    for k in range(op.m):
-        e = np.zeros(op.m)
+    m = gm.num_edges(6)
+    for k in range(m):
+        e = np.zeros(m)
         e[k] = 1.0
-        deg = op.apply(e)
+        deg = gm.degrees(e, 6)
         i, j = gm.edge_endpoints(k, 6)
         assert deg[i] == 1.0 and deg[j] == 1.0
         assert np.count_nonzero(deg) == 2
@@ -211,6 +206,10 @@ def test_problem_instance_validation():
         gm.ProblemInstance(p=2, d=np.array([0.0]), alpha=0.0, beta=1.0)
     with pytest.raises(ValueError):
         gm.ProblemInstance(p=2, d=np.array([0.0]), alpha=1.0, beta=-1.0)
+    with pytest.raises(ValueError):
+        gm.ProblemInstance(p=2, d=np.array([0.0]), alpha=np.inf, beta=1.0)
+    with pytest.raises(ValueError):
+        gm.ProblemInstance(p=2, d=np.array([0.0]), alpha=1.0, beta=np.inf)
     with pytest.raises(ValueError):
         gm.ProblemInstance(p=2, d=np.array([0.0, 1.0]), alpha=1.0, beta=1.0)
     with pytest.raises(ValueError):
