@@ -147,18 +147,18 @@ def emit_plot_data(labeled_traces, path):
     labeled_traces = list(labeled_traces)
     if not labeled_traces:
         raise ValueError("no traces given")
+    rows = [f"{solver},{run},{k},{f!r}\n"
+            for solver, run, trace in labeled_traces
+            for k, f in zip(trace.iterations.tolist(), trace.f.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("solver,run,iter,f\n")
-        for solver, run, trace in labeled_traces:
-            for k, f in zip(trace.iterations, trace.f):
-                fh.write(f"{solver},{run},{k},{float(f)!r}\n")
+        fh.write("solver,run,iter,f\n" + "".join(rows))
 
 
 def write_trace_csv(trace, path):
+    rows = [f"{k},{f!r},{a}\n" for k, f, a in zip(
+        trace.iterations.tolist(), trace.f.tolist(), trace.active_count.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iter,f,active_count\n")
-        for k, f, a in zip(trace.iterations, trace.f, trace.active_count):
-            fh.write(f"{k},{float(f)!r},{a}\n")
+        fh.write("iter,f,active_count\n" + "".join(rows))
 
 
 def load_trace_csv(path):

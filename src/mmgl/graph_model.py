@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import pdist
+
+# pairwise_distances recomputes a pair directly when its Gram-form value is
+# below this fraction of |x_i|^2 + |x_j|^2: there cancellation has cost more
+# than two decimal digits, so the direct sum is needed for accuracy (and for
+# an exact 0 on identical rows).
+_GRAM_GUARD = 1e-2
 
 
 def num_edges(p):
@@ -144,15 +149,30 @@ def pairwise_distances(X):
     Returns
     -------
     d : array (m,)
-        d[edge_index(i, j, p)] = ||X[i] - X[j]||_2^2.
+        d[edge_index(i, j, p)] = ||X[i] - X[j]||_2^2, never negative and
+        exactly 0 for identical rows.
+
+    Computed in Gram form, |x_i|^2 + |x_j|^2 - 2 x_i.x_j, with one matrix
+    product; pairs that lose digits to cancellation are summed directly.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
         raise ValueError(f"expected a p x n data matrix with p >= 2, n >= 1, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("data matrix contains non-finite entries")
-    # pdist's condensed ordering is exactly the row-major upper triangle.
-    return pdist(X, metric="sqeuclidean")
+    I, J = edge_pairs(X.shape[0])
+    sq = np.einsum("ij,ij->i", X, X)
+    norms = sq[I] + sq[J]
+    d = norms - 2.0 * (X @ X.T)[I, J]
+    # Direct sums where the Gram form cancels or overflows, in blocks of
+    # about 1 MiB of row differences.
+    redo = np.flatnonzero(~(np.isfinite(d) & (d >= _GRAM_GUARD * norms)))
+    step = max(1, (1 << 17) // X.shape[1])
+    for lo in range(0, redo.size, step):
+        k = redo[lo:lo + step]
+        diff = X[I[k]] - X[J[k]]
+        d[k] = np.einsum("ij,ij->i", diff, diff)
+    return d
 
 
 @dataclass
@@ -249,10 +269,10 @@ def save_edges_csv(w, p, path):
     """Write strictly positive edge weights as CSV rows `i,j,weight` (i < j)."""
     w = np.asarray(w, dtype=float)
     I, J = edge_pairs(p)
+    k = np.flatnonzero(w > 0)
+    rows = [f"{i},{j},{x!r}\n" for i, j, x in zip(I[k].tolist(), J[k].tolist(), w[k].tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("i,j,weight\n")
-        for k in np.flatnonzero(w > 0):
-            fh.write(f"{I[k]},{J[k]},{float(w[k])!r}\n")
+        fh.write("i,j,weight\n" + "".join(rows))
 
 
 def load_edges_csv(path, p=None):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mmgl
 from mmgl import bench, cli
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
@@ -38,6 +44,9 @@ def test_run_single_writes_trace_and_edges(tmp_path):
     trace = bench.load_trace_csv(out / "trace_run0.csv")
     np.testing.assert_array_equal(trace.iterations, result.trace.iterations)
     np.testing.assert_array_equal(trace.f, result.trace.f)
+    assert (out / "trace_run0.csv").read_text().splitlines()[1:] == [
+        f"{k},{float(f)!r},{a}" for k, f, a in
+        zip(result.trace.iterations, result.trace.f, result.trace.active_count)]
     w, p = gm.load_edges_csv(out / "edges_run0.csv", p=12)
     np.testing.assert_array_equal(w, result.w_star)
 
@@ -112,6 +121,19 @@ def test_emit_plot_data(tmp_path):
     bench.emit_plot_data([("mm", 0, trace), ("pg-oracle", 1, trace)], out)
     lines = out.read_text().splitlines()
     assert {line.split(",")[0] for line in lines[1:]} == {"mm", "pg-oracle"}
+
+    # each row is f"{solver},{run},{iter},{float(f)!r}"
+    odd = ms.ConvergenceTrace(
+        iterations=np.arange(5),
+        f=np.array([1e-05, 5e-324, 1e16, 1 / 3, 1.0]),
+        active_count=np.full(5, 3),
+        wall_time=np.zeros(5),
+    )
+    bench.emit_plot_data([("mm", 0, trace), ("pg-oracle", 7, odd)], out)
+    assert out.read_text().splitlines() == [
+        "solver,run,iter,f", "mm,0,0,5.0", "mm,0,1,3.0", "mm,0,2,2.5",
+        "pg-oracle,7,0,1e-05", "pg-oracle,7,1,5e-324", "pg-oracle,7,2,1e+16",
+        "pg-oracle,7,3,0.3333333333333333", "pg-oracle,7,4,1.0"]
 
     with pytest.raises(ValueError):
         bench.emit_plot_data([], out)
@@ -244,3 +266,11 @@ def test_cli_solve_from_loaded_graph(tmp_path):
     w, p = gm.load_edges_csv(out / "edges_run0.csv", p=4)
     assert p == 4
     assert np.all(gm.degrees(w, 4) > 0)
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; scipy stays off the import path
+    env = dict(os.environ, PYTHONPATH=str(Path(mmgl.__file__).parents[1]))
+    code = "import sys, mmgl, mmgl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

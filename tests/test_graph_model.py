@@ -73,10 +73,16 @@ def test_pairwise_distances_examples():
 
 def test_pairwise_distances_matches_direct_sum():
     rng = np.random.default_rng(3)
-    X = rng.normal(size=(6, 9))
-    d = gm.pairwise_distances(X)
-    for k, (i, j) in enumerate(enumerate_pairs(6)):
-        assert d[k] == pytest.approx(np.sum((X[i] - X[j]) ** 2), rel=1e-12)
+    plain = rng.normal(size=(6, 9))
+    # a common offset cancels almost all of |x_i|^2 + |x_j|^2 - 2 x_i.x_j
+    offset = 1e6 + rng.normal(size=(6, 9))
+    near_duplicate = rng.normal(size=(6, 9))
+    near_duplicate[1] = near_duplicate[0] + 1e-9 * rng.normal(size=9)
+    for X in (plain, offset, near_duplicate):
+        d = gm.pairwise_distances(X)
+        assert np.all(d >= 0)
+        for k, (i, j) in enumerate(enumerate_pairs(6)):
+            assert d[k] == pytest.approx(np.sum((X[i] - X[j]) ** 2), rel=1e-12)
 
 
 def test_pairwise_distances_rejects_bad_input():
@@ -251,6 +257,13 @@ def test_edges_csv_round_trip(tmp_path):
     w2, p2 = gm.load_edges_csv(path, p=4)
     assert p2 == 4
     np.testing.assert_array_equal(w2, w)
+
+    # each row is f"{i},{j},{float(w)!r}", so the file round-trips exactly
+    w = np.array([1e-05, 0.0, 5e-324, 1e16, 1 / 3, 1.0])
+    gm.save_edges_csv(w, 4, path)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "i,j,weight", "0,1,1e-05", "0,3,5e-324", "1,2,1e+16", "1,3,0.3333333333333333", "2,3,1.0"]
+    np.testing.assert_array_equal(gm.load_edges_csv(path, p=4)[0], w)
 
 
 def test_edges_csv_rejects_duplicates_and_bad_rows(tmp_path):
