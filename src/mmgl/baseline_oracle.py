@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_model import edge_pairs, gradient_value, node_degrees, objective, objective_value
-from .mm_solver import ConvergenceTrace, SolveResult
+from .mm_solver import _run_result
 
 # Projection floor: keeps the log-barrier finite during line searches.
 # Weights at or below the reporting cutoff are reported as exact zeros.
@@ -60,15 +60,11 @@ def pg_solve(prob, cfg=None):
     deg = node_degrees(w, I, J, p)
     f = objective_value(w, d, deg, alpha, beta)
     g = gradient_value(w, d, deg, I, J, alpha, beta)
-    ks = [0]
-    fs = [f]
-    actives = [int(np.count_nonzero(w > REPORT_CUTOFF))]
-    walls = [0.0]
+    rows = [(f, int(np.count_nonzero(w > REPORT_CUTOFF)), 0.0)]
     converged = False
-    iters = 0
     step = cfg.initial_step
 
-    for k in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         t_start = time.perf_counter()
         if _projected_gradient_norm(w, g) <= cfg.tol:
             converged = True
@@ -97,22 +93,11 @@ def pg_solve(prob, cfg=None):
         else:
             step = cfg.initial_step
         w, f, g = w_new, f_new, g_new
-        iters = k
-        ks.append(k)
-        fs.append(f)
-        actives.append(int(np.count_nonzero(w > REPORT_CUTOFF)))
-        walls.append(time.perf_counter() - t_start)
+        rows.append((f, int(np.count_nonzero(w > REPORT_CUTOFF)), time.perf_counter() - t_start))
 
     w_star = w.copy()
     w_star[w_star <= REPORT_CUTOFF] = 0.0
-    trace = ConvergenceTrace(
-        iterations=np.array(ks, dtype=int),
-        f=np.array(fs, dtype=float),
-        active_count=np.array(actives, dtype=int),
-        wall_time=np.array(walls, dtype=float),
-    )
-    return SolveResult(w_star=w_star, f_star=float(f), trace=trace,
-                       converged=converged, iters=iters)
+    return _run_result(w_star, rows, converged)
 
 
 def default_box_upper(prob):

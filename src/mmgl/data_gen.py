@@ -13,6 +13,8 @@ import numpy as np
 
 from .graph_model import (
     ProblemInstance,
+    _checked_weights,
+    edge_pairs,
     load_edges_csv,
     num_edges,
     pairwise_distances,
@@ -33,12 +35,7 @@ class GroundTruthGraph:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"need p >= 2, got p={self.p}")
-        w = np.asarray(self.w_true, dtype=float)
-        if w.shape != (num_edges(self.p),):
-            raise ValueError(f"w_true has length {w.shape}, expected ({num_edges(self.p)},)")
-        if np.any(w < 0):
-            raise ValueError("edge weights must be nonnegative")
-        self.w_true = w
+        self.w_true = _checked_weights(self.w_true, num_edges(self.p))
 
 
 @dataclass
@@ -77,7 +74,7 @@ def gen_sbm(p, p_in, p_out, seed, blocks=2):
         raise ValueError(f"need p >= 2, got p={p}")
     rng = np.random.default_rng(seed)
     membership = np.arange(p) >= p // 2
-    I, J = np.triu_indices(p, k=1)
+    I, J = edge_pairs(p)
     prob = np.where(membership[I] == membership[J], p_in, p_out)
     w = (rng.random(num_edges(p)) < prob).astype(float)
     return GroundTruthGraph(p=p, w_true=w, family="sbm")

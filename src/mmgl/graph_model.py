@@ -45,22 +45,6 @@ def edge_index(i, j, p):
     return i * p - i * (i + 1) // 2 + (j - i - 1)
 
 
-def edge_endpoints(k, p):
-    """Inverse of edge_index: endpoints (i, j) of the edge with linear index k."""
-    m = num_edges(p)
-    if not (0 <= k < m):
-        raise ValueError(f"edge index {k} out of range for p={p} (m={m})")
-    # Solve for the row: largest i with i*p - i*(i+1)/2 <= k, then correct
-    # the float estimate by at most one step.
-    i = int(p - 0.5 - np.sqrt((p - 0.5) ** 2 - 2.0 * k))
-    while i * p - i * (i + 1) // 2 > k:
-        i -= 1
-    while (i + 1) * p - (i + 1) * (i + 2) // 2 <= k:
-        i += 1
-    j = k - (i * p - i * (i + 1) // 2) + i + 1
-    return i, j
-
-
 @lru_cache(maxsize=64)
 def edge_pairs(p):
     """Endpoint arrays (I, J) for all m edges in canonical order (read-only)."""
@@ -126,16 +110,6 @@ def weights_to_matrix(w, p):
     W[I, J] = _checked_weights(w, I.size)
     W += W.T
     return W
-
-
-def matrix_to_weights(W):
-    """Strict upper triangle of a symmetric matrix W as an edge weight vector."""
-    W = np.asarray(W, dtype=float)
-    p = W.shape[0]
-    if W.shape != (p, p) or p < 2:
-        raise ValueError(f"expected a square matrix with p >= 2, got shape {W.shape}")
-    I, J = edge_pairs(p)
-    return W[I, J].copy()
 
 
 def pairwise_distances(X):
@@ -267,8 +241,8 @@ def load_signals_csv(path, skip_header=False):
 
 def save_edges_csv(w, p, path):
     """Write strictly positive edge weights as CSV rows `i,j,weight` (i < j)."""
-    w = np.asarray(w, dtype=float)
     I, J = edge_pairs(p)
+    w = _checked_weights(w, I.size)
     k = np.flatnonzero(w > 0)
     rows = [f"{i},{j},{x!r}\n" for i, j, x in zip(I[k].tolist(), J[k].tolist(), w[k].tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -52,11 +52,33 @@ class ConvergenceTrace:
 
 @dataclass
 class SolveResult:
+    """Final weights and run record of one solve; f_star and iters are read
+    from the trace."""
+
     w_star: np.ndarray
-    f_star: float
     trace: ConvergenceTrace
     converged: bool
-    iters: int
+
+    @property
+    def f_star(self):
+        return float(self.trace.f[-1])
+
+    @property
+    def iters(self):
+        return len(self.trace) - 1
+
+
+def _run_result(w_star, rows, converged):
+    """SolveResult from the final full-length weights and one
+    (f, active_count, wall_s) row per iterate, starting point first."""
+    f, active, wall = zip(*rows)
+    trace = ConvergenceTrace(
+        iterations=np.arange(len(rows)),
+        f=np.array(f, dtype=float),
+        active_count=np.array(active, dtype=int),
+        wall_time=np.array(wall, dtype=float),
+    )
+    return SolveResult(w_star=w_star, trace=trace, converged=converged)
 
 
 def compute_c(w, prob):
@@ -123,8 +145,15 @@ def _stop_test(f_prev, f_new, epsilon):
     return change <= epsilon
 
 
-def _mm_loop(p, d, I, J, alpha, beta, cfg, callback=None):
-    """MM iterations from the all-ones start over the edges (I, J).
+def solve(prob, cfg=None, callback=None):
+    """Run the MM algorithm from the all-ones start until the relative
+    objective change drops to cfg.epsilon or max_iters is hit.
+
+    When the previous objective value is exactly zero the stopping rule
+    falls back to the absolute change (f can cross zero through the log
+    term). Inputs are never mutated; the run is a pure function of
+    (prob, cfg). The callback, if given, is invoked after every iteration
+    as callback(k, w, c) with full-length arrays (a testing hook).
 
     All reads come from the iteration-k snapshot and all writes go to the
     k+1 buffer; there are no cross-edge dependencies. Once fewer than half
@@ -132,18 +161,18 @@ def _mm_loop(p, d, I, J, alpha, beta, cfg, callback=None):
     arrays; `orig` maps array positions back to input edge ids for the
     callback and the final scatter. Nothing is validated inside the loop.
     """
+    if cfg is None:
+        cfg = SolverConfig()
+    p, d, alpha, beta = prob.p, prob.d, prob.alpha, prob.beta
+    I, J = edge_pairs(p)
     m = d.size
     w = np.ones(m)
     orig = np.arange(m)
     tau = cfg.elimination_threshold
     deg = node_degrees(w, I, J, p)
     f_prev = objective_value(w, d, deg, alpha, beta)
-    ks = [0]
-    fs = [f_prev]
-    actives = [m]
-    walls = [0.0]
+    rows = [(f_prev, m, 0.0)]
     converged = False
-    iters = 0
     last_compact_size = m
 
     for k in range(1, cfg.max_iters + 1):
@@ -155,11 +184,7 @@ def _mm_loop(p, d, I, J, alpha, beta, cfg, callback=None):
         deg = node_degrees(w, I, J, p)
         f_new = objective_value(w, d, deg, alpha, beta)
         nnz = int(np.count_nonzero(w))
-        iters = k
-        ks.append(k)
-        fs.append(f_new)
-        actives.append(nnz)
-        walls.append(time.perf_counter() - t_start)
+        rows.append((f_new, nnz, time.perf_counter() - t_start))
         if callback is not None:
             w_full = np.zeros(m)
             w_full[orig] = w
@@ -181,29 +206,4 @@ def _mm_loop(p, d, I, J, alpha, beta, cfg, callback=None):
 
     w_full = np.zeros(m)
     w_full[orig] = w
-    trace = ConvergenceTrace(
-        iterations=np.array(ks, dtype=int),
-        f=np.array(fs, dtype=float),
-        active_count=np.array(actives, dtype=int),
-        wall_time=np.array(walls, dtype=float),
-    )
-    return w_full, trace, converged, iters
-
-
-def solve(prob, cfg=None, callback=None):
-    """Run the MM algorithm from the all-ones start until the relative
-    objective change drops to cfg.epsilon or max_iters is hit.
-
-    When the previous objective value is exactly zero the stopping rule
-    falls back to the absolute change (f can cross zero through the log
-    term). Inputs are never mutated; the run is a pure function of
-    (prob, cfg). The callback, if given, is invoked after every iteration
-    as callback(k, w, c) with full-length arrays (a testing hook).
-    """
-    if cfg is None:
-        cfg = SolverConfig()
-    I, J = edge_pairs(prob.p)
-    w_star, trace, converged, iters = _mm_loop(
-        prob.p, prob.d, I, J, prob.alpha, prob.beta, cfg, callback=callback)
-    return SolveResult(w_star=w_star, f_star=float(trace.f[-1]), trace=trace,
-                       converged=converged, iters=iters)
+    return _run_result(w_full, rows, converged)

@@ -52,6 +52,8 @@ def test_pg_solve_trace_monotone(seed):
                         alpha=float(rng.uniform(0.3, 3)), beta=float(rng.uniform(0.3, 3)))
     res = bo.pg_solve(prob, bo.OracleConfig(max_iters=5000))
     assert np.all(np.diff(res.trace.f) <= 0)
+    assert res.f_star == res.trace.f[-1]
+    assert res.iters == len(res.trace) - 1
 
 
 def test_brute_force_p2():

@@ -188,6 +188,13 @@ def test_signal_model_validation():
         dg.SignalModel(sigma=np.inf, n=5)
 
 
+def test_ground_truth_graph_validation():
+    with pytest.raises(ValueError):
+        dg.GroundTruthGraph(p=4, w_true=np.ones(5))
+    with pytest.raises(ValueError):
+        dg.GroundTruthGraph(p=4, w_true=np.array([1.0, 0.0, -1.0, 0.0, 0.0, 1.0]))
+
+
 def test_graph_save_load_round_trip(tmp_path):
     g = dg.gen_er(12, 0.4, 3)
     path = tmp_path / "g.csv"

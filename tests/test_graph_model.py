@@ -36,20 +36,14 @@ def test_edge_index_rejects_bad_pairs():
 
 @given(st.integers(min_value=2, max_value=50))
 def test_edge_index_bijection(p):
+    I, J = gm.edge_pairs(p)
     seen = set()
     for k, (i, j) in enumerate(enumerate_pairs(p)):
         idx = gm.edge_index(i, j, p)
         assert idx == k
-        assert gm.edge_endpoints(idx, p) == (i, j)
+        assert (I[k], J[k]) == (i, j)
         seen.add(idx)
     assert seen == set(range(gm.num_edges(p)))
-
-
-def test_edge_endpoints_out_of_range():
-    with pytest.raises(ValueError):
-        gm.edge_endpoints(6, 4)
-    with pytest.raises(ValueError):
-        gm.edge_endpoints(-1, 4)
 
 
 def test_edge_pairs_matches_closed_form():
@@ -125,11 +119,12 @@ def test_degrees_rejects_length_mismatch():
 
 def test_degree_operator_single_edge_touches_two_nodes():
     m = gm.num_edges(6)
+    I, J = gm.edge_pairs(6)
     for k in range(m):
         e = np.zeros(m)
         e[k] = 1.0
         deg = gm.degrees(e, 6)
-        i, j = gm.edge_endpoints(k, 6)
+        i, j = I[k], J[k]
         assert deg[i] == 1.0 and deg[j] == 1.0
         assert np.count_nonzero(deg) == 2
 
@@ -202,7 +197,7 @@ def test_weights_to_matrix_is_symmetric_zero_diagonal():
     W = gm.weights_to_matrix(w, 6)
     np.testing.assert_array_equal(W, W.T)
     np.testing.assert_array_equal(np.diag(W), np.zeros(6))
-    np.testing.assert_array_equal(gm.matrix_to_weights(W), w)
+    np.testing.assert_array_equal(W[gm.edge_pairs(6)], w)
 
 
 def test_problem_instance_validation():
@@ -264,6 +259,11 @@ def test_edges_csv_round_trip(tmp_path):
     assert path.read_text(encoding="utf-8").splitlines() == [
         "i,j,weight", "0,1,1e-05", "0,3,5e-324", "1,2,1e+16", "1,3,0.3333333333333333", "2,3,1.0"]
     np.testing.assert_array_equal(gm.load_edges_csv(path, p=4)[0], w)
+
+    with pytest.raises(ValueError):
+        gm.save_edges_csv(np.ones(3), 4, path)  # m = 6 for p = 4
+    with pytest.raises(ValueError):
+        gm.save_edges_csv(np.array([1.0, -2.0, 0.0, 1.0, 0.0, 1.0]), 4, path)
 
 
 def test_edges_csv_rejects_duplicates_and_bad_rows(tmp_path):

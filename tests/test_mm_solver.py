@@ -287,14 +287,36 @@ def test_auto_compaction_matches_uncompacted_run():
     assert np.count_nonzero(res.w_star) < 0.5 * prob.m  # compaction really triggered
 
 
-# sha256 of w_star after exactly 60 iterations. The iterates use only
-# elementwise IEEE arithmetic and in-order bincount sums, no BLAS or LAPACK,
-# so these bytes are the same on every CPU.
-PINNED_W_STAR = {
-    "gapped-14": "a16abb3c4a71d013bad5c78707b9583bdf2402a908dacfcea82182a8c5b16893",
-    "uniform-3": "e82586959efe0aa4c5eeaec0bcb2d52ae3c384233d5ceef8305df088b3866201",
-    "uniform-7": "66dbbdf296f481fe3eda5e4bc595955077b52c43ab3cfe94f8cc17d801a3c229",
+# sha256 of (w_star, trace.f, trace.iterations, trace.active_count) after
+# exactly 60 MM iterations, and of one converged pg_solve run. The MM
+# iterates use only elementwise IEEE arithmetic and in-order bincount sums,
+# no BLAS or LAPACK, so the w_star bytes are the same on every CPU. f and
+# the pg iterates also go through numpy dot products, whose rounding may
+# depend on the BLAS build.
+PINNED_RUNS = {
+    "gapped-14": ("a16abb3c4a71d013bad5c78707b9583bdf2402a908dacfcea82182a8c5b16893",
+                  "5c37a0016e240bf9306f741786fba2013d54221d8176ff69d59c7fa0cb96ce54",
+                  "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
+                  "971201d594de41be023e769d8f2dca2813a6a8f014dc7419086959eb7966ca6b"),
+    "uniform-3": ("e82586959efe0aa4c5eeaec0bcb2d52ae3c384233d5ceef8305df088b3866201",
+                  "5d579c5caf581d00d1673bc9febd6c1c6b03e7e56634c662034a23c88ef23783",
+                  "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
+                  "5f60e63cd10f55fab3f0f226f9525999acc8d03c485bce5f0188ad812e540542"),
+    "uniform-7": ("66dbbdf296f481fe3eda5e4bc595955077b52c43ab3cfe94f8cc17d801a3c229",
+                  "1db5f8a808f47bddb78a99f198366c8c35d401da2a23d24c819500c6b9be45fe",
+                  "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
+                  "64cba8c22e5b989a8905db41753dad955e48f758c65477e983c7e12627bb1298"),
+    "pg-uniform-3": ("5e062d0520367e65807623fde7935594d429d336d4a50a86ec1062067461f76a",
+                     "5e750902d21912f0e46eb1f5ea8edb36eb3cf5334d22868564daed920fdc55de",
+                     "852c80a269cfde9f6b8cc6c4f19f4e92c636218d0620fedda0d379e77abc224b",
+                     "9a69fd651dc3d6ea1d4acf2df9c690b285bc997e422e3b2eb76fe3b7eaac40e0"),
 }
+
+
+def run_digests(res):
+    arrays = ((res.w_star, "<f8"), (res.trace.f, "<f8"),
+              (res.trace.iterations, "<i8"), (res.trace.active_count, "<i8"))
+    return tuple(hashlib.sha256(a.astype(dt).tobytes()).hexdigest() for a, dt in arrays)
 
 
 def test_iterates_match_pinned_bytes():
@@ -309,10 +331,12 @@ def test_iterates_match_pinned_bytes():
     for name, prob in problems.items():
         res = ms.solve(prob, cfg)
         assert res.iters == 60
-        digest = hashlib.sha256(res.w_star.astype("<f8").tobytes()).hexdigest()
-        assert digest == PINNED_W_STAR[name], name
+        assert run_digests(res) == PINNED_RUNS[name], name
         if name == "gapped-14":
             assert res.trace.active_count[-1] < 0.5 * prob.m  # compaction ran
+    res = bo.pg_solve(problems["uniform-3"], bo.OracleConfig(max_iters=200))
+    assert res.converged
+    assert run_digests(res) == PINNED_RUNS["pg-uniform-3"]
 
 
 def test_callback_sees_full_length_arrays_after_compaction():
