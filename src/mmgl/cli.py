@@ -1,11 +1,13 @@
 """Command line front end: gen / solve / bench / plotdata subcommands.
 
-Exit codes: 0 success (and solver converged), 3 solver stopped at the
-iteration cap, 2 usage errors, 1 file or data errors.
+Exit codes: 0 success (and solver converged), 3 stopped without converging
+(iteration cap, or f became non-finite), 2 usage errors, 1 file or data
+errors.
 """
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -142,7 +144,12 @@ def _cmd_solve(args, parser):
     out.mkdir(parents=True, exist_ok=True)
     bench.write_spec_echo(spec, out / "spec.echo")
     result, wall = bench.run_single(spec, run_index=0)
-    status = "converged" if result.converged else "hit max_iters"
+    if result.converged:
+        status = "converged"
+    elif not math.isfinite(result.f_star):
+        status = "stopped on non-finite f (a node lost its last edge)"
+    else:
+        status = "hit max_iters"
     print(f"{spec.solver}: {status} after {result.iters} iterations, "
           f"f = {result.f_star:.10g}, solve time {wall:.3f}s")
     print(f"outputs in {spec.out_dir}")

@@ -193,6 +193,17 @@ def test_cli_solve_exit_code_on_max_iters(tmp_path):
     assert rc == cli.EXIT_MAX_ITERS
 
 
+def test_cli_solve_reports_non_finite_objective(tmp_path, capsys):
+    # sqrt(alpha/beta) far below the elimination threshold: every edge
+    # retires in iteration 1 and f becomes +inf
+    rc = cli.main(["solve", "--family", "er", "--p", "20", "--seed", "3",
+                   "--alpha", "1e-20", "--beta", "1", "--out", str(tmp_path / "nf")])
+    assert rc == cli.EXIT_MAX_ITERS
+    out = capsys.readouterr().out
+    assert "mm: stopped on non-finite f (a node lost its last edge) after 1 iterations" in out
+    assert "max_iters" not in out
+
+
 def test_cli_solve_oracle_backend(tmp_path):
     rc = cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
                    "--n", "20", "--seed", "2", "--solver", "pg-oracle",

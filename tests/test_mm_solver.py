@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmgl import baseline_oracle as bo
+from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
@@ -267,13 +268,12 @@ def gapped_problem(seed, p):
     return make_problem(p, np.where(keep, rng.uniform(0.05, 0.2, m), rng.uniform(3.0, 7.0, m)))
 
 
-def test_auto_compaction_matches_uncompacted_run():
-    prob = gapped_problem(14, 10)
-    cfg = ms.SolverConfig(epsilon=1e-12, max_iters=100000)
+def solve_against_full_length_reference(prob, cfg):
+    """Run solve and check it against the public kernels on full-length
+    arrays, never compacted: every callback w bit for bit, f to 1e-12."""
     seen = []
     res = ms.solve(prob, cfg, callback=lambda k, w, c: seen.append(w))
     assert len(seen) == res.iters
-    # reference: the public kernels on full-length arrays, never compacted
     w = np.ones(prob.m)
     fs = [gm.objective(w, prob)]
     for w_solve in seen:
@@ -284,7 +284,27 @@ def test_auto_compaction_matches_uncompacted_run():
     assert np.array_equal(res.w_star, w)
     # f sums over compacted arrays round differently at the last ulp
     np.testing.assert_allclose(res.trace.f, fs, rtol=1e-12)
+    return res
+
+
+def test_auto_compaction_matches_uncompacted_run():
+    prob = gapped_problem(14, 10)
+    res = solve_against_full_length_reference(prob, ms.SolverConfig(epsilon=1e-12, max_iters=100000))
     assert np.count_nonzero(res.w_star) < 0.5 * prob.m  # compaction really triggered
+
+
+def test_repeated_compaction_matches_uncompacted_run():
+    # SBM edges retire a few at a time over hundreds of iterations, so the
+    # working arrays are compacted many times
+    seed = 1
+    prob = dg.assemble(dg.gen_sbm(30, 0.3, 0.05, seed), 100.0, 100.0,
+                       model=dg.SignalModel(0.1, 200), seed=seed)
+    res = solve_against_full_length_reference(prob, ms.SolverConfig(epsilon=1e-10, max_iters=100000))
+    assert res.converged
+    assert len(np.unique(res.trace.active_count)) > 5
+    cfg = ms.SolverConfig(epsilon=1e-10, max_iters=100000, elimination_threshold=0.0)
+    res = solve_against_full_length_reference(prob, cfg)
+    assert np.all(res.trace.active_count == prob.m)
 
 
 # sha256 of (w_star, trace.f, trace.iterations, trace.active_count) after
@@ -292,18 +312,19 @@ def test_auto_compaction_matches_uncompacted_run():
 # iterates use only elementwise IEEE arithmetic and in-order bincount sums,
 # no BLAS or LAPACK, so the w_star bytes are the same on every CPU. f and
 # the pg iterates also go through numpy dot products, whose rounding may
-# depend on the BLAS build.
+# depend on the BLAS build, and the MM f also on where compaction drops
+# edges: the dot products run over the working arrays.
 PINNED_RUNS = {
     "gapped-14": ("a16abb3c4a71d013bad5c78707b9583bdf2402a908dacfcea82182a8c5b16893",
-                  "5c37a0016e240bf9306f741786fba2013d54221d8176ff69d59c7fa0cb96ce54",
+                  "fe69e6ea3b87a26cee4fe41cb28910cbae0822627252b3a3e376bdd185f82524",
                   "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
                   "971201d594de41be023e769d8f2dca2813a6a8f014dc7419086959eb7966ca6b"),
     "uniform-3": ("e82586959efe0aa4c5eeaec0bcb2d52ae3c384233d5ceef8305df088b3866201",
-                  "5d579c5caf581d00d1673bc9febd6c1c6b03e7e56634c662034a23c88ef23783",
+                  "85a31bf4eafaa92ee1d7330264d360015010e6fe4fba042ca71482c4ccb6dcb8",
                   "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
                   "5f60e63cd10f55fab3f0f226f9525999acc8d03c485bce5f0188ad812e540542"),
     "uniform-7": ("66dbbdf296f481fe3eda5e4bc595955077b52c43ab3cfe94f8cc17d801a3c229",
-                  "1db5f8a808f47bddb78a99f198366c8c35d401da2a23d24c819500c6b9be45fe",
+                  "c964ee218594ad7b9fd4326f4bcfce570e06e21dd46c65c4e654c063b545f9e3",
                   "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
                   "64cba8c22e5b989a8905db41753dad955e48f758c65477e983c7e12627bb1298"),
     "pg-uniform-3": ("5e062d0520367e65807623fde7935594d429d336d4a50a86ec1062067461f76a",
