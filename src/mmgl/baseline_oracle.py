@@ -50,7 +50,9 @@ def pg_solve(prob, cfg=None):
     """Projected gradient descent on f over the (floored) nonnegative orthant.
 
     Monotone in f by the Armijo rule; stops when the projected-gradient norm
-    drops to cfg.tol. Starts from the all-ones point.
+    drops to cfg.tol (reason "converged"), when no representable step
+    decreases f ("stationary"), or at cfg.max_iters ("max_iters"). Starts
+    from the all-ones point.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -61,13 +63,13 @@ def pg_solve(prob, cfg=None):
     f = objective_value(w, d, deg, alpha, beta)
     g = gradient_value(w, d, deg, I, J, alpha, beta)
     rows = [(f, int(np.count_nonzero(w > REPORT_CUTOFF)), 0.0)]
-    converged = False
+    reason = "max_iters"
     step = cfg.initial_step
 
     for _ in range(cfg.max_iters):
         t_start = time.perf_counter()
         if _projected_gradient_norm(w, g) <= cfg.tol:
-            converged = True
+            reason = "converged"
             break
         t = step
         accepted = False
@@ -81,6 +83,7 @@ def pg_solve(prob, cfg=None):
             t *= cfg.backtrack_factor
         if not accepted or np.array_equal(w_new, w):
             # Numerically stationary: no representable step decreases f.
+            reason = "stationary"
             break
         g_new = gradient_value(w_new, d, deg_new, I, J, alpha, beta)
         # Barzilai-Borwein trial step for the next iteration (Armijo above
@@ -97,7 +100,7 @@ def pg_solve(prob, cfg=None):
 
     w_star = w.copy()
     w_star[w_star <= REPORT_CUTOFF] = 0.0
-    return _run_result(w_star, rows, converged)
+    return _run_result(w_star, rows, reason)
 
 
 def default_box_upper(prob):

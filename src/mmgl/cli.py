@@ -1,13 +1,13 @@
 """Command line front end: gen / solve / bench / plotdata subcommands.
 
 Exit codes: 0 success (and solver converged), 3 stopped without converging
-(iteration cap, or f became non-finite), 2 usage errors, 1 file or data
+(iteration cap, f became non-finite, or the PG oracle stalled at a
+numerically stationary point), 2 usage errors, 1 file or data
 errors.
 """
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -18,6 +18,14 @@ from .mm_solver import SolverConfig
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_MAX_ITERS = 3
+
+# What `mmgl solve` prints for each SolveResult.reason.
+_STOP_MESSAGES = {
+    "converged": "converged",
+    "max_iters": "hit max_iters",
+    "non_finite": "stopped on non-finite f (a node lost its last edge)",
+    "stationary": "stopped at a numerically stationary point",
+}
 
 
 def _add_problem_args(sub):
@@ -144,13 +152,7 @@ def _cmd_solve(args, parser):
     out.mkdir(parents=True, exist_ok=True)
     bench.write_spec_echo(spec, out / "spec.echo")
     result, wall = bench.run_single(spec, run_index=0)
-    if result.converged:
-        status = "converged"
-    elif not math.isfinite(result.f_star):
-        status = "stopped on non-finite f (a node lost its last edge)"
-    else:
-        status = "hit max_iters"
-    print(f"{spec.solver}: {status} after {result.iters} iterations, "
+    print(f"{spec.solver}: {_STOP_MESSAGES[result.reason]} after {result.iters} iterations, "
           f"f = {result.f_star:.10g}, solve time {wall:.3f}s")
     print(f"outputs in {spec.out_dir}")
     return EXIT_OK if result.converged else EXIT_MAX_ITERS

@@ -85,9 +85,9 @@ def inverse_degrees(deg):
 
 def objective_value(w, d, deg, alpha, beta):
     """f from edge arrays and their node degrees; +inf when a degree is zero."""
-    if np.any(deg <= 0):
+    if deg.min() <= 0:
         return np.inf
-    return 2.0 * (w @ d) - alpha * np.sum(np.log(deg)) + beta * (w @ w)
+    return 2.0 * (w @ d) - alpha * np.log(deg).sum() + beta * (w @ w)
 
 
 def gradient_value(w, d, deg, I, J, alpha, beta):

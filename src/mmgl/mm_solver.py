@@ -6,8 +6,15 @@ closed-form nonnegative quadratic-root update. A weight that reaches exact
 zero produces a zero coefficient and therefore stays zero forever, so
 eliminated edges are dropped from the working arrays as soon as 1% or more
 of them have retired.
+
+The loop evaluates the root unmasked, with d * d computed once and carried
+with the working arrays. A retired edge with d = 0 gets 0/0 = nan there;
+the one live mask per iteration (w >= threshold) clamps it back to 0 along
+with every other retired edge, and the same mask counts the active edges
+and selects the survivors at compaction.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -54,11 +61,21 @@ class ConvergenceTrace:
 @dataclass
 class SolveResult:
     """Final weights and run record of one solve; f_star and iters are read
-    from the trace."""
+    from the trace.
+
+    reason says why the run stopped: "converged" (the stopping rule held),
+    "max_iters" (the iteration cap), "non_finite" (f became non-finite: a
+    node lost its last edge) or "stationary" (pg_solve found no step that
+    decreases f before reaching its tolerance).
+    """
 
     w_star: np.ndarray
     trace: ConvergenceTrace
-    converged: bool
+    reason: str
+
+    @property
+    def converged(self):
+        return self.reason == "converged"
 
     @property
     def f_star(self):
@@ -69,9 +86,10 @@ class SolveResult:
         return len(self.trace) - 1
 
 
-def _run_result(w_star, rows, converged):
-    """SolveResult from the final full-length weights and one
-    (f, active_count, wall_s) row per iterate, starting point first."""
+def _run_result(w_star, rows, reason):
+    """SolveResult from the final full-length weights, one
+    (f, active_count, wall_s) row per iterate, starting point first, and
+    the stop reason."""
     f, active, wall = zip(*rows)
     trace = ConvergenceTrace(
         iterations=np.arange(len(rows)),
@@ -79,7 +97,7 @@ def _run_result(w_star, rows, converged):
         active_count=np.array(active, dtype=int),
         wall_time=np.array(wall, dtype=float),
     )
-    return SolveResult(w_star=w_star, trace=trace, converged=converged)
+    return SolveResult(w_star=w_star, trace=trace, reason=reason)
 
 
 def compute_c(w, prob):
@@ -96,7 +114,7 @@ def compute_c(w, prob):
 
 
 def _coefficients(w, inv, I, J, alpha):
-    return alpha * w * (inv[I] + inv[J])
+    return alpha * w * (inv.take(I) + inv.take(J))
 
 
 def mm_update(w, c, prob):
@@ -105,16 +123,24 @@ def mm_update(w, c, prob):
     Each output w_j is the unique nonnegative root of
     2 d_j w_j + 2 beta w_j^2 - c_j = 0, computed in the rationalized form
     c_j / (d_j + sqrt(d_j^2 + 2 beta c_j)) to avoid cancellation; c_j = 0
-    maps to exactly 0.
+    maps to exactly 0, with no warning, also where d_j = 0.
     """
     _checked_weights(w, prob.m)
-    return _root_update(prob.d, _checked_weights(c, prob.m), prob.beta)
+    c = _checked_weights(c, prob.m)
+    d = prob.d
+    with np.errstate(invalid="ignore"):
+        w_new = _root_update(d, d * d, c, 2.0 * prob.beta)
+    w_new[c == 0] = 0.0
+    return w_new
 
 
-def _root_update(d, c, beta):
-    s = np.sqrt(d * d + 2.0 * beta * c)
-    denom = d + s
-    return np.divide(c, denom, out=np.zeros_like(c), where=c > 0)
+def _root_update(d, dd, c, two_beta):
+    """Unmasked root c / (d + sqrt(dd + two_beta c)) with dd = d * d.
+
+    Gives 0 where c = 0 < d, and 0/0 = nan where c = d = 0: the caller
+    clears those entries.
+    """
+    return c / (d + np.sqrt(dd + two_beta * c))
 
 
 def surrogate_value(w, w_k, prob):
@@ -157,54 +183,65 @@ def solve(prob, cfg=None, callback=None):
     as callback(k, w, c) with full-length arrays (a testing hook).
 
     All reads come from the iteration-k snapshot and all writes go to the
-    k+1 buffer; there are no cross-edge dependencies. As soon as 1% or more
-    of the working edges have retired, they are dropped from the arrays;
-    `orig` maps array positions back to input edge ids for the callback and
-    the final scatter. Each trace row's wall time covers the whole iteration,
+    k+1 buffer; there are no cross-edge dependencies. One live mask per
+    iteration, w >= max(threshold, smallest positive float), clamps the
+    retired edges to 0 (the clamp runs only when some edge is dead), counts
+    the active ones and selects the survivors at compaction. It also clears
+    the nan that the unmasked root gives a retired edge with d = 0, since
+    nan >= floor is false; the loop, callback included, runs under
+    np.errstate(invalid="ignore") so that this 0/0 stays silent. As soon as
+    1% or more of the working edges have retired, they are dropped from the
+    working arrays: w, d, the cached d * d, I, J and `orig`, which maps
+    array positions back to input edge ids for the callback and the final
+    scatter. Each trace row's wall time covers the whole iteration,
     compaction included, and not the callback. Nothing is validated inside
     the loop.
     """
     if cfg is None:
         cfg = SolverConfig()
     p, d, alpha, beta = prob.p, prob.d, prob.alpha, prob.beta
+    two_beta = 2.0 * beta
     I, J = edge_pairs(p)
     m = d.size
     w = np.ones(m)
+    dd = d * d
     orig = np.arange(m)
-    tau = cfg.elimination_threshold
+    floor = max(cfg.elimination_threshold, np.nextafter(0.0, 1.0))
     deg = node_degrees(w, I, J, p)
     f_prev = objective_value(w, d, deg, alpha, beta)
     rows = [(f_prev, m, 0.0)]
-    converged = False
+    reason = "max_iters"
 
-    for k in range(1, cfg.max_iters + 1):
-        t_start = time.perf_counter()
-        c = _coefficients(w, inverse_degrees(deg), I, J, alpha)
-        w = _root_update(d, c, beta)
-        if tau > 0:
-            w[w < tau] = 0.0
-        deg = node_degrees(w, I, J, p)
-        f_new = objective_value(w, d, deg, alpha, beta)
-        nnz = int(np.count_nonzero(w))
-        # A non-finite f means some node lost its last edge, so f is +inf
-        # from here on: retired edges never return.
-        finite = bool(np.isfinite(f_new))
-        converged = finite and bool(_stop_test(f_prev, f_new, cfg.epsilon))
-        w_k, orig_k = w, orig
-        if finite and not converged and nnz < 0.99 * w.size:
-            keep = w > 0
-            w, d, I, J, orig = w[keep], d[keep], I[keep], J[keep], orig[keep]
-        rows.append((f_new, nnz, time.perf_counter() - t_start))
-        if callback is not None:
-            w_full = np.zeros(m)
-            w_full[orig_k] = w_k
-            c_full = np.zeros(m)
-            c_full[orig_k] = c
-            callback(k, w_full, c_full)
-        if converged or not finite:
-            break
-        f_prev = f_new
+    with np.errstate(invalid="ignore"):
+        for k in range(1, cfg.max_iters + 1):
+            t_start = time.perf_counter()
+            c = _coefficients(w, inverse_degrees(deg), I, J, alpha)
+            w = _root_update(d, dd, c, two_beta)
+            live = w >= floor
+            nnz = int(np.count_nonzero(live))
+            if nnz < w.size:
+                w[~live] = 0.0
+            deg = node_degrees(w, I, J, p)
+            f_new = objective_value(w, d, deg, alpha, beta)
+            # A non-finite f means some node lost its last edge, so f is +inf
+            # from here on: retired edges never return.
+            finite = math.isfinite(f_new)
+            converged = finite and bool(_stop_test(f_prev, f_new, cfg.epsilon))
+            w_k, orig_k = w, orig
+            if finite and not converged and nnz < 0.99 * w.size:
+                w, d, dd, I, J, orig = w[live], d[live], dd[live], I[live], J[live], orig[live]
+            rows.append((f_new, nnz, time.perf_counter() - t_start))
+            if callback is not None:
+                w_full = np.zeros(m)
+                w_full[orig_k] = w_k
+                c_full = np.zeros(m)
+                c_full[orig_k] = c
+                callback(k, w_full, c_full)
+            if converged or not finite:
+                reason = "converged" if converged else "non_finite"
+                break
+            f_prev = f_new
 
     w_full = np.zeros(m)
     w_full[orig] = w
-    return _run_result(w_full, rows, converged)
+    return _run_result(w_full, rows, reason)

@@ -174,21 +174,23 @@ def test_criterion_7_iteration_count_benchmark(tmp_path):
 
 
 def test_criterion_8_per_iteration_cost_scaling():
-    def mean_iter_time(p, reps=5):
+    def problem(p):
         g = dg.gen_er(p, 0.1, 42)
         X = dg.gen_signals(g, dg.SignalModel(sigma=0.1, n=1200), 42)
-        prob = dg.assemble(X, BENCH_ALPHA, BENCH_BETA)
-        # vanilla loop (no elimination) isolates the O(p^2) per-iteration cost
-        cfg = ms.SolverConfig(epsilon=1e-300, max_iters=40, elimination_threshold=0.0)
-        times = []
-        for _ in range(reps):
-            res = ms.solve(prob, cfg)
-            times.append(float(np.mean(res.trace.wall_time[1:])))
-        return min(times)
+        return dg.assemble(X, BENCH_ALPHA, BENCH_BETA)
 
-    mean_iter_time(50, reps=1)  # warm-up
-    t200 = mean_iter_time(200)
-    t400 = mean_iter_time(400)
+    # vanilla loop (no elimination) isolates the O(p^2) per-iteration cost
+    cfg = ms.SolverConfig(epsilon=1e-300, max_iters=40, elimination_threshold=0.0)
+    probs = {200: problem(200), 400: problem(400)}
+    ms.solve(problem(50), cfg)  # warm-up
+    # The sizes alternate, so a busy spell of the host slows both, and each
+    # size takes the median of all its iteration times, so a spell that
+    # does slow one size more moves few of them.
+    walls = {200: [], 400: []}
+    for rep in range(20):
+        for p in (200, 400) if rep % 2 == 0 else (400, 200):
+            walls[p].extend(ms.solve(probs[p], cfg).trace.wall_time[1:])
+    t200, t400 = float(np.median(walls[200])), float(np.median(walls[400]))
     ratio = t400 / t200
     ok = ratio <= 5.0
     _report(8, "per-iteration cost scaling p=200 -> p=400", ok,

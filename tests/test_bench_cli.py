@@ -204,6 +204,31 @@ def test_cli_solve_reports_non_finite_objective(tmp_path, capsys):
     assert "max_iters" not in out
 
 
+@pytest.mark.parametrize("reason, args", [
+    ("converged", ["--p", "8", "--prob-edge", "0.5", "--n", "20", "--seed", "2"]),
+    ("max_iters", ["--p", "10", "--prob-edge", "0.4", "--n", "30", "--seed", "3",
+                   "--max-iters", "1", "--epsilon", "1e-14"]),
+    ("non_finite", ["--p", "20", "--seed", "3", "--alpha", "1e-20", "--beta", "1"]),
+    # run 1 of `mmgl bench --solver pg-oracle --family er --p 30 --runs 3
+    # --seed 5 --alpha 10 --beta 10`: pg stalls above its tolerance
+    ("stationary", ["--solver", "pg-oracle", "--p", "30", "--seed", "6",
+                    "--alpha", "10", "--beta", "10"]),
+])
+def test_cli_solve_prints_stop_reason(tmp_path, capsys, monkeypatch, reason, args):
+    results = []
+    real_run_single = bench.run_single
+
+    def run_single(spec, run_index=0):
+        results.append(real_run_single(spec, run_index))
+        return results[-1]
+
+    monkeypatch.setattr(bench, "run_single", run_single)
+    rc = cli.main(["solve", "--family", "er", *args, "--out", str(tmp_path / reason)])
+    assert results[0][0].reason == reason
+    assert rc == (cli.EXIT_OK if reason == "converged" else cli.EXIT_MAX_ITERS)
+    assert f": {cli._STOP_MESSAGES[reason]} after" in capsys.readouterr().out
+
+
 def test_cli_solve_oracle_backend(tmp_path):
     rc = cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
                    "--n", "20", "--seed", "2", "--solver", "pg-oracle",

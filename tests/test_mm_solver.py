@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,32 @@ def solve_against_full_length_reference(prob, cfg):
     # f sums over compacted arrays round differently at the last ulp
     np.testing.assert_allclose(res.trace.f, fs, rtol=1e-12)
     return res
+
+
+def test_retired_zero_distance_edge_stays_zero_in_working_arrays():
+    # Two hubs joined by a d = 0 edge, each with L close leaves; every other
+    # edge is far. The hub edge retires at iteration 4 (121 -> 120 live
+    # edges, under the 1% compaction trigger), so it stays in the working
+    # arrays with c = d = 0 and the root meets 0/0.
+    L = 60
+    p = 2 + 2 * L
+    d = np.full(gm.num_edges(p), 1e3)
+    hub = gm.edge_index(0, 1, p)
+    d[hub] = 0.0
+    for h in (0, 1):
+        for leaf in range(2 + h * L, 2 + (h + 1) * L):
+            d[gm.edge_index(h, leaf, p)] = 0.01
+    prob = make_problem(p, d)
+    cfg = ms.SolverConfig(epsilon=1e-12, elimination_threshold=0.05)
+    # every callback w must equal the nan-free reference bit for bit
+    res = solve_against_full_length_reference(prob, cfg)
+    assert res.converged
+    assert res.w_star[hub] == 0.0
+    assert list(res.trace.active_count[3:6]) == [121, 120, 120]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = ms.mm_update(np.zeros(1), np.zeros(1), make_problem(2, [0.0]))
+    assert w[0] == 0.0
 
 
 def test_auto_compaction_matches_uncompacted_run():
