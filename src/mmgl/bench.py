@@ -8,6 +8,7 @@ summary.csv so that repeating an experiment with the same seed reproduces
 it byte for byte.
 """
 
+import collections
 import dataclasses
 import statistics
 import time
@@ -58,6 +59,9 @@ class ExperimentSpec:
 
 @dataclass
 class BenchSummary:
+    """Aggregates of one Monte-Carlo batch; stop_reasons counts its runs by
+    SolveResult.reason."""
+
     solver: str
     runs: int
     converged_runs: int
@@ -66,6 +70,7 @@ class BenchSummary:
     median_iterations: float
     mean_wall_time_s: float
     mean_iter_time_s: float
+    stop_reasons: dict
 
 
 def build_problem(spec, run_seed):
@@ -133,6 +138,7 @@ def run_montecarlo(spec):
         median_iterations=float(statistics.median(iters)),
         mean_wall_time_s=float(np.mean(walls)),
         mean_iter_time_s=float(np.mean(iter_times)) if iter_times.size else 0.0,
+        stop_reasons=dict(sorted(collections.Counter(r.reason for r in results).items())),
     )
     write_summary_csv(summary, out / "summary.csv")
     write_timing_csv(summary, out / "timing.csv")

@@ -164,6 +164,9 @@ def _cmd_bench(args, parser):
     print(f"{summary.solver}: {summary.runs} runs, mean iterations "
           f"{summary.mean_iterations:.2f}, median {summary.median_iterations:.1f}, "
           f"convergence rate {summary.convergence_rate:.2%}")
+    if summary.converged_runs < summary.runs:
+        counts = ", ".join(f"{reason} {n}" for reason, n in summary.stop_reasons.items())
+        print(f"stop reasons: {counts}")
     print(f"outputs in {spec.out_dir}")
     return EXIT_OK if summary.converged_runs == summary.runs else EXIT_MAX_ITERS
 

@@ -58,21 +58,24 @@ def edge_pairs(p):
 
 def _checked_weights(w, m):
     """w as a float vector of length m; ValueError on another shape or a
-    negative entry."""
+    negative or non-finite entry."""
     w = np.asarray(w, dtype=float)
     if w.shape != (m,):
         raise ValueError(f"vector has length {w.shape}, expected ({m},)")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise ValueError("weights must be finite and nonnegative")
     return w
 
 
 def node_degrees(w, I, J, p):
     """Degree vector S w = W 1 over the edges (I, J); no input checks.
 
-    Each edge adds its weight to the degree of both endpoints. Accumulation
-    runs in ascending edge order, so results are reproducible run to run on
-    one platform, and dropping zero-weight edges leaves them bit-identical.
+    Each edge adds its weight to the degree of both endpoints, one edge at
+    a time from 0, first over the I side and then over the J side. Each
+    node sums its edges in the order they appear in (I, J). So any edge
+    order in which every node meets its edges in ascending edge order (row
+    major, anti-diagonal by i + j then i, or column major) gives the same
+    bits, and so does dropping zero-weight edges.
     """
     return (np.bincount(I, weights=w, minlength=p)
             + np.bincount(J, weights=w, minlength=p))
@@ -188,7 +191,8 @@ def objective(w, prob):
     Raises
     ------
     ValueError
-        On a negative weight (distinct from the +inf barrier return).
+        On a negative or non-finite weight (distinct from the +inf barrier
+        return).
     """
     w = _checked_weights(w, prob.m)
     I, J = edge_pairs(prob.p)

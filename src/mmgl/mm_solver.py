@@ -7,6 +7,14 @@ zero produces a zero coefficient and therefore stays zero forever, so
 eliminated edges are dropped from the working arrays as soon as 1% or more
 of them have retired.
 
+The working arrays hold the edges in anti-diagonal order, sorted by i + j
+and then by i. Each node still meets its edges in ascending edge order, on
+both endpoint sides, so its degree sums the same terms in the same order
+as in row-major order and every iterate is bit-identical. But neighbouring
+entries (i, s - i) and (i + 1, s - i - 1) touch different nodes, so the
+two degree scatters carry no chain of adds into one bin; in row-major
+order the sorted I side does.
+
 The loop evaluates the root unmasked, with d * d computed once and carried
 with the working arrays. A retired edge with d = 0 gets 0/0 = nan there;
 the one live mask per iteration (w >= threshold) clamps it back to 0 along
@@ -193,9 +201,12 @@ def solve(prob, cfg=None, callback=None):
     1% or more of the working edges have retired, they are dropped from the
     working arrays: w, d, the cached d * d, I, J and `orig`, which maps
     array positions back to input edge ids for the callback and the final
-    scatter. Each trace row's wall time covers the whole iteration,
-    compaction included, and not the callback. Nothing is validated inside
-    the loop.
+    scatter. The working arrays start in anti-diagonal order (by i + j,
+    then i; see the module docstring), which leaves w and the active
+    counts bit-identical to row-major order; only the last bits of f, whose
+    dot products sum in array order, depend on it. Each trace row's wall
+    time covers the whole iteration, compaction included, and not the
+    callback. Nothing is validated inside the loop.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -203,9 +214,10 @@ def solve(prob, cfg=None, callback=None):
     two_beta = 2.0 * beta
     I, J = edge_pairs(p)
     m = d.size
+    orig = np.argsort(I + J, kind="stable")
+    I, J, d = I[orig], J[orig], d[orig]
     w = np.ones(m)
     dd = d * d
-    orig = np.arange(m)
     floor = max(cfg.elimination_threshold, np.nextafter(0.0, 1.0))
     deg = node_degrees(w, I, J, p)
     f_prev = objective_value(w, d, deg, alpha, beta)

@@ -229,6 +229,23 @@ def test_cli_solve_prints_stop_reason(tmp_path, capsys, monkeypatch, reason, arg
     assert f": {cli._STOP_MESSAGES[reason]} after" in capsys.readouterr().out
 
 
+def test_cli_bench_names_stop_reasons(tmp_path, capsys):
+    out = tmp_path / "pg"
+    rc = cli.main(["bench", "--solver", "pg-oracle", "--family", "er", "--p", "30", "--runs", "3",
+                   "--seed", "5", "--alpha", "10", "--beta", "10", "--out", str(out)])
+    assert rc == cli.EXIT_MAX_ITERS
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("convergence rate 33.33%")
+    assert lines[1:] == ["stop reasons: converged 1, stationary 2", f"outputs in {out}"]
+    # when every run converges, stdout names no reasons
+    out = tmp_path / "mm"
+    rc = cli.main(["bench", "--family", "er", "--p", "10", "--prob-edge", "0.4", "--n", "30",
+                   "--runs", "2", "--seed", "7", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1] == f"outputs in {out}"
+
+
 def test_cli_solve_oracle_backend(tmp_path):
     rc = cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
                    "--n", "20", "--seed", "2", "--solver", "pg-oracle",

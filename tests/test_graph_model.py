@@ -138,6 +138,23 @@ def test_degree_handshake(seed):
     assert deg.sum() == pytest.approx(2.0 * w.sum(), rel=1e-12)
 
 
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
+def test_node_degrees_same_bits_in_every_per_node_ascending_order(p, seed):
+    # Row-major, anti-diagonal (the MM working order) and column-major
+    # orders all visit each node's edges in ascending edge order on both
+    # endpoint sides, so the sequential sums must agree bit for bit.
+    rng = np.random.default_rng(seed)
+    m = gm.num_edges(p)
+    w = 10.0 ** rng.uniform(-8, 3, m)
+    w[rng.random(m) < 0.2] = 0.0
+    live = np.flatnonzero(rng.random(m) < rng.uniform(0.1, 1.0))
+    I, J = gm.edge_pairs(p)
+    I, J, w = I[live], J[live], w[live]
+    row_major = gm.node_degrees(w, I, J, p)
+    for order in (np.argsort(I + J, kind="stable"), np.lexsort((I, J))):
+        assert np.array_equal(gm.node_degrees(w[order], I[order], J[order], p), row_major)
+
+
 # ----------------------------------------------------------------- objective
 
 def test_objective_examples():
@@ -152,6 +169,23 @@ def test_objective_rejects_negative_weights():
     prob = gm.ProblemInstance(p=2, d=np.array([0.0]), alpha=1.0, beta=1.0)
     with pytest.raises(ValueError):
         gm.objective(np.array([-0.1]), prob)
+
+
+PROB3 = gm.ProblemInstance(p=3, d=np.array([1.0, 2, 3]), alpha=1.0, beta=1.0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda w, tmp: gm.degrees(w, 3),
+    lambda w, tmp: gm.weights_to_matrix(w, 3),
+    lambda w, tmp: gm.objective(w, PROB3),
+    lambda w, tmp: gm.objective_gradient(w, PROB3),
+    lambda w, tmp: gm.save_edges_csv(w, 3, tmp / "edges.csv"),
+], ids=["degrees", "weights_to_matrix", "objective", "objective_gradient", "save_edges_csv"])
+def test_public_kernels_reject_non_finite_weights(entry, tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            entry(np.array([bad, 1.0, 1.0]), tmp_path)
+    assert not (tmp_path / "edges.csv").exists()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
