@@ -37,7 +37,7 @@ def main():
     parser.add_argument("--with-oracle", action="store_true",
                         help="also run the projected-gradient oracle")
     parser.add_argument("--oracle-max-iters", type=int, default=5000,
-                        help="oracle iteration cap; capped runs are flagged, not fatal")
+                        help="oracle iteration cap; unconverged runs are flagged, not fatal")
     args = parser.parse_args()
 
     solvers = ["mm"] + (["pg-oracle"] if args.with_oracle else [])
@@ -54,8 +54,8 @@ def main():
                 monte_carlo_runs=args.runs, seed=args.seed,
                 out_dir=str(Path(args.out) / tag))
             summary = bench.run_montecarlo(spec)
-            flag = "" if summary.convergence_rate == 1.0 else \
-                f"  ({summary.runs - summary.converged_runs} runs hit the cap)"
+            flag = "" if summary.converged_runs == summary.runs else \
+                f"  ({summary.stop_reasons_line()})"
             print(f"{args.family + ' p=' + str(p):>16} {solver:>10} "
                   f"{summary.mean_iterations:>8.2f} {summary.median_iterations:>8.1f} "
                   f"{summary.mean_wall_time_s:>9.4f}{flag}", flush=True)

@@ -72,6 +72,10 @@ class BenchSummary:
     mean_iter_time_s: float
     stop_reasons: dict
 
+    def stop_reasons_line(self):
+        """The counts as printed by `mmgl bench`: `stop reasons: converged 1, stationary 2`."""
+        return "stop reasons: " + ", ".join(f"{r} {n}" for r, n in self.stop_reasons.items())
+
 
 def build_problem(spec, run_seed):
     """Materialize the ProblemInstance for one run (data generation is not

@@ -115,13 +115,17 @@ def gen_signals(g, model, seed):
     N(0, L_pinv + sigma^2 I).
 
     Realized as L_pinv^(1/2) Z + sigma E with Z drawn before E, so a seed
-    pins the output exactly.
+    pins the output exactly. E is drawn into Z's buffer once the product
+    is formed, so at most two p x n arrays are live.
     """
     rng = np.random.default_rng(seed)
     root = _pinv_sqrt(g)
     Z = rng.standard_normal((g.p, model.n))
-    E = rng.standard_normal((g.p, model.n))
-    return root @ Z + model.sigma * E
+    X = root @ Z
+    E = rng.standard_normal(Z.shape, out=Z)
+    E *= model.sigma
+    X += E
+    return X
 
 
 def assemble(source, alpha, beta, model=None, seed=None):

@@ -23,6 +23,11 @@ import numpy as np
 # an exact 0 on identical rows).
 _GRAM_GUARD = 1e-2
 
+# save_edges_csv formats and writes the positive weights of this many
+# consecutive edges at a time, so its transient rows stay bounded however
+# many edges the graph has.
+_WRITE_BLOCK = 1 << 15
+
 
 def num_edges(p):
     """Number of potential edges m = p(p-1)/2 for p nodes."""
@@ -232,25 +237,28 @@ def load_signals_csv(path, skip_header=False):
             elif len(cells) != ncols:
                 raise ValueError(f"{path}:{lineno}: expected {ncols} columns, found {len(cells)}")
             try:
-                rows.append([float(c) for c in cells])
+                rows.append(np.array([float(c) for c in cells]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 node rows, found {len(rows)}")
-    X = np.array(rows, dtype=float)
+    X = np.stack(rows)
     if not np.all(np.isfinite(X)):
         raise ValueError(f"{path}: data matrix contains non-finite entries")
     return X
 
 
 def save_edges_csv(w, p, path):
-    """Write strictly positive edge weights as CSV rows `i,j,weight` (i < j)."""
+    """Write strictly positive edge weights as CSV rows `i,j,weight` (i < j),
+    one write per _WRITE_BLOCK edges."""
     I, J = edge_pairs(p)
     w = _checked_weights(w, I.size)
-    k = np.flatnonzero(w > 0)
-    rows = [f"{i},{j},{x!r}\n" for i, j, x in zip(I[k].tolist(), J[k].tolist(), w[k].tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("i,j,weight\n" + "".join(rows))
+        fh.write("i,j,weight\n")
+        for s in range(0, w.size, _WRITE_BLOCK):
+            k = s + np.flatnonzero(w[s:s + _WRITE_BLOCK] > 0)
+            fh.write("".join([f"{i},{j},{x!r}\n"
+                              for i, j, x in zip(I[k].tolist(), J[k].tolist(), w[k].tolist())]))
 
 
 def load_edges_csv(path, p=None):

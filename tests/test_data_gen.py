@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,41 @@ def test_smoothness_ordering_over_seeds():
             edge_means.append(d[true].mean())
             non_means.append(d[~true].mean())
     assert np.mean(edge_means) < np.mean(non_means)
+
+
+# sha256 of gen_signals(...).tobytes() for (family, p, n, sigma, seed), with
+# the graph drawn from the same seed (ER q=0.1; SBM 0.3/0.05) and the signals
+# from seed + 1. Recorded with numpy's bundled OpenBLAS 0.3.31 (AVX2 double
+# kernels); these cases give the same bits at 1, 2 and 4 BLAS threads. A BLAS
+# that rounds the root or the product differently moves the digests, while
+# the test's check against the two-draw formula still holds.
+PINNED_SIGNALS = {
+    ("er", 7, 40, 0.0, 11): "8fcc8300baf2f0885fe3037b4cf5158248f43b919629fe0029fe4a0adbbd0b98",
+    ("er", 20, 200, 0.1, 4): "8e1b943dc59c592f7833dd6fed759fb9e9762da5997fc148259a96568eae5ffc",
+    ("er", 50, 600, 0.1, 9): "224ffa3ec738fe7110a93746190330adfdfa798cb5e76ecc3b22ffc685e3a5d6",
+    ("sbm", 30, 500, 0.0, 5): "63dec674e9a9e9f3c2d0e224ab079484f9cf6cfab8491be659d30e3d29073d9c",
+    ("sbm", 200, 1200, 0.1, 70001): "38628b1e3c1dd6dac96b5331c9cc7dbdd300ef1cc574707c093225336c92bfa5",
+}
+
+
+def test_gen_signals_matches_pinned_bytes():
+    for (family, p, n, sigma, seed), digest in PINNED_SIGNALS.items():
+        g = dg.gen_er(p, 0.1, seed) if family == "er" else dg.gen_sbm(p, 0.3, 0.05, seed)
+        X = dg.gen_signals(g, dg.SignalModel(sigma=sigma, n=n), seed + 1)
+        rng = np.random.default_rng(seed + 1)
+        Z = rng.standard_normal((p, n))
+        E = rng.standard_normal((p, n))
+        np.testing.assert_array_equal(X, dg._pinv_sqrt(g) @ Z + sigma * E)
+        assert hashlib.sha256(X.tobytes()).hexdigest() == digest, (family, p, n, sigma, seed)
+
+
+def test_gen_signals_holds_two_signal_buffers(traced_peak):
+    # X = root Z, then E drawn into Z's buffer: two p x n arrays plus the
+    # p x p root and the eigh workspace (the four-array form peaks near 4.2)
+    p, n = 200, 1200
+    g = dg.gen_er(p, 0.1, 1)
+    peak = traced_peak(lambda: dg.gen_signals(g, dg.SignalModel(sigma=0.1, n=n), 2))
+    assert peak <= 2.5 * p * n * 8
 
 
 # ------------------------------------------------------------------- assemble

@@ -300,6 +300,45 @@ def test_edges_csv_round_trip(tmp_path):
         gm.save_edges_csv(np.array([1.0, -2.0, 0.0, 1.0, 0.0, 1.0]), 4, path)
 
 
+def test_edges_csv_block_boundary(tmp_path):
+    # p = 300 has 44,850 edges, more than one write block
+    p = 300
+    assert gm.num_edges(p) > gm._WRITE_BLOCK
+    w = np.random.default_rng(4).uniform(0.5, 2.0, gm.num_edges(p))
+    path = tmp_path / "edges.csv"
+    for zeros in (None, slice(gm._WRITE_BLOCK - 2, gm._WRITE_BLOCK + 3)):
+        if zeros is not None:
+            w[zeros] = 0.0  # dead edges on both sides of the block boundary
+        gm.save_edges_csv(w, p, path)
+        rows = [f"{i},{j},{x!r}\n" for (i, j), x in zip(enumerate_pairs(p), w.tolist()) if x > 0]
+        assert path.read_text(encoding="utf-8") == "i,j,weight\n" + "".join(rows)
+        w2, p2 = gm.load_edges_csv(path, p=p)
+        assert p2 == p
+        np.testing.assert_array_equal(w2, w)
+
+
+def test_signals_csv_reader_peak_memory(tmp_path, traced_peak):
+    # one float64 array per row, then one stack: about twice the matrix
+    X = np.random.default_rng(5).standard_normal((100, 2000))
+    path = tmp_path / "x.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in X.tolist()),
+                    encoding="utf-8")
+    out = []
+    peak = traced_peak(lambda: out.append(gm.load_signals_csv(path)))
+    np.testing.assert_array_equal(out[0], X)
+    assert peak <= 3 * X.nbytes
+
+
+def test_edges_csv_writer_peak_memory_grows_with_block_not_file(tmp_path, traced_peak):
+    # 4x the edges at p = 600; the writer's peak is one block of rows
+    peaks = {}
+    for p in (300, 600):
+        w = np.random.default_rng(6).uniform(0.5, 2.0, gm.num_edges(p))
+        gm.edge_pairs(p)  # cached endpoint arrays are not the writer's
+        peaks[p] = traced_peak(lambda: gm.save_edges_csv(w, p, tmp_path / "edges.csv"))
+    assert peaks[600] <= 1.5 * peaks[300]
+
+
 def test_edges_csv_rejects_duplicates_and_bad_rows(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("i,j,weight\n0,1,1.0\n0,1,2.0\n", encoding="utf-8")

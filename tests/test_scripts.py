@@ -27,6 +27,16 @@ def test_run_er_benchmark_smoke(tmp_path):
         "edges_run0.csv", "edges_run1.csv"]
 
 
+def test_run_er_benchmark_names_stop_reasons(tmp_path):
+    # the oracle's two unconverged runs stopped stationary, far below its cap
+    lines = run_script("run_er_benchmark.py", "--sizes", "30", "--runs", "3", "--seed", "5",
+                       "--alpha", "10", "--beta", "10", "--with-oracle", "--out", str(tmp_path))
+    assert len(lines) == 3
+    assert lines[2].split()[2] == "pg-oracle"
+    assert lines[2].endswith("  (stop reasons: converged 1, stationary 2)")
+    assert not any("cap" in line for line in lines)
+
+
 def test_tune_hyperparams_smoke():
     lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "1")
     assert lines[0].split() == ["alpha", "beta", "F1", "iters"]
