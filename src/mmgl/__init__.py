@@ -8,8 +8,8 @@ from .graph_model import (
     objective_gradient,
     pairwise_distances,
 )
-from .mm_solver import SolveResult, SolverConfig, compute_c, mm_update, solve, surrogate_value
-from .baseline_oracle import OracleConfig, brute_force, pg_solve
+from .mm_solver import SolveResult, SolverConfig, compute_c, mm_update, solve
+from .baseline_oracle import OracleConfig, pg_solve
 from .data_gen import GroundTruthGraph, SignalModel, assemble, gen_er, gen_sbm, gen_signals, laplacian_pinv
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "assemble",
-    "brute_force",
     "compute_c",
     "degrees",
     "edge_index",
@@ -34,5 +33,4 @@ __all__ = [
     "pairwise_distances",
     "pg_solve",
     "solve",
-    "surrogate_value",
 ]

@@ -230,16 +230,13 @@ def write_spec_echo(spec, path):
 def parse_config_file(path):
     """Key-value solver config: one `key=value` per line, # comments.
 
-    Recognized keys: epsilon, max_iters, elim_threshold, elim_enabled.
-    The first three come back under their SolverConfig field names;
-    elim_enabled comes back as a bool under its own name, for the caller
-    to fold into elimination_threshold (false means a threshold of 0).
+    Recognized keys: epsilon, max_iters, elim_threshold (0 turns
+    elimination off). They come back under their SolverConfig field names.
     """
     mapping = {
         "epsilon": ("epsilon", float),
         "max_iters": ("max_iters", int),
         "elim_threshold": ("elimination_threshold", float),
-        "elim_enabled": ("elim_enabled", _parse_bool),
     }
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -258,12 +255,3 @@ def parse_config_file(path):
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}") from None
     return out
-
-
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")

@@ -7,7 +7,6 @@ errors.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,6 +33,12 @@ def _add_problem_args(sub):
     src.add_argument("--graph", metavar="FILE", help="ground-truth edge-list CSV to generate signals from")
     src.add_argument("--signals", metavar="FILE", help="data matrix CSV, one node per row")
     src.add_argument("--signals-header", action="store_true", help="skip one header row in --signals")
+    _add_generation_args(sub)
+    sub.add_argument("--alpha", type=float, default=1.0, help="log-barrier weight (default 1.0)")
+    sub.add_argument("--beta", type=float, default=1.0, help="squared-norm weight (default 1.0)")
+
+
+def _add_generation_args(sub):
     gen = sub.add_argument_group("generation parameters")
     gen.add_argument("--p", type=int, default=100, help="node count (default 100)")
     gen.add_argument("--prob-edge", type=float, default=0.1, help="ER edge probability (default 0.1)")
@@ -41,8 +46,6 @@ def _add_problem_args(sub):
     gen.add_argument("--p-out", type=float, default=0.05, help="SBM inter-block probability (default 0.05)")
     gen.add_argument("--n", type=int, default=1200, help="signal samples per node (default 1200)")
     gen.add_argument("--sigma", type=float, default=0.1, help="signal noise level (default 0.1)")
-    sub.add_argument("--alpha", type=float, default=1.0, help="log-barrier weight (default 1.0)")
-    sub.add_argument("--beta", type=float, default=1.0, help="squared-norm weight (default 1.0)")
 
 
 def _add_solver_args(sub):
@@ -51,31 +54,22 @@ def _add_solver_args(sub):
     sol.add_argument("--config", metavar="FILE", help="key-value solver config file")
     sol.add_argument("--epsilon", type=float, help="relative-objective stopping tolerance")
     sol.add_argument("--max-iters", type=int, help="iteration safety cap")
-    sol.add_argument("--elim-threshold", type=float, help="weight elimination threshold")
-    sol.add_argument("--elim-enabled", choices=("true", "false"), help="toggle active-set elimination")
+    sol.add_argument("--elim-threshold", type=float, help="weight elimination threshold (0 turns it off)")
     orc = sub.add_argument_group("pg-oracle")
     orc.add_argument("--tol", type=float, help="projected-gradient stopping norm")
     orc.add_argument("--oracle-max-iters", type=int, help="oracle iteration cap")
-    orc.add_argument("--initial-step", type=float, help="initial line-search step")
-    orc.add_argument("--backtrack-factor", type=float, help="line-search shrink factor in (0,1)")
 
 
 def _solver_config(args):
-    kwargs = {}
-    if args.config:
-        kwargs.update(bench.parse_config_file(args.config))
-    elim_enabled = kwargs.pop("elim_enabled", True)
+    # The config file first, then any explicit flag.
+    kwargs = bench.parse_config_file(args.config) if args.config else {}
     if args.epsilon is not None:
         kwargs["epsilon"] = args.epsilon
     if args.max_iters is not None:
         kwargs["max_iters"] = args.max_iters
     if args.elim_threshold is not None:
         kwargs["elimination_threshold"] = args.elim_threshold
-    if args.elim_enabled is not None:
-        elim_enabled = args.elim_enabled == "true"
-    cfg = SolverConfig(**kwargs)
-    # Elimination off is a zero threshold, whatever threshold was given.
-    return cfg if elim_enabled else dataclasses.replace(cfg, elimination_threshold=0.0)
+    return SolverConfig(**kwargs)
 
 
 def _oracle_config(args):
@@ -84,10 +78,6 @@ def _oracle_config(args):
         kwargs["tol"] = args.tol
     if args.oracle_max_iters is not None:
         kwargs["max_iters"] = args.oracle_max_iters
-    if args.initial_step is not None:
-        kwargs["initial_step"] = args.initial_step
-    if args.backtrack_factor is not None:
-        kwargs["backtrack_factor"] = args.backtrack_factor
     return OracleConfig(**kwargs)
 
 
@@ -141,7 +131,7 @@ def _cmd_gen(args, parser):
     data_gen.save_graph(g, out / "edges_true.csv")
     with open(out / "signals.csv", "w", encoding="utf-8", newline="\n") as fh:
         for row in X:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
     print(f"wrote {out / 'edges_true.csv'} and {out / 'signals.csv'} (p={g.p}, n={model.n})")
     return EXIT_OK
 
@@ -202,12 +192,7 @@ def build_parser():
     p_gen = sub.add_parser("gen", help="generate a ground-truth graph and smooth signals")
     p_gen.add_argument("--family", choices=("er", "sbm"))
     p_gen.add_argument("--graph", metavar="FILE", help="load this edge list instead of sampling")
-    p_gen.add_argument("--p", type=int, default=100)
-    p_gen.add_argument("--prob-edge", type=float, default=0.1)
-    p_gen.add_argument("--p-in", type=float, default=0.3)
-    p_gen.add_argument("--p-out", type=float, default=0.05)
-    p_gen.add_argument("--n", type=int, default=1200)
-    p_gen.add_argument("--sigma", type=float, default=0.1)
+    _add_generation_args(p_gen)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True, metavar="DIR")
     p_gen.set_defaults(func=_cmd_gen)

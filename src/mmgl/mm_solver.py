@@ -151,26 +151,6 @@ def _root_update(d, dd, c, two_beta):
     return c / (d + np.sqrt(dd + two_beta * c))
 
 
-def surrogate_value(w, w_k, prob):
-    """Jensen surrogate g(w | w_k); equals f at w = w_k and majorizes f.
-
-    Only used for majorization checks in tests, never in the solve loop.
-    Returns +inf when some w_j = 0 (the surrogate's log diverges there).
-    """
-    w_k = _checked_weights(w_k, prob.m)
-    if np.any(w_k == 0):
-        raise ValueError("expansion point w_k must be strictly positive")
-    w = _checked_weights(w, prob.m)
-    if np.any(w == 0):
-        return np.inf
-    I, J = edge_pairs(prob.p)
-    deg = node_degrees(w_k, I, J, prob.p)
-    inv = inverse_degrees(deg)
-    ratio = w / w_k
-    barrier = w_k * (inv[I] * np.log(deg[I] * ratio) + inv[J] * np.log(deg[J] * ratio))
-    return 2.0 * w @ prob.d + prob.beta * (w @ w) - prob.alpha * np.sum(barrier)
-
-
 def _stop_test(f_prev, f_new, epsilon):
     # Relative change per the stopping rule; absolute fallback when the
     # denominator is exactly zero (f can cross zero through the log term).

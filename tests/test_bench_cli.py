@@ -8,6 +8,7 @@ import pytest
 
 import mmgl
 from mmgl import bench, cli
+from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
@@ -142,11 +143,10 @@ def test_emit_plot_data(tmp_path):
 def test_parse_config_file(tmp_path):
     cfgfile = tmp_path / "solver.cfg"
     cfgfile.write_text(
-        "# solver settings\nepsilon = 1e-6\nmax_iters=123\nelim_threshold = 1e-9\nelim_enabled = false\n",
+        "# solver settings\nepsilon = 1e-6\nmax_iters=123\nelim_threshold = 1e-9\n",
         encoding="utf-8")
     parsed = bench.parse_config_file(cfgfile)
-    assert parsed == {"epsilon": 1e-6, "max_iters": 123,
-                      "elimination_threshold": 1e-9, "elim_enabled": False}
+    assert parsed == {"epsilon": 1e-6, "max_iters": 123, "elimination_threshold": 1e-9}
     cfgfile.write_text("nonsense = 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown key"):
         bench.parse_config_file(cfgfile)
@@ -266,17 +266,61 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     echo = (out / "spec.echo").read_text()
     assert "solver_config.epsilon=1e-05" in echo  # explicit flag wins
     assert "solver_config.max_iters=7" in echo  # config file applies
-    # elim_enabled=false in the file means a zero threshold unless a flag
-    # turns elimination back on
-    cfgfile.write_text("max_iters = 7\nelim_enabled = false\n", encoding="utf-8")
-    for flags, threshold in ((["--elim-threshold", "1e-6"], "0.0"),
-                             (["--elim-threshold", "1e-6", "--elim-enabled", "true"], "1e-06")):
+    # a zero threshold in the file turns elimination off unless a flag sets one
+    cfgfile.write_text("max_iters = 7\nelim_threshold = 0\n", encoding="utf-8")
+    for flags, threshold in (([], "0.0"), (["--elim-threshold", "1e-6"], "1e-06")):
         out = tmp_path / f"elim-{threshold}"
         cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
                   "--n", "20", "--seed", "2", "--config", str(cfgfile), *flags,
                   "--out", str(out)])
         echo = (out / "spec.echo").read_text()
         assert f"solver_config.elimination_threshold={threshold}\n" in echo
+
+
+def test_cli_config_file_rejects_elim_enabled(tmp_path, capsys):
+    # elimination off is elim_threshold = 0; the old switch fails loudly
+    cfgfile = tmp_path / "solver.cfg"
+    cfgfile.write_text("max_iters = 7\nelim_enabled = false\n", encoding="utf-8")
+    rc = cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5", "--n", "20",
+                   "--seed", "2", "--config", str(cfgfile), "--out", str(tmp_path / "x")])
+    assert rc == cli.EXIT_IO
+    assert f"{cfgfile}:2: unknown key 'elim_enabled'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag", [["--elim-enabled", "false"], ["--initial-step", "1.0"],
+                                  ["--backtrack-factor", "0.5"]])
+def test_cli_rejects_removed_solver_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["solve", "--family", "er", "--p", "8", "--seed", "2", *flag,
+                  "--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+
+
+def test_cli_generation_flags_parse_alike():
+    # gen, solve and bench share one declaration of the generation flags
+    parser = cli.build_parser()
+    names = ("p", "prob_edge", "p_in", "p_out", "n", "sigma")
+    flags = ["--p", "9", "--prob-edge", "0.2", "--p-in", "0.4", "--p-out", "0.01",
+             "--n", "50", "--sigma", "0.3"]
+    for cmd in ("gen", "solve", "bench"):
+        args = parser.parse_args([cmd, "--seed", "1", "--out", "o"])
+        assert [getattr(args, k) for k in names] == [100, 0.1, 0.3, 0.05, 1200, 0.1]
+        args = parser.parse_args([cmd, *flags, "--seed", "1", "--out", "o"])
+        assert [getattr(args, k) for k in names] == [9, 0.2, 0.4, 0.01, 50, 0.3]
+
+
+@pytest.mark.parametrize("family, gen", [
+    (["--family", "er", "--p", "30", "--prob-edge", "0.2"], lambda: dg.gen_er(30, 0.2, 11)),
+    (["--family", "sbm", "--p", "40", "--p-in", "0.5", "--p-out", "0.02"],
+     lambda: dg.gen_sbm(40, 0.5, 0.02, 11)),
+])
+def test_cli_gen_signals_round_trip_bit_identical(tmp_path, family, gen):
+    out = tmp_path / "data"
+    rc = cli.main(["gen", *family, "--n", "70", "--sigma", "0.2", "--seed", "11", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    X = dg.gen_signals(gen(), dg.SignalModel(sigma=0.2, n=70), 11)
+    assert np.array_equal(gm.load_signals_csv(out / "signals.csv"), X)
 
 
 def test_cli_usage_errors(tmp_path):
