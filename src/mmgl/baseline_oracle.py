@@ -62,7 +62,6 @@ def pg_solve(prob, cfg=None):
     f = objective_value(w, d, deg, alpha, beta)
     g = gradient_value(w, d, deg, I, J, alpha, beta)
     rows = [(f, int(np.count_nonzero(w > REPORT_CUTOFF)), 0.0)]
-    reason = "max_iters"
     step = INITIAL_STEP
 
     for _ in range(cfg.max_iters):
@@ -96,6 +95,9 @@ def pg_solve(prob, cfg=None):
             step = INITIAL_STEP
         w, f, g = w_new, f_new, g_new
         rows.append((f, int(np.count_nonzero(w > REPORT_CUTOFF)), time.perf_counter() - t_start))
+    else:
+        # The last allowed step may have met the tolerance.
+        reason = "converged" if _projected_gradient_norm(w, g) <= cfg.tol else "max_iters"
 
     w_star = w.copy()
     w_star[w_star <= REPORT_CUTOFF] = 0.0

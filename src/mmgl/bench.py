@@ -131,7 +131,7 @@ def run_montecarlo(spec):
         results.append(result)
         walls.append(wall)
     iters = [r.iters for r in results]
-    iter_times = np.concatenate([r.trace.wall_time[1:] for r in results if r.iters > 0])
+    iter_times = np.concatenate([r.trace.wall_time[1:] for r in results])
     converged = sum(1 for r in results if r.converged)
     summary = BenchSummary(
         solver=spec.solver,
@@ -225,33 +225,3 @@ def write_spec_echo(spec, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(flat):
             fh.write(f"{key}={flat[key]}\n")
-
-
-def parse_config_file(path):
-    """Key-value solver config: one `key=value` per line, # comments.
-
-    Recognized keys: epsilon, max_iters, elim_threshold (0 turns
-    elimination off). They come back under their SolverConfig field names.
-    """
-    mapping = {
-        "epsilon": ("epsilon", float),
-        "max_iters": ("max_iters", int),
-        "elim_threshold": ("elimination_threshold", float),
-    }
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in mapping:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            field_name, conv = mapping[key]
-            try:
-                out[field_name] = conv(value)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}") from None
-    return out

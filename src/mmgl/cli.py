@@ -27,58 +27,49 @@ _STOP_MESSAGES = {
 }
 
 
-def _add_problem_args(sub):
+def _add_run_args(sub):
+    """Declare what `solve` and `bench` share; each default is read from
+    the dataclass that owns the setting."""
+    spec = bench.ExperimentSpec
     src = sub.add_argument_group("problem source (pick one)")
     src.add_argument("--family", choices=("er", "sbm"), help="synthetic ground-truth family")
     src.add_argument("--graph", metavar="FILE", help="ground-truth edge-list CSV to generate signals from")
     src.add_argument("--signals", metavar="FILE", help="data matrix CSV, one node per row")
     src.add_argument("--signals-header", action="store_true", help="skip one header row in --signals")
     _add_generation_args(sub)
-    sub.add_argument("--alpha", type=float, default=1.0, help="log-barrier weight (default 1.0)")
-    sub.add_argument("--beta", type=float, default=1.0, help="squared-norm weight (default 1.0)")
+    sub.add_argument("--alpha", type=float, default=spec.alpha, help="log-barrier weight (default %(default)s)")
+    sub.add_argument("--beta", type=float, default=spec.beta, help="squared-norm weight (default %(default)s)")
+    sol = sub.add_argument_group("solver")
+    sol.add_argument("--solver", choices=bench.SOLVERS, default=spec.solver,
+                     help="MM, or the projected-gradient reference (default %(default)s)")
+    sol.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
+                     help="relative-objective stopping tolerance (default %(default)s)")
+    sol.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
+                     help="iteration safety cap (default %(default)s)")
+    sol.add_argument("--elim-threshold", type=float, default=SolverConfig.elimination_threshold,
+                     help="weight elimination threshold, 0 turns it off (default %(default)s)")
+    orc = sub.add_argument_group("pg-oracle")
+    orc.add_argument("--tol", type=float, default=OracleConfig.tol,
+                     help="projected-gradient stopping norm (default %(default)s)")
+    orc.add_argument("--oracle-max-iters", type=int, default=OracleConfig.max_iters,
+                     help="oracle iteration cap (default %(default)s)")
+    sub.add_argument("--seed", type=int,
+                     help="generation seed, required unless --signals; bench run k uses seed + k")
+    sub.add_argument("--out", required=True, metavar="DIR")
 
 
 def _add_generation_args(sub):
+    spec = bench.ExperimentSpec
     gen = sub.add_argument_group("generation parameters")
-    gen.add_argument("--p", type=int, default=100, help="node count (default 100)")
-    gen.add_argument("--prob-edge", type=float, default=0.1, help="ER edge probability (default 0.1)")
-    gen.add_argument("--p-in", type=float, default=0.3, help="SBM intra-block probability (default 0.3)")
-    gen.add_argument("--p-out", type=float, default=0.05, help="SBM inter-block probability (default 0.05)")
-    gen.add_argument("--n", type=int, default=1200, help="signal samples per node (default 1200)")
-    gen.add_argument("--sigma", type=float, default=0.1, help="signal noise level (default 0.1)")
-
-
-def _add_solver_args(sub):
-    sol = sub.add_argument_group("solver")
-    sol.add_argument("--solver", choices=bench.SOLVERS, default="mm")
-    sol.add_argument("--config", metavar="FILE", help="key-value solver config file")
-    sol.add_argument("--epsilon", type=float, help="relative-objective stopping tolerance")
-    sol.add_argument("--max-iters", type=int, help="iteration safety cap")
-    sol.add_argument("--elim-threshold", type=float, help="weight elimination threshold (0 turns it off)")
-    orc = sub.add_argument_group("pg-oracle")
-    orc.add_argument("--tol", type=float, help="projected-gradient stopping norm")
-    orc.add_argument("--oracle-max-iters", type=int, help="oracle iteration cap")
-
-
-def _solver_config(args):
-    # The config file first, then any explicit flag.
-    kwargs = bench.parse_config_file(args.config) if args.config else {}
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    if args.elim_threshold is not None:
-        kwargs["elimination_threshold"] = args.elim_threshold
-    return SolverConfig(**kwargs)
-
-
-def _oracle_config(args):
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.oracle_max_iters is not None:
-        kwargs["max_iters"] = args.oracle_max_iters
-    return OracleConfig(**kwargs)
+    gen.add_argument("--p", type=int, default=spec.p, help="node count (default %(default)s)")
+    gen.add_argument("--prob-edge", type=float, default=spec.prob_edge,
+                     help="ER edge probability (default %(default)s)")
+    gen.add_argument("--p-in", type=float, default=spec.p_in,
+                     help="SBM intra-block probability (default %(default)s)")
+    gen.add_argument("--p-out", type=float, default=spec.p_out,
+                     help="SBM inter-block probability (default %(default)s)")
+    gen.add_argument("--n", type=int, default=spec.n, help="signal samples per node (default %(default)s)")
+    gen.add_argument("--sigma", type=float, default=spec.sigma, help="signal noise level (default %(default)s)")
 
 
 def _experiment_spec(args, parser, runs=1):
@@ -107,10 +98,11 @@ def _experiment_spec(args, parser, runs=1):
         alpha=args.alpha,
         beta=args.beta,
         solver=args.solver,
-        solver_config=_solver_config(args),
-        oracle_config=_oracle_config(args),
+        solver_config=SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters,
+                                   elimination_threshold=args.elim_threshold),
+        oracle_config=OracleConfig(tol=args.tol, max_iters=args.oracle_max_iters),
         monte_carlo_runs=runs,
-        seed=args.seed if args.seed is not None else 0,
+        seed=bench.ExperimentSpec.seed if args.seed is None else args.seed,
         out_dir=args.out,
     )
 
@@ -165,7 +157,7 @@ def _cmd_plotdata(args, parser):
     for exp_dir in args.experiment_dirs:
         exp = Path(exp_dir)
         echo = exp / "spec.echo"
-        solver = "mm"
+        solver = bench.ExperimentSpec.solver
         if echo.exists():
             for line in echo.read_text(encoding="utf-8").splitlines():
                 if line.startswith("solver="):
@@ -198,18 +190,12 @@ def build_parser():
     p_gen.set_defaults(func=_cmd_gen)
 
     p_solve = sub.add_parser("solve", help="solve one instance and write its trace and edge list")
-    _add_problem_args(p_solve)
-    _add_solver_args(p_solve)
-    p_solve.add_argument("--seed", type=int, help="generation seed (required unless --signals)")
-    p_solve.add_argument("--out", required=True, metavar="DIR")
+    _add_run_args(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="Monte-Carlo batch over seeded instances")
-    _add_problem_args(p_bench)
-    _add_solver_args(p_bench)
-    p_bench.add_argument("--runs", type=int, default=100, help="Monte-Carlo run count (default 100)")
-    p_bench.add_argument("--seed", type=int, required=True, help="base seed; run k uses seed + k")
-    p_bench.add_argument("--out", required=True, metavar="DIR")
+    _add_run_args(p_bench)
+    p_bench.add_argument("--runs", type=int, default=100, help="Monte-Carlo run count (default %(default)s)")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_plot = sub.add_parser("plotdata", help="merge experiment traces into one tidy CSV")

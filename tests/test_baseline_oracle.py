@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmgl import baseline_oracle as bo
+from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 
 from oracles import brute_force, default_box_upper
@@ -35,6 +36,19 @@ def test_pg_solve_p2_closed_forms():
     res = bo.pg_solve(make_problem(2, [1.0]))
     assert res.w_star[0] == pytest.approx(0.618034, abs=1e-6)
     assert res.w_star[0] == pytest.approx(p2_closed_form(1.0, 1.0, 1.0), abs=1e-6)
+
+
+def test_pg_solve_converged_on_its_last_allowed_step():
+    # the uncapped run meets tol after 57 steps; a cap of exactly 57 must
+    # report the same stop, not "max_iters"
+    prob = dg.assemble(dg.gen_er(8, 0.5, 2), 1.0, 1.0, model=dg.SignalModel(0.1, 20), seed=2)
+    free = bo.pg_solve(prob, bo.OracleConfig(tol=1e-5))
+    assert free.reason == "converged" and free.iters == 57
+    capped = bo.pg_solve(prob, bo.OracleConfig(tol=1e-5, max_iters=57))
+    assert capped.reason == "converged" and capped.converged
+    np.testing.assert_array_equal(capped.w_star, free.w_star)
+    assert capped.f_star == free.f_star
+    assert bo.pg_solve(prob, bo.OracleConfig(tol=1e-5, max_iters=56)).reason == "max_iters"
 
 
 def test_pg_solve_p3_symmetric():

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import mmgl
+from mmgl import baseline_oracle as bo
 from mmgl import bench, cli
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
@@ -140,18 +143,6 @@ def test_emit_plot_data(tmp_path):
         bench.emit_plot_data([], out)
 
 
-def test_parse_config_file(tmp_path):
-    cfgfile = tmp_path / "solver.cfg"
-    cfgfile.write_text(
-        "# solver settings\nepsilon = 1e-6\nmax_iters=123\nelim_threshold = 1e-9\n",
-        encoding="utf-8")
-    parsed = bench.parse_config_file(cfgfile)
-    assert parsed == {"epsilon": 1e-6, "max_iters": 123, "elimination_threshold": 1e-9}
-    cfgfile.write_text("nonsense = 1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown key"):
-        bench.parse_config_file(cfgfile)
-
-
 # ---------------------------------------------------------------------- CLI
 
 def test_cli_gen_solve_bench_plotdata_pipeline(tmp_path):
@@ -170,6 +161,12 @@ def test_cli_gen_solve_bench_plotdata_pipeline(tmp_path):
     assert (solve_dir / "trace_run0.csv").exists()
     assert (solve_dir / "edges_run0.csv").exists()
     assert (solve_dir / "spec.echo").exists()
+
+    # no --seed: a signals file needs none, for bench as for solve
+    rc = cli.main(["bench", "--signals", str(gen_dir / "signals.csv"), "--runs", "2",
+                   "--out", str(tmp_path / "mc-signals")])
+    assert rc == 0
+    assert (tmp_path / "mc-signals" / "summary.csv").exists()
 
     bench_dir = tmp_path / "mc"
     rc = cli.main(["bench", "--family", "er", "--p", "10", "--prob-edge", "0.4",
@@ -246,6 +243,18 @@ def test_cli_bench_names_stop_reasons(tmp_path, capsys):
     assert len(lines) == 2 and lines[1] == f"outputs in {out}"
 
 
+def test_cli_bench_when_every_run_stops_at_iteration_0(tmp_path):
+    # w = 1 is already optimal for pg at alpha = 2, beta = 1, d = [1]
+    sig = tmp_path / "x.csv"
+    toy_signals_csv(sig, [[0.0], [1.0]])
+    out = tmp_path / "pg0"
+    rc = cli.main(["bench", "--signals", str(sig), "--solver", "pg-oracle", "--alpha", "2",
+                   "--beta", "1", "--runs", "2", "--seed", "0", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    assert (out / "summary.csv").read_text().splitlines()[1] == "pg-oracle,2,2,1.0,0.0,0.0"
+    assert (out / "timing.csv").read_text().splitlines()[1].endswith(",0.0")
+
+
 def test_cli_solve_oracle_backend(tmp_path):
     rc = cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
                    "--n", "20", "--seed", "2", "--solver", "pg-oracle",
@@ -255,41 +264,8 @@ def test_cli_solve_oracle_backend(tmp_path):
     assert "solver=pg-oracle" in echo
 
 
-def test_cli_config_file_and_flag_precedence(tmp_path):
-    cfgfile = tmp_path / "solver.cfg"
-    cfgfile.write_text("epsilon = 1e-2\nmax_iters = 7\n", encoding="utf-8")
-    out = tmp_path / "cfg-run"
-    rc = cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
-                   "--n", "20", "--seed", "2", "--config", str(cfgfile),
-                   "--epsilon", "1e-5", "--out", str(out)])
-    assert rc in (cli.EXIT_OK, cli.EXIT_MAX_ITERS)  # capped at 7 iterations
-    echo = (out / "spec.echo").read_text()
-    assert "solver_config.epsilon=1e-05" in echo  # explicit flag wins
-    assert "solver_config.max_iters=7" in echo  # config file applies
-    # a zero threshold in the file turns elimination off unless a flag sets one
-    cfgfile.write_text("max_iters = 7\nelim_threshold = 0\n", encoding="utf-8")
-    for flags, threshold in (([], "0.0"), (["--elim-threshold", "1e-6"], "1e-06")):
-        out = tmp_path / f"elim-{threshold}"
-        cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
-                  "--n", "20", "--seed", "2", "--config", str(cfgfile), *flags,
-                  "--out", str(out)])
-        echo = (out / "spec.echo").read_text()
-        assert f"solver_config.elimination_threshold={threshold}\n" in echo
-
-
-def test_cli_config_file_rejects_elim_enabled(tmp_path, capsys):
-    # elimination off is elim_threshold = 0; the old switch fails loudly
-    cfgfile = tmp_path / "solver.cfg"
-    cfgfile.write_text("max_iters = 7\nelim_enabled = false\n", encoding="utf-8")
-    rc = cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5", "--n", "20",
-                   "--seed", "2", "--config", str(cfgfile), "--out", str(tmp_path / "x")])
-    assert rc == cli.EXIT_IO
-    assert f"{cfgfile}:2: unknown key 'elim_enabled'" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-
-
 @pytest.mark.parametrize("flag", [["--elim-enabled", "false"], ["--initial-step", "1.0"],
-                                  ["--backtrack-factor", "0.5"]])
+                                  ["--backtrack-factor", "0.5"], ["--config", "x.cfg"]])
 def test_cli_rejects_removed_solver_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["solve", "--family", "er", "--p", "8", "--seed", "2", *flag,
@@ -303,11 +279,37 @@ def test_cli_generation_flags_parse_alike():
     names = ("p", "prob_edge", "p_in", "p_out", "n", "sigma")
     flags = ["--p", "9", "--prob-edge", "0.2", "--p-in", "0.4", "--p-out", "0.01",
              "--n", "50", "--sigma", "0.3"]
+    defaults = bench.ExperimentSpec()
     for cmd in ("gen", "solve", "bench"):
         args = parser.parse_args([cmd, "--seed", "1", "--out", "o"])
+        assert [getattr(args, k) for k in names] == [getattr(defaults, k) for k in names]
         assert [getattr(args, k) for k in names] == [100, 0.1, 0.3, 0.05, 1200, 0.1]
         args = parser.parse_args([cmd, *flags, "--seed", "1", "--out", "o"])
         assert [getattr(args, k) for k in names] == [9, 0.2, 0.4, 0.01, 50, 0.3]
+    # a default solve or bench spec carries the dataclass defaults throughout
+    for cmd in ("solve", "bench"):
+        args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o"])
+        spec = cli._experiment_spec(args, parser)
+        assert spec.solver_config == ms.SolverConfig()
+        assert spec.oracle_config == bo.OracleConfig()
+        assert (spec.alpha, spec.beta, spec.solver) == (defaults.alpha, defaults.beta, defaults.solver)
+        # and each explicit solver or oracle flag reaches its field
+        args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o",
+                                  "--epsilon", "1e-5", "--max-iters", "7", "--elim-threshold", "0",
+                                  "--tol", "1e-3", "--oracle-max-iters", "9"])
+        spec = cli._experiment_spec(args, parser)
+        assert spec.solver_config == ms.SolverConfig(epsilon=1e-5, max_iters=7, elimination_threshold=0.0)
+        assert spec.oracle_config == bo.OracleConfig(tol=1e-3, max_iters=9)
+
+
+def test_readme_cli_section_names_only_real_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {flag for sub in commands.choices.values() for flag in sub._option_string_actions}
+    assert named and named <= known, sorted(named - known)
 
 
 @pytest.mark.parametrize("family, gen", [
