@@ -2,7 +2,7 @@
 """Desk-scale convergence benchmark over synthetic graph families.
 
 Runs seeded Monte-Carlo batches of the MM solver (optionally also the
-projected-gradient oracle) for a list of graph sizes and prints mean and
+projected Newton oracle) for a list of graph sizes and prints mean and
 median iteration counts plus mean solve time per setting. Output bundles
 land in one directory per setting under --out.
 
@@ -35,12 +35,12 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--with-oracle", action="store_true",
-                        help="also run the projected-gradient oracle")
+                        help="also run the projected Newton oracle")
     parser.add_argument("--oracle-max-iters", type=int, default=5000,
                         help="oracle iteration cap; unconverged runs are flagged, not fatal")
     args = parser.parse_args()
 
-    solvers = ["mm"] + (["pg-oracle"] if args.with_oracle else [])
+    solvers = ["mm"] + (["newton-oracle"] if args.with_oracle else [])
     print(f"{'setting':>16} {'solver':>10} {'mean':>8} {'median':>8} {'time[s]':>9}")
     for p in args.sizes:
         for solver in solvers:

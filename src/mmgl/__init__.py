@@ -9,7 +9,7 @@ from .graph_model import (
     pairwise_distances,
 )
 from .mm_solver import SolveResult, SolverConfig, compute_c, mm_update, solve
-from .baseline_oracle import OracleConfig, pg_solve
+from .baseline_oracle import OracleConfig, newton_solve
 from .data_gen import GroundTruthGraph, SignalModel, assemble, gen_er, gen_sbm, gen_signals, laplacian_pinv
 
 __all__ = [
@@ -28,9 +28,9 @@ __all__ = [
     "gen_signals",
     "laplacian_pinv",
     "mm_update",
+    "newton_solve",
     "objective",
     "objective_gradient",
     "pairwise_distances",
-    "pg_solve",
     "solve",
 ]

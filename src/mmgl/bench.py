@@ -21,7 +21,7 @@ from . import baseline_oracle, data_gen, graph_model, mm_solver
 from .baseline_oracle import OracleConfig
 from .mm_solver import SolverConfig
 
-SOLVERS = ("mm", "pg-oracle")
+SOLVERS = ("mm", "newton-oracle")
 FAMILIES = ("er", "sbm", "graph-file", "signals-file")
 
 
@@ -55,6 +55,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.monte_carlo_runs < 1:
             raise ValueError(f"need monte_carlo_runs >= 1, got {self.monte_carlo_runs}")
+        if self.family == "signals-file" and self.monte_carlo_runs > 1:
+            raise ValueError("a signals file is one instance, so use --runs 1 or mmgl solve")
 
 
 @dataclass
@@ -107,7 +109,7 @@ def run_single(spec, run_index=0):
     if spec.solver == "mm":
         result = mm_solver.solve(prob, spec.solver_config)
     else:
-        result = baseline_oracle.pg_solve(prob, spec.oracle_config)
+        result = baseline_oracle.newton_solve(prob, spec.oracle_config)
     wall = time.perf_counter() - t0
     write_trace_csv(result.trace, out / f"trace_run{run_index}.csv")
     graph_model.save_edges_csv(result.w_star, prob.p, out / f"edges_run{run_index}.csv")

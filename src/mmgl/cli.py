@@ -1,9 +1,9 @@
 """Command line front end: gen / solve / bench / plotdata subcommands.
 
 Exit codes: 0 success (and solver converged), 3 stopped without converging
-(iteration cap, f became non-finite, or the PG oracle stalled at a
-numerically stationary point), 2 usage errors, 1 file or data
-errors.
+(iteration cap, f became non-finite, or the Newton oracle's line search
+found no acceptable step before its tolerance), 2 usage errors, 1 file or
+data errors.
 """
 
 import argparse
@@ -41,16 +41,16 @@ def _add_run_args(sub):
     sub.add_argument("--beta", type=float, default=spec.beta, help="squared-norm weight (default %(default)s)")
     sol = sub.add_argument_group("solver")
     sol.add_argument("--solver", choices=bench.SOLVERS, default=spec.solver,
-                     help="MM, or the projected-gradient reference (default %(default)s)")
+                     help="MM, or the projected Newton reference (default %(default)s)")
     sol.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
                      help="relative-objective stopping tolerance (default %(default)s)")
     sol.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
                      help="iteration safety cap (default %(default)s)")
     sol.add_argument("--elim-threshold", type=float, default=SolverConfig.elimination_threshold,
                      help="weight elimination threshold, 0 turns it off (default %(default)s)")
-    orc = sub.add_argument_group("pg-oracle")
+    orc = sub.add_argument_group("newton-oracle")
     orc.add_argument("--tol", type=float, default=OracleConfig.tol,
-                     help="projected-gradient stopping norm (default %(default)s)")
+                     help="stopping bound on the relative KKT residual (default %(default)s)")
     orc.add_argument("--oracle-max-iters", type=int, default=OracleConfig.max_iters,
                      help="oracle iteration cap (default %(default)s)")
     sub.add_argument("--seed", type=int,

@@ -62,16 +62,12 @@ def gen_er(p, prob_edge, seed):
     return GroundTruthGraph(p=p, w_true=w, family="er")
 
 
-def gen_sbm(p, p_in, p_out, seed, blocks=2):
+def gen_sbm(p, p_in, p_out, seed):
     """2-block stochastic block model: nodes split into halves of size
     floor(p/2) and ceil(p/2); intra-block edges appear with probability
     p_in, inter-block with p_out."""
-    if blocks != 2:
-        raise ValueError("only the 2-block model is supported")
     if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
         raise ValueError(f"edge probabilities must be in [0, 1], got {p_in}, {p_out}")
-    if p < 2:
-        raise ValueError(f"need p >= 2, got p={p}")
     rng = np.random.default_rng(seed)
     membership = np.arange(p) >= p // 2
     I, J = edge_pairs(p)

@@ -6,8 +6,8 @@ adjacency matrix W in row-major order. All solvers operate on this
 vectorized form; the adjacency matrix is only materialized on demand.
 
 The edge kernels (node_degrees, inverse_degrees, objective_value,
-gradient_value) take explicit edge arrays (w, d, I, J) and check nothing,
-so the solvers can run them on any edge subset. The public functions
+gradient_value, kkt_residual) take explicit edge arrays (w, d, I, J) and
+check nothing, so the solvers can run them on any edge subset. The public functions
 (degrees, objective, objective_gradient) validate their inputs and then
 call the same kernels.
 """
@@ -103,6 +103,14 @@ def gradient_value(w, d, deg, I, J, alpha, beta):
     (I, J); every degree must be positive."""
     inv = inverse_degrees(deg)
     return 2.0 * d + 2.0 * beta * w - alpha * (inv[I] + inv[J])
+
+
+def kkt_residual(w, g, d, deg, alpha):
+    """Max-norm of the KKT residual where(w > 0, g, min(g, 0)) on the orthant,
+    relative to the gradient scale 2 max d + alpha / min deg so that it
+    compares across alpha, beta and p; every degree must be positive."""
+    res = np.where(w > 0, g, np.minimum(g, 0.0))
+    return float(np.abs(res).max() / (2.0 * d.max() + alpha / deg.min()))
 
 
 def degrees(w, p):

@@ -73,8 +73,8 @@ class SolveResult:
 
     reason says why the run stopped: "converged" (the stopping rule held),
     "max_iters" (the iteration cap), "non_finite" (f became non-finite: a
-    node lost its last edge) or "stationary" (pg_solve found no step that
-    decreases f before reaching its tolerance).
+    node lost its last edge) or "stationary" (newton_solve found no step
+    that passes its line search before reaching its tolerance).
     """
 
     w_star: np.ndarray

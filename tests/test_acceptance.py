@@ -85,12 +85,12 @@ def test_criterion_3_global_optimum_oracle_equivalence():
                                   alpha=float(rng.uniform(0.3, 3)),
                                   beta=float(rng.uniform(0.3, 3)))
         f_mm = ms.solve(prob, ms.SolverConfig(epsilon=1e-12, max_iters=200000)).f_star
-        f_pg = bo.pg_solve(prob).f_star
+        f_oracle = bo.newton_solve(prob).f_star
         if m <= 4:
             f_bf = gm.objective(brute_force(prob), prob)
-            assert abs(f_bf - f_pg) / abs(f_pg) <= 1e-5
+            assert abs(f_bf - f_oracle) / abs(f_oracle) <= 1e-5
             brute_checked += 1
-        worst = max(worst, abs(f_mm - f_pg) / abs(f_pg))
+        worst = max(worst, abs(f_mm - f_oracle) / abs(f_oracle))
     ok = worst <= 1e-5
     _report(3, "oracle equivalence on 20 instances, p in {3..8}", ok,
             f"worst relative f gap {worst:.3e} (bound 1e-5, "

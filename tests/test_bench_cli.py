@@ -36,7 +36,11 @@ def test_experiment_spec_validation(tmp_path):
     with pytest.raises(ValueError):
         small_spec(tmp_path, solver="newton")
     with pytest.raises(ValueError):
+        small_spec(tmp_path, solver="pg-oracle")
+    with pytest.raises(ValueError):
         small_spec(tmp_path, monte_carlo_runs=0)
+    with pytest.raises(ValueError, match="--runs 1 or mmgl solve"):
+        small_spec(tmp_path, family="signals-file", signals_path="x.csv", monte_carlo_runs=2)
 
 
 def test_run_single_writes_trace_and_edges(tmp_path):
@@ -122,9 +126,9 @@ def test_emit_plot_data(tmp_path):
     assert len(lines) == 4
     assert lines[1] == "mm,0,0,5.0"
 
-    bench.emit_plot_data([("mm", 0, trace), ("pg-oracle", 1, trace)], out)
+    bench.emit_plot_data([("mm", 0, trace), ("newton-oracle", 1, trace)], out)
     lines = out.read_text().splitlines()
-    assert {line.split(",")[0] for line in lines[1:]} == {"mm", "pg-oracle"}
+    assert {line.split(",")[0] for line in lines[1:]} == {"mm", "newton-oracle"}
 
     # each row is f"{solver},{run},{iter},{float(f)!r}"
     odd = ms.ConvergenceTrace(
@@ -133,11 +137,11 @@ def test_emit_plot_data(tmp_path):
         active_count=np.full(5, 3),
         wall_time=np.zeros(5),
     )
-    bench.emit_plot_data([("mm", 0, trace), ("pg-oracle", 7, odd)], out)
+    bench.emit_plot_data([("mm", 0, trace), ("newton-oracle", 7, odd)], out)
     assert out.read_text().splitlines() == [
         "solver,run,iter,f", "mm,0,0,5.0", "mm,0,1,3.0", "mm,0,2,2.5",
-        "pg-oracle,7,0,1e-05", "pg-oracle,7,1,5e-324", "pg-oracle,7,2,1e+16",
-        "pg-oracle,7,3,0.3333333333333333", "pg-oracle,7,4,1.0"]
+        "newton-oracle,7,0,1e-05", "newton-oracle,7,1,5e-324", "newton-oracle,7,2,1e+16",
+        "newton-oracle,7,3,0.3333333333333333", "newton-oracle,7,4,1.0"]
 
     with pytest.raises(ValueError):
         bench.emit_plot_data([], out)
@@ -145,7 +149,7 @@ def test_emit_plot_data(tmp_path):
 
 # ---------------------------------------------------------------------- CLI
 
-def test_cli_gen_solve_bench_plotdata_pipeline(tmp_path):
+def test_cli_gen_solve_bench_plotdata_pipeline(tmp_path, capsys):
     gen_dir = tmp_path / "data"
     rc = cli.main(["gen", "--family", "er", "--p", "10", "--prob-edge", "0.4",
                    "--n", "30", "--seed", "3", "--out", str(gen_dir)])
@@ -163,10 +167,16 @@ def test_cli_gen_solve_bench_plotdata_pipeline(tmp_path):
     assert (solve_dir / "spec.echo").exists()
 
     # no --seed: a signals file needs none, for bench as for solve
-    rc = cli.main(["bench", "--signals", str(gen_dir / "signals.csv"), "--runs", "2",
+    rc = cli.main(["bench", "--signals", str(gen_dir / "signals.csv"), "--runs", "1",
                    "--out", str(tmp_path / "mc-signals")])
     assert rc == 0
     assert (tmp_path / "mc-signals" / "summary.csv").exists()
+    # a signals file is one instance: more runs would repeat one solve
+    rc = cli.main(["bench", "--signals", str(gen_dir / "signals.csv"), "--runs", "2",
+                   "--out", str(tmp_path / "mc-signals-2")])
+    assert rc == cli.EXIT_IO
+    assert "error: a signals file is one instance" in capsys.readouterr().err
+    assert not (tmp_path / "mc-signals-2").exists()
 
     bench_dir = tmp_path / "mc"
     rc = cli.main(["bench", "--family", "er", "--p", "10", "--prob-edge", "0.4",
@@ -206,10 +216,9 @@ def test_cli_solve_reports_non_finite_objective(tmp_path, capsys):
     ("max_iters", ["--p", "10", "--prob-edge", "0.4", "--n", "30", "--seed", "3",
                    "--max-iters", "1", "--epsilon", "1e-14"]),
     ("non_finite", ["--p", "20", "--seed", "3", "--alpha", "1e-20", "--beta", "1"]),
-    # run 1 of `mmgl bench --solver pg-oracle --family er --p 30 --runs 3
-    # --seed 5 --alpha 10 --beta 10`: pg stalls above its tolerance
-    ("stationary", ["--solver", "pg-oracle", "--p", "30", "--seed", "6",
-                    "--alpha", "10", "--beta", "10"]),
+    # a tolerance below round-off: no step halves the residual after 37
+    ("stationary", ["--solver", "newton-oracle", "--p", "30", "--seed", "6",
+                    "--alpha", "10", "--beta", "10", "--tol", "1e-300"]),
 ])
 def test_cli_solve_prints_stop_reason(tmp_path, capsys, monkeypatch, reason, args):
     results = []
@@ -227,13 +236,16 @@ def test_cli_solve_prints_stop_reason(tmp_path, capsys, monkeypatch, reason, arg
 
 
 def test_cli_bench_names_stop_reasons(tmp_path, capsys):
-    out = tmp_path / "pg"
-    rc = cli.main(["bench", "--solver", "pg-oracle", "--family", "er", "--p", "30", "--runs", "3",
-                   "--seed", "5", "--alpha", "10", "--beta", "10", "--out", str(out)])
+    # at a tolerance below round-off, seeds 5 and 6 stop stationary after 38
+    # and 37 steps; seed 7 would after 49, so the cap of 40 stops it
+    out = tmp_path / "newton"
+    rc = cli.main(["bench", "--solver", "newton-oracle", "--family", "er", "--p", "30", "--runs", "3",
+                   "--seed", "5", "--alpha", "10", "--beta", "10", "--tol", "1e-300",
+                   "--oracle-max-iters", "40", "--out", str(out)])
     assert rc == cli.EXIT_MAX_ITERS
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].endswith("convergence rate 33.33%")
-    assert lines[1:] == ["stop reasons: converged 1, stationary 2", f"outputs in {out}"]
+    assert lines[0].endswith("convergence rate 0.00%")
+    assert lines[1:] == ["stop reasons: max_iters 1, stationary 2", f"outputs in {out}"]
     # when every run converges, stdout names no reasons
     out = tmp_path / "mm"
     rc = cli.main(["bench", "--family", "er", "--p", "10", "--prob-edge", "0.4", "--n", "30",
@@ -244,24 +256,32 @@ def test_cli_bench_names_stop_reasons(tmp_path, capsys):
 
 
 def test_cli_bench_when_every_run_stops_at_iteration_0(tmp_path):
-    # w = 1 is already optimal for pg at alpha = 2, beta = 1, d = [1]
+    # w = 1 is already optimal at alpha = 2, beta = 1, d = [1]
     sig = tmp_path / "x.csv"
     toy_signals_csv(sig, [[0.0], [1.0]])
-    out = tmp_path / "pg0"
-    rc = cli.main(["bench", "--signals", str(sig), "--solver", "pg-oracle", "--alpha", "2",
-                   "--beta", "1", "--runs", "2", "--seed", "0", "--out", str(out)])
+    out = tmp_path / "newton0"
+    rc = cli.main(["bench", "--signals", str(sig), "--solver", "newton-oracle", "--alpha", "2",
+                   "--beta", "1", "--runs", "1", "--seed", "0", "--out", str(out)])
     assert rc == cli.EXIT_OK
-    assert (out / "summary.csv").read_text().splitlines()[1] == "pg-oracle,2,2,1.0,0.0,0.0"
+    assert (out / "summary.csv").read_text().splitlines()[1] == "newton-oracle,1,1,1.0,0.0,0.0"
     assert (out / "timing.csv").read_text().splitlines()[1].endswith(",0.0")
 
 
 def test_cli_solve_oracle_backend(tmp_path):
     rc = cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
-                   "--n", "20", "--seed", "2", "--solver", "pg-oracle",
-                   "--tol", "1e-5", "--out", str(tmp_path / "pg")])
+                   "--n", "20", "--seed", "2", "--solver", "newton-oracle",
+                   "--tol", "1e-5", "--out", str(tmp_path / "newton")])
     assert rc == 0
-    echo = (tmp_path / "pg" / "spec.echo").read_text()
-    assert "solver=pg-oracle" in echo
+    echo = (tmp_path / "newton" / "spec.echo").read_text()
+    assert "solver=newton-oracle" in echo
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_cli_rejects_the_projected_gradient_oracle_name(tmp_path, command):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--family", "er", "--p", "8", "--seed", "2", "--solver", "pg-oracle",
+                  "--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
 
 
 @pytest.mark.parametrize("flag", [["--elim-enabled", "false"], ["--initial-step", "1.0"],

@@ -66,8 +66,6 @@ def test_gen_sbm_edge_counts_within_binomial_bounds():
 def test_gen_sbm_rejects_bad_arguments():
     with pytest.raises(ValueError):
         dg.gen_sbm(10, 1.2, 0.1, 0)
-    with pytest.raises(ValueError):
-        dg.gen_sbm(10, 0.3, 0.05, 0, blocks=3)
 
 
 def test_generators_are_deterministic():

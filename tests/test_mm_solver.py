@@ -188,7 +188,7 @@ def test_solve_p3_symmetric_lands_in_one_update():
 def test_solve_matches_oracle_on_p3():
     prob = make_problem(3, [1.0, 2.0, 3.0])
     res = ms.solve(prob, ms.SolverConfig(epsilon=1e-12, max_iters=100000))
-    oracle = bo.pg_solve(prob)
+    oracle = bo.newton_solve(prob)
     gap = abs(res.f_star - oracle.f_star) / abs(oracle.f_star)
     assert gap <= 1e-6
 
@@ -349,13 +349,14 @@ def test_repeated_compaction_matches_uncompacted_run():
 
 
 # sha256 of (w_star, trace.f, trace.iterations, trace.active_count) after
-# exactly 60 MM iterations, and of one converged pg_solve run. The MM
+# exactly 60 MM iterations, and of one converged newton_solve run. The MM
 # iterates use only elementwise IEEE arithmetic and in-order bincount sums,
-# no BLAS or LAPACK, so the w_star bytes are the same on every CPU. f and
-# the pg iterates also go through numpy dot products, whose rounding may
-# depend on the BLAS build. The MM f also depends on the layout of the
-# working arrays, which the dot products run over: their anti-diagonal
-# order (by i + j, then i) and where compaction drops edges. pg_solve keeps
+# no BLAS or LAPACK, so the w_star bytes are the same on every CPU. f also
+# goes through numpy dot products, whose rounding may depend on the BLAS
+# build, and the oracle iterates also go through a LAPACK solve of the
+# p x p Newton system. The MM f also depends on the layout of the working
+# arrays, which the dot products run over: their anti-diagonal order (by
+# i + j, then i) and where compaction drops edges. newton_solve keeps
 # row-major order.
 PINNED_RUNS = {
     "gapped-14": ("a16abb3c4a71d013bad5c78707b9583bdf2402a908dacfcea82182a8c5b16893",
@@ -370,10 +371,10 @@ PINNED_RUNS = {
                   "2647120303f4fb4232b4bfa545e32ef8925bac514db19ab70092c6be9cc93ef4",
                   "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
                   "64cba8c22e5b989a8905db41753dad955e48f758c65477e983c7e12627bb1298"),
-    "pg-uniform-3": ("5e062d0520367e65807623fde7935594d429d336d4a50a86ec1062067461f76a",
-                     "5e750902d21912f0e46eb1f5ea8edb36eb3cf5334d22868564daed920fdc55de",
-                     "852c80a269cfde9f6b8cc6c4f19f4e92c636218d0620fedda0d379e77abc224b",
-                     "9a69fd651dc3d6ea1d4acf2df9c690b285bc997e422e3b2eb76fe3b7eaac40e0"),
+    "newton-uniform-3": ("e87eca39421b33939407728b5ab127c1bb278869da40308343fa9c3b8d0f1130",
+                         "b8d8de2c2182e3dfeb8cd98b5318ad3ec3c3de413f22e189beb6eabef52b84f6",
+                         "81845a01dafa45c9b26e10a7af52a92e8604d5d8ef690f1e3ccdcfe3b5c6ae98",
+                         "e2fee830cdee9d94efcfce47b85820a421283bdc6300e85c201b94a1b20e5b6a"),
 }
 
 
@@ -398,9 +399,9 @@ def test_iterates_match_pinned_bytes():
         assert run_digests(res) == PINNED_RUNS[name], name
         if name == "gapped-14":
             assert res.trace.active_count[-1] < 0.5 * prob.m  # compaction ran
-    res = bo.pg_solve(problems["uniform-3"], bo.OracleConfig(max_iters=200))
+    res = bo.newton_solve(problems["uniform-3"], bo.OracleConfig(max_iters=200))
     assert res.converged
-    assert run_digests(res) == PINNED_RUNS["pg-uniform-3"]
+    assert run_digests(res) == PINNED_RUNS["newton-uniform-3"]
 
 
 def test_callback_sees_full_length_arrays_after_compaction():

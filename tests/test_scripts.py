@@ -28,12 +28,14 @@ def test_run_er_benchmark_smoke(tmp_path):
 
 
 def test_run_er_benchmark_names_stop_reasons(tmp_path):
-    # the oracle's two unconverged runs stopped stationary, far below its cap
+    # the oracle meets its default tol after 35, 35 and 46 steps on seeds
+    # 5, 6 and 7, so a cap of 40 stops the third run
     lines = run_script("run_er_benchmark.py", "--sizes", "30", "--runs", "3", "--seed", "5",
-                       "--alpha", "10", "--beta", "10", "--with-oracle", "--out", str(tmp_path))
+                       "--alpha", "10", "--beta", "10", "--with-oracle", "--oracle-max-iters", "40",
+                       "--out", str(tmp_path))
     assert len(lines) == 3
-    assert lines[2].split()[2] == "pg-oracle"
-    assert lines[2].endswith("  (stop reasons: converged 1, stationary 2)")
+    assert lines[2].split()[2] == "newton-oracle"
+    assert lines[2].endswith("  (stop reasons: converged 2, max_iters 1)")
     assert not any("cap" in line for line in lines)
 
 
