@@ -1,4 +1,4 @@
-"""Experiment harness: single runs, Monte-Carlo batches, CSV emission.
+"""Experiment harness: single runs, Monte-Carlo batches, bundle files.
 
 Every experiment writes a self-describing bundle into its output directory:
 spec.echo (the resolved configuration), trace_run<k>.csv and
@@ -102,7 +102,6 @@ def run_single(spec, run_index=0):
     edge list land in spec.out_dir as trace_run<k>.csv / edges_run<k>.csv.
     """
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     run_seed = spec.seed + run_index
     prob = build_problem(spec, run_seed)
     t0 = time.perf_counter()
@@ -123,9 +122,8 @@ def run_montecarlo(spec):
     Runs that hit max_iters are recorded, not fatal; the summary flags them
     through convergence_rate < 1.
     """
+    write_spec_echo(spec)
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_spec_echo(spec, out / "spec.echo")
     results = []
     walls = []
     for k in range(spec.monte_carlo_runs):
@@ -151,71 +149,58 @@ def run_montecarlo(spec):
     return summary
 
 
-def emit_plot_data(labeled_traces, path):
-    """Merge traces into a tidy long-format CSV `solver,run,iter,f`.
-
-    labeled_traces is a sequence of (solver_label, run_index, trace).
-    """
-    labeled_traces = list(labeled_traces)
-    if not labeled_traces:
-        raise ValueError("no traces given")
-    rows = [f"{solver},{run},{k},{f!r}\n"
-            for solver, run, trace in labeled_traces
-            for k, f in zip(trace.iterations.tolist(), trace.f.tolist())]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("solver,run,iter,f\n" + "".join(rows))
-
-
 def write_trace_csv(trace, path):
     rows = [f"{k},{f!r},{a}\n" for k, f, a in zip(
         trace.iterations.tolist(), trace.f.tolist(), trace.active_count.tolist())]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iter,f,active_count\n" + "".join(rows))
+    graph_model._write_text(path, ["iter,f,active_count\n" + "".join(rows)])
 
 
-def load_trace_csv(path):
-    ks, fs, actives = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip()
-        if header != "iter,f,active_count":
-            raise ValueError(f"{path}:1: unexpected trace header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                ks.append(int(cells[0]))
-                fs.append(float(cells[1]))
-                actives.append(int(cells[2]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed trace row") from None
-    return mm_solver.ConvergenceTrace(
-        iterations=np.array(ks, dtype=int),
-        f=np.array(fs, dtype=float),
-        active_count=np.array(actives, dtype=int),
-        wall_time=np.zeros(len(ks)),
-    )
+def plot_data(exp_dirs, path):
+    """Merge bundle traces into one CSV `solver,run,iter,f`, one write per
+    trace, labelled with the solver each spec.echo names and in numeric run
+    order; repr(float(f)) reproduces the trace's text. Returns the count."""
+    chunks = ["solver,run,iter,f\n"]
+    for exp_dir in exp_dirs:
+        solver = _echoed_solver(Path(exp_dir) / "spec.echo")
+        runs = []
+        for q in Path(exp_dir).glob("trace_run*.csv"):
+            run = q.stem.removeprefix("trace_run")
+            if not run.isdecimal():
+                raise ValueError(f"{q}: run number {run!r} is not an integer")
+            runs.append((int(run), q))
+        if not runs:
+            raise FileNotFoundError(f"no trace_run*.csv files in {exp_dir}")
+        for run, q in sorted(runs):
+            rows = graph_model._csv_rows(q, ncols=3)
+            if next(rows, (1, None))[1] != ["iter", "f", "active_count"]:
+                raise ValueError(f"{q}:1: unexpected trace header")
+            text = []
+            for lineno, (k, f, _) in rows:
+                try:
+                    text.append(f"{solver},{run},{int(k)},{float(f)!r}\n")
+                except ValueError:
+                    raise ValueError(f"{q}:{lineno}: malformed trace row") from None
+            chunks.append("".join(text))
+    graph_model._write_text(path, chunks)
+    return len(chunks) - 1
 
 
 def write_summary_csv(summary, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("solver,runs,converged_runs,convergence_rate,mean_iterations,median_iterations\n")
-        fh.write(f"{summary.solver},{summary.runs},{summary.converged_runs},"
-                 f"{summary.convergence_rate!r},{summary.mean_iterations!r},"
-                 f"{summary.median_iterations!r}\n")
+    graph_model._write_text(path, [
+        "solver,runs,converged_runs,convergence_rate,mean_iterations,median_iterations\n"
+        f"{summary.solver},{summary.runs},{summary.converged_runs},"
+        f"{summary.convergence_rate!r},{summary.mean_iterations!r},"
+        f"{summary.median_iterations!r}\n"])
 
 
 def write_timing_csv(summary, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mean_wall_time_s,mean_iter_time_s\n")
-        fh.write(f"{summary.mean_wall_time_s!r},{summary.mean_iter_time_s!r}\n")
+    graph_model._write_text(path, [
+        "mean_wall_time_s,mean_iter_time_s\n"
+        f"{summary.mean_wall_time_s!r},{summary.mean_iter_time_s!r}\n"])
 
 
-def write_spec_echo(spec, path):
-    """Echo the resolved spec as sorted key=value lines (reproduction aid)."""
+def write_spec_echo(spec):
+    """Echo the resolved spec as sorted key=value lines into out_dir/spec.echo."""
     flat = {}
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
@@ -224,6 +209,13 @@ def write_spec_echo(spec, path):
                 flat[f"{f.name}.{g.name}"] = getattr(value, g.name)
         else:
             flat[f.name] = value
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(flat):
-            fh.write(f"{key}={flat[key]}\n")
+    graph_model._write_text(Path(spec.out_dir) / "spec.echo",
+                            ["".join(f"{key}={flat[key]}\n" for key in sorted(flat))])
+
+
+def _echoed_solver(path):
+    """The last `solver=` line of a spec.echo, read as plain lines since a
+    path value may hold a comma; the default solver when there is none."""
+    lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    solvers = [line.split("=", 1)[1] for line in lines if line.startswith("solver=")]
+    return solvers[-1] if solvers else ExperimentSpec.solver

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bench, data_gen
+from . import bench, data_gen, graph_model
 from .baseline_oracle import OracleConfig
 from .mm_solver import SolverConfig
 
@@ -111,7 +111,6 @@ def _cmd_gen(args, parser):
     if bool(args.family) == bool(args.graph):
         parser.error("pick exactly one of --family, --graph")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.graph:
         g = data_gen.load_graph(args.graph)
     elif args.family == "er":
@@ -120,19 +119,15 @@ def _cmd_gen(args, parser):
         g = data_gen.gen_sbm(args.p, args.p_in, args.p_out, args.seed)
     model = data_gen.SignalModel(sigma=args.sigma, n=args.n)
     X = data_gen.gen_signals(g, model, args.seed)
-    data_gen.save_graph(g, out / "edges_true.csv")
-    with open(out / "signals.csv", "w", encoding="utf-8", newline="\n") as fh:
-        for row in X:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    graph_model.save_edges_csv(g.w_true, g.p, out / "edges_true.csv")
+    graph_model.save_signals_csv(X, out / "signals.csv")
     print(f"wrote {out / 'edges_true.csv'} and {out / 'signals.csv'} (p={g.p}, n={model.n})")
     return EXIT_OK
 
 
 def _cmd_solve(args, parser):
     spec = _experiment_spec(args, parser, runs=1)
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    bench.write_spec_echo(spec, out / "spec.echo")
+    bench.write_spec_echo(spec)
     result, wall = bench.run_single(spec, run_index=0)
     print(f"{spec.solver}: {_STOP_MESSAGES[result.reason]} after {result.iters} iterations, "
           f"f = {result.f_star:.10g}, solve time {wall:.3f}s")
@@ -153,24 +148,8 @@ def _cmd_bench(args, parser):
 
 
 def _cmd_plotdata(args, parser):
-    labeled = []
-    for exp_dir in args.experiment_dirs:
-        exp = Path(exp_dir)
-        echo = exp / "spec.echo"
-        solver = bench.ExperimentSpec.solver
-        if echo.exists():
-            for line in echo.read_text(encoding="utf-8").splitlines():
-                if line.startswith("solver="):
-                    solver = line.split("=", 1)[1]
-        traces = sorted(exp.glob("trace_run*.csv"),
-                        key=lambda q: int(q.stem.removeprefix("trace_run")))
-        if not traces:
-            raise FileNotFoundError(f"no trace_run*.csv files in {exp_dir}")
-        for path in traces:
-            run = int(path.stem.removeprefix("trace_run"))
-            labeled.append((solver, run, bench.load_trace_csv(path)))
-    bench.emit_plot_data(labeled, args.out)
-    print(f"wrote {args.out} ({len(labeled)} traces)")
+    count = bench.plot_data(args.experiment_dirs, args.out)
+    print(f"wrote {args.out} ({count} traces)")
     return EXIT_OK
 
 

@@ -18,7 +18,6 @@ from .graph_model import (
     load_edges_csv,
     num_edges,
     pairwise_distances,
-    save_edges_csv,
     weights_to_matrix,
 )
 
@@ -30,7 +29,6 @@ EIG_CUTOFF = 1e-9
 class GroundTruthGraph:
     p: int
     w_true: np.ndarray
-    family: str = "file"
 
     def __post_init__(self):
         if self.p < 2:
@@ -59,7 +57,7 @@ def gen_er(p, prob_edge, seed):
         raise ValueError(f"need p >= 2, got p={p}")
     rng = np.random.default_rng(seed)
     w = (rng.random(num_edges(p)) < prob_edge).astype(float)
-    return GroundTruthGraph(p=p, w_true=w, family="er")
+    return GroundTruthGraph(p=p, w_true=w)
 
 
 def gen_sbm(p, p_in, p_out, seed):
@@ -73,7 +71,7 @@ def gen_sbm(p, p_in, p_out, seed):
     I, J = edge_pairs(p)
     prob = np.where(membership[I] == membership[J], p_in, p_out)
     w = (rng.random(num_edges(p)) < prob).astype(float)
-    return GroundTruthGraph(p=p, w_true=w, family="sbm")
+    return GroundTruthGraph(p=p, w_true=w)
 
 
 def laplacian(g):
@@ -137,12 +135,7 @@ def assemble(source, alpha, beta, model=None, seed=None):
     return ProblemInstance(p=X.shape[0], d=d, alpha=alpha, beta=beta)
 
 
-def save_graph(g, path):
-    """Write the ground truth as an edge-list CSV `i,j,weight`."""
-    save_edges_csv(g.w_true, g.p, path)
-
-
 def load_graph(path, p=None):
-    """Read an edge-list CSV back into a GroundTruthGraph (family "file")."""
+    """Read an edge-list CSV back into a GroundTruthGraph."""
     w, p_loaded = load_edges_csv(path, p=p)
-    return GroundTruthGraph(p=p_loaded, w_true=w, family="file")
+    return GroundTruthGraph(p=p_loaded, w_true=w)

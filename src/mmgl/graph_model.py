@@ -1,4 +1,5 @@
-"""Shared data model: edge indexing, edge kernels, distances, objective.
+"""Shared data model: edge indexing, edge kernels, distances, objective,
+and the file formats of the output bundles.
 
 A weighted undirected graph on p nodes with no self-loops is stored as a
 vector w of length m = p(p-1)/2 holding the strict upper triangle of the
@@ -10,10 +11,15 @@ gradient_value, kkt_residual) take explicit edge arrays (w, d, I, J) and
 check nothing, so the solvers can run them on any edge subset. The public functions
 (degrees, objective, objective_gradient) validate their inputs and then
 call the same kernels.
+
+Every file mmgl writes goes through _write_text (UTF-8, LF line ends) and
+every CSV file it reads through _csv_rows (errors name `path:line`).
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -225,35 +231,52 @@ def objective_gradient(w, prob):
     return gradient_value(w, prob.d, deg, I, J, prob.alpha, prob.beta)
 
 
-def load_signals_csv(path, skip_header=False):
-    """Load a data matrix from CSV: one node per row, n sample columns.
-
-    Raises ValueError with path and line number on malformed content.
-    """
-    rows = []
-    ncols = None
+def _csv_rows(path, ncols=None, header=False):
+    """Yield (lineno, cells) for each non-blank line, skipping line 1 when
+    header is set; each row has ncols cells, or as many as the first row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and skip_header:
-                continue
             line = line.strip()
-            if not line:
+            if not line or (header and lineno == 1):
                 continue
             cells = line.split(",")
             if ncols is None:
                 ncols = len(cells)
             elif len(cells) != ncols:
                 raise ValueError(f"{path}:{lineno}: expected {ncols} columns, found {len(cells)}")
-            try:
-                rows.append(np.array([float(c) for c in cells]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
+            yield lineno, cells
+
+
+def _write_text(path, chunks):
+    """Write each string of chunks to path, creating its directory; one
+    chunk is live at a time, since writelines drops each before the next."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+
+
+def load_signals_csv(path, skip_header=False):
+    """Load a data matrix from CSV: one node per row, n sample columns.
+
+    Raises ValueError with path and line number on malformed content.
+    """
+    rows = []
+    for lineno, cells in _csv_rows(path, header=skip_header):
+        try:
+            row = np.array([float(c) for c in cells])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"{path}:{lineno}: non-finite entry")
+        rows.append(row)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 node rows, found {len(rows)}")
-    X = np.stack(rows)
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{path}: data matrix contains non-finite entries")
-    return X
+    return np.stack(rows)
+
+
+def save_signals_csv(X, path):
+    """Write a data matrix one node row per write, as repr of each value."""
+    _write_text(path, (",".join(map(repr, row.tolist())) + "\n" for row in X))
 
 
 def save_edges_csv(w, p, path):
@@ -261,12 +284,10 @@ def save_edges_csv(w, p, path):
     one write per _WRITE_BLOCK edges."""
     I, J = edge_pairs(p)
     w = _checked_weights(w, I.size)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("i,j,weight\n")
-        for s in range(0, w.size, _WRITE_BLOCK):
-            k = s + np.flatnonzero(w[s:s + _WRITE_BLOCK] > 0)
-            fh.write("".join([f"{i},{j},{x!r}\n"
-                              for i, j, x in zip(I[k].tolist(), J[k].tolist(), w[k].tolist())]))
+    blocks = (s + np.flatnonzero(w[s:s + _WRITE_BLOCK] > 0) for s in range(0, w.size, _WRITE_BLOCK))
+    _write_text(path, itertools.chain(["i,j,weight\n"], (
+        "".join([f"{i},{j},{x!r}\n" for i, j, x in zip(I[k].tolist(), J[k].tolist(), w[k].tolist())])
+        for k in blocks)))
 
 
 def load_edges_csv(path, p=None):
@@ -275,37 +296,27 @@ def load_edges_csv(path, p=None):
     A header row is skipped if present. p defaults to 1 + the largest node
     id seen; pass it explicitly when trailing nodes are isolated.
     """
-    entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if lineno == 1 and cells[0].strip().lower() == "i":
-                continue
-            if len(cells) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns i,j,weight")
-            try:
-                i, j, wt = int(cells[0]), int(cells[1]), float(cells[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed edge row") from None
-            if not (0 <= i < j) or not (np.isfinite(wt) and wt >= 0):
-                raise ValueError(f"{path}:{lineno}: invalid edge ({i},{j}) weight {wt}")
-            entries.append((i, j, wt, lineno))
+    entries = {}
+    for lineno, cells in _csv_rows(path, ncols=3):
+        if lineno == 1 and cells[0].strip().lower() == "i":
+            continue
+        try:
+            i, j, wt = int(cells[0]), int(cells[1]), float(cells[2])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed edge row") from None
+        if not (0 <= i < j) or not (np.isfinite(wt) and wt >= 0):
+            raise ValueError(f"{path}:{lineno}: invalid edge ({i},{j}) weight {wt}")
+        if (i, j) in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate edge ({i},{j})")
+        entries[i, j] = wt
     if not entries:
         raise ValueError(f"{path}: no edges found")
-    max_node = max(j for _, j, _, _ in entries)
+    max_node = max(j for _, j in entries)
     if p is None:
         p = max_node + 1
     elif max_node >= p:
         raise ValueError(f"{path}: node id {max_node} out of range for p={p}")
     w = np.zeros(num_edges(p))
-    seen = set()
-    for i, j, wt, lineno in entries:
-        k = edge_index(i, j, p)
-        if k in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate edge ({i},{j})")
-        seen.add(k)
-        w[k] = wt
+    for (i, j), wt in entries.items():
+        w[edge_index(i, j, p)] = wt
     return w, p

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import re
 import subprocess
@@ -49,12 +50,10 @@ def test_run_single_writes_trace_and_edges(tmp_path):
     assert result.converged
     assert wall >= 0
     out = tmp_path / "exp"
-    trace = bench.load_trace_csv(out / "trace_run0.csv")
-    np.testing.assert_array_equal(trace.iterations, result.trace.iterations)
-    np.testing.assert_array_equal(trace.f, result.trace.f)
-    assert (out / "trace_run0.csv").read_text().splitlines()[1:] == [
-        f"{k},{float(f)!r},{a}" for k, f, a in
-        zip(result.trace.iterations, result.trace.f, result.trace.active_count)]
+    # repr(float(f)) round-trips, so the text pins f bit for bit
+    assert (out / "trace_run0.csv").read_text(encoding="utf-8") == "iter,f,active_count\n" + "".join(
+        f"{k},{float(f)!r},{a}\n" for k, f, a in
+        zip(result.trace.iterations, result.trace.f, result.trace.active_count))
     w, p = gm.load_edges_csv(out / "edges_run0.csv", p=12)
     np.testing.assert_array_equal(w, result.w_star)
 
@@ -93,9 +92,9 @@ def test_montecarlo_seeds_differ(tmp_path):
     bench.run_montecarlo(spec_a)
     spec_b = small_spec(tmp_path, monte_carlo_runs=2, seed=99, out_dir=str(tmp_path / "b"))
     bench.run_montecarlo(spec_b)
-    t_a = bench.load_trace_csv(tmp_path / "a" / "trace_run0.csv")
-    t_b = bench.load_trace_csv(tmp_path / "b" / "trace_run0.csv")
-    assert not np.array_equal(t_a.f, t_b.f)
+    t_a = (tmp_path / "a" / "trace_run0.csv").read_text(encoding="utf-8").splitlines()
+    t_b = (tmp_path / "b" / "trace_run0.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[1] for row in t_a[1:]] != [row.split(",")[1] for row in t_b[1:]]
     # run files exist per run
     assert (tmp_path / "a" / "trace_run1.csv").exists()
     assert (tmp_path / "a" / "edges_run1.csv").exists()
@@ -110,41 +109,6 @@ def test_montecarlo_summary_deterministic_bytes(tmp_path):
     bench.run_montecarlo(spec_b)
     assert (tmp_path / "a" / "summary.csv").read_bytes() == (tmp_path / "b" / "summary.csv").read_bytes()
     assert (tmp_path / "a" / "spec.echo").read_text() != ""
-
-
-def test_emit_plot_data(tmp_path):
-    trace = ms.ConvergenceTrace(
-        iterations=np.array([0, 1, 2]),
-        f=np.array([5.0, 3.0, 2.5]),
-        active_count=np.array([3, 3, 2]),
-        wall_time=np.zeros(3),
-    )
-    out = tmp_path / "plot.csv"
-    bench.emit_plot_data([("mm", 0, trace)], out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "solver,run,iter,f"
-    assert len(lines) == 4
-    assert lines[1] == "mm,0,0,5.0"
-
-    bench.emit_plot_data([("mm", 0, trace), ("newton-oracle", 1, trace)], out)
-    lines = out.read_text().splitlines()
-    assert {line.split(",")[0] for line in lines[1:]} == {"mm", "newton-oracle"}
-
-    # each row is f"{solver},{run},{iter},{float(f)!r}"
-    odd = ms.ConvergenceTrace(
-        iterations=np.arange(5),
-        f=np.array([1e-05, 5e-324, 1e16, 1 / 3, 1.0]),
-        active_count=np.full(5, 3),
-        wall_time=np.zeros(5),
-    )
-    bench.emit_plot_data([("mm", 0, trace), ("newton-oracle", 7, odd)], out)
-    assert out.read_text().splitlines() == [
-        "solver,run,iter,f", "mm,0,0,5.0", "mm,0,1,3.0", "mm,0,2,2.5",
-        "newton-oracle,7,0,1e-05", "newton-oracle,7,1,5e-324", "newton-oracle,7,2,1e+16",
-        "newton-oracle,7,3,0.3333333333333333", "newton-oracle,7,4,1.0"]
-
-    with pytest.raises(ValueError):
-        bench.emit_plot_data([], out)
 
 
 # ---------------------------------------------------------------------- CLI
@@ -191,6 +155,88 @@ def test_cli_gen_solve_bench_plotdata_pipeline(tmp_path, capsys):
     assert lines[0] == "solver,run,iter,f"
     fs = [float(line.split(",")[3]) for line in lines[1:] if line.split(",")[1] == "0"]
     assert all(a >= b for a, b in zip(fs, fs[1:]))  # mm trace non-increasing
+
+
+def write_trace(path, fs):
+    path.write_text("iter,f,active_count\n" + "".join(f"{k},{f!r},3\n" for k, f in enumerate(fs)),
+                    encoding="utf-8")
+
+
+def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
+    mm, newton = tmp_path / "mm", tmp_path / "newton"
+    mm.mkdir()
+    newton.mkdir()
+    (mm / "spec.echo").write_text("solver=mm\n", encoding="utf-8")
+    (newton / "spec.echo").write_text("graph_path=a,b.csv\nsolver=newton-oracle\n", encoding="utf-8")
+    write_trace(mm / "trace_run0.csv", [5.0, 3.0, 2.5])
+    write_trace(newton / "trace_run10.csv", [4.0])
+    write_trace(newton / "trace_run2.csv", [1e-05, 5e-324, 1e16, 1 / 3, 1.0])
+    out = tmp_path / "plot.csv"
+    assert cli.main(["plotdata", str(mm), str(newton), "--out", str(out)]) == cli.EXIT_OK
+    assert f"wrote {out} (3 traces)" in capsys.readouterr().out
+    # each row is f"{solver},{run},{iter},{float(f)!r}", runs in numeric order
+    assert out.read_bytes() == "".join(f"{row}\n" for row in [
+        "solver,run,iter,f", "mm,0,0,5.0", "mm,0,1,3.0", "mm,0,2,2.5",
+        "newton-oracle,2,0,1e-05", "newton-oracle,2,1,5e-324", "newton-oracle,2,2,1e+16",
+        "newton-oracle,2,3,0.3333333333333333", "newton-oracle,2,4,1.0",
+        "newton-oracle,10,0,4.0"]).encode()
+
+    # a bundle with no traces, a run number that is no integer, a bad row
+    # or header: exit 1 with the directory, file or path:line named
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "spec.echo").write_text("solver=mm\n", encoding="utf-8")
+    stray = tmp_path / "stray"
+    stray.mkdir()
+    write_trace(stray / "trace_run0.csv", [1.0])
+    write_trace(stray / "trace_runX.csv", [1.0])
+    bad_row = tmp_path / "bad-row"
+    bad_row.mkdir()
+    (bad_row / "trace_run0.csv").write_text("iter,f,active_count\n0,1.0,3\n1,oops,3\n", encoding="utf-8")
+    bad_header = tmp_path / "bad-header"
+    bad_header.mkdir()
+    (bad_header / "trace_run0.csv").write_text("k,f,active\n0,1.0,3\n", encoding="utf-8")
+    for bundle, named in [(empty, f"no trace_run*.csv files in {empty}"),
+                          (stray, f"{stray / 'trace_runX.csv'}: run number"),
+                          (bad_row, f"{bad_row / 'trace_run0.csv'}:3: malformed trace row"),
+                          (bad_header, f"{bad_header / 'trace_run0.csv'}:1: unexpected trace header")]:
+        assert cli.main(["plotdata", str(mm), str(bundle), "--out", str(out)]) == cli.EXIT_IO
+        assert named in capsys.readouterr().err
+
+
+# sha256 of each file that a small `mmgl gen`, `mmgl bench` and `mmgl
+# plotdata` write, with timing.csv and spec.echo's out_dir line left out.
+# At p = 20 the signals, and so every file, are the same bits at 1, 2 and 4
+# BLAS threads.
+PINNED_BUNDLE = {
+    "gen/edges_true.csv": "8a2b57837f2a23fd7d7e024b9fece2212b79f5f8ead8804285af9bf251b3e22a",
+    "gen/signals.csv": "0ec172575ec3279e722f62d930015a7e31d386502d03b88f05affd8c33ffa148",
+    "mc/edges_run0.csv": "f413bda02d6f996023926abafe93cba2f9751e69e585f69a9d2b3d503467b7e6",
+    "mc/edges_run1.csv": "e258e6fc3b470927af45cfc63aadbac4b77fb98807079e0c85853dcf55fcea69",
+    "mc/edges_run2.csv": "591b38cb938c3a05df7d2844bbde55ba4c74dde1027e64b22a8a5d6a132abacb",
+    "mc/spec.echo": "4c25ba662efd67eb58c7cc4311ba1992e49bac0bdaeac5d22d3904244c24b003",
+    "mc/summary.csv": "e4a46cace83d4f835eea42e806db380cbf7f8704d8deb5e5034ba929cdf1973b",
+    "mc/trace_run0.csv": "fc4f0acbfa2c2a15139ed85e4936650880697c5149b242c28b1a3b8816c45f1d",
+    "mc/trace_run1.csv": "799975897405d22455055ca5aeb1f81df6f35c7dbb46f16ec1a5791c8c1b4149",
+    "mc/trace_run2.csv": "629de9ad470956006955221cafc720c3ba629899d570e9f8b21efd4a8e9b52d3",
+    "plot.csv": "4fea1c0c0cc409d54d23c52140d19f3e2fd66944a2f1faa8487891619f6d55c5",
+}
+
+
+def test_bundle_matches_pinned_bytes(tmp_path):
+    family = ["--family", "er", "--p", "20", "--prob-edge", "0.2", "--n", "100", "--seed", "3"]
+    assert cli.main(["gen", *family, "--out", str(tmp_path / "gen")]) == cli.EXIT_OK
+    assert cli.main(["bench", *family, "--runs", "3", "--out", str(tmp_path / "mc")]) == cli.EXIT_OK
+    assert cli.main(["plotdata", str(tmp_path / "mc"), "--out", str(tmp_path / "plot.csv")]) == cli.EXIT_OK
+    digests = {}
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file() and path.name != "timing.csv":
+            data = path.read_bytes()
+            if path.name == "spec.echo":
+                data = b"".join(line for line in data.splitlines(keepends=True)
+                                if not line.startswith(b"out_dir="))
+            digests[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(data).hexdigest()
+    assert digests == PINNED_BUNDLE
 
 
 def test_cli_solve_exit_code_on_max_iters(tmp_path):

@@ -233,8 +233,7 @@ def test_ground_truth_graph_validation():
 def test_graph_save_load_round_trip(tmp_path):
     g = dg.gen_er(12, 0.4, 3)
     path = tmp_path / "g.csv"
-    dg.save_graph(g, path)
+    gm.save_edges_csv(g.w_true, g.p, path)
     g2 = dg.load_graph(path, p=12)
     assert g2.p == 12
-    assert g2.family == "file"
     np.testing.assert_array_equal(g2.w_true, g.w_true)

@@ -274,6 +274,10 @@ def test_signals_csv_reports_line_numbers(tmp_path):
     path.write_text("1.0,2.0\n3.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"x\.csv:2"):
         gm.load_signals_csv(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"1.0,2.0\n3.0,{bad}\n4.0,5.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"x\.csv:2: non-finite entry"):
+            gm.load_signals_csv(path)
 
 
 def test_edges_csv_round_trip(tmp_path):
