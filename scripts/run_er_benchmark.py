@@ -15,29 +15,29 @@ import argparse
 from pathlib import Path
 
 from mmgl import bench
-from mmgl.baseline_oracle import OracleConfig
 from mmgl.mm_solver import SolverConfig
 
 
 def main():
+    defaults = bench.ExperimentSpec
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--family", choices=("er", "sbm"), default="er")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[100])
-    parser.add_argument("--prob-edge", type=float, default=0.1)
-    parser.add_argument("--p-in", type=float, default=0.3)
-    parser.add_argument("--p-out", type=float, default=0.05)
-    parser.add_argument("--n", type=int, default=1200)
-    parser.add_argument("--sigma", type=float, default=0.1)
+    parser.add_argument("--family", choices=("er", "sbm"), default=defaults.family)
+    parser.add_argument("--sizes", type=int, nargs="+", default=[defaults.p])
+    parser.add_argument("--prob-edge", type=float, default=defaults.prob_edge)
+    parser.add_argument("--p-in", type=float, default=defaults.p_in)
+    parser.add_argument("--p-out", type=float, default=defaults.p_out)
+    parser.add_argument("--n", type=int, default=defaults.n)
+    parser.add_argument("--sigma", type=float, default=defaults.sigma)
     parser.add_argument("--alpha", type=float, default=100.0)
     parser.add_argument("--beta", type=float, default=1e4)
-    parser.add_argument("--epsilon", type=float, default=1e-4)
+    parser.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
+    parser.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
+                        help="iteration cap of both solvers; capped runs are flagged, not fatal")
     parser.add_argument("--runs", type=int, default=100)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--with-oracle", action="store_true",
                         help="also run the projected Newton oracle")
-    parser.add_argument("--oracle-max-iters", type=int, default=5000,
-                        help="oracle iteration cap; unconverged runs are flagged, not fatal")
     args = parser.parse_args()
 
     solvers = ["mm"] + (["newton-oracle"] if args.with_oracle else [])
@@ -49,8 +49,7 @@ def main():
                 family=args.family, p=p, prob_edge=args.prob_edge,
                 p_in=args.p_in, p_out=args.p_out, n=args.n, sigma=args.sigma,
                 alpha=args.alpha, beta=args.beta, solver=solver,
-                solver_config=SolverConfig(epsilon=args.epsilon),
-                oracle_config=OracleConfig(max_iters=args.oracle_max_iters),
+                solver_config=SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters),
                 monte_carlo_runs=args.runs, seed=args.seed,
                 out_dir=str(Path(args.out) / tag))
             summary = bench.run_montecarlo(spec)

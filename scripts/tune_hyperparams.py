@@ -17,6 +17,7 @@ import argparse
 
 import numpy as np
 
+from mmgl import cli
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
@@ -55,15 +56,10 @@ def evaluate(alpha, beta, instances, epsilon):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--family", choices=("er", "sbm"), default="er")
-    parser.add_argument("--p", type=int, default=100)
-    parser.add_argument("--prob-edge", type=float, default=0.1)
-    parser.add_argument("--p-in", type=float, default=0.3)
-    parser.add_argument("--p-out", type=float, default=0.05)
-    parser.add_argument("--n", type=int, default=1200)
-    parser.add_argument("--sigma", type=float, default=0.1)
+    cli._add_generation_args(parser)
     parser.add_argument("--seeds", type=int, default=5, help="instances per grid point")
     parser.add_argument("--base-seed", type=int, default=1000)
-    parser.add_argument("--epsilon", type=float, default=1e-4)
+    parser.add_argument("--epsilon", type=float, default=ms.SolverConfig.epsilon)
     parser.add_argument("--iter-budget", type=float, default=15.0,
                         help="benchmark bound on mean iterations")
     parser.add_argument("--alphas", type=float, nargs="+",

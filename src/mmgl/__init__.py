@@ -9,12 +9,11 @@ from .graph_model import (
     pairwise_distances,
 )
 from .mm_solver import SolveResult, SolverConfig, compute_c, mm_update, solve
-from .baseline_oracle import OracleConfig, newton_solve
+from .baseline_oracle import newton_solve
 from .data_gen import GroundTruthGraph, SignalModel, assemble, gen_er, gen_sbm, gen_signals, laplacian_pinv
 
 __all__ = [
     "GroundTruthGraph",
-    "OracleConfig",
     "ProblemInstance",
     "SignalModel",
     "SolveResult",

@@ -3,25 +3,14 @@ same objective, to certify the global optimum that MM reaches. It is not a
 published competitor."""
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph_model import edge_pairs, gradient_value, kkt_residual, node_degrees, objective_value
-from .mm_solver import _run_result
+from .mm_solver import SolverConfig, _run_result
 
 # Armijo sufficient-decrease constant of the line search.
 ARMIJO_SIGMA = 1e-4
-
-
-@dataclass
-class OracleConfig:
-    tol: float = 1e-6
-    max_iters: int = 200_000
-
-    def __post_init__(self):
-        if not (0 < self.tol < np.inf and self.max_iters >= 1):
-            raise ValueError(f"need finite tol > 0 and max_iters >= 1, got {self.tol}, {self.max_iters}")
 
 
 def _newton_direction(g, deg, I, J, alpha, two_beta, free):
@@ -52,10 +41,11 @@ def newton_solve(prob, cfg=None):
     halved from 1 until f falls by the Armijo rule, or f does not rise and
     the relative KKT residual (graph_model.kkt_residual) halves, which keeps
     it moving below f's rounding. Stops at a residual <= cfg.tol
-    ("converged"), when no t >= 1e-20 passes ("stationary"), or at max_iters.
+    ("converged"), when no t >= 1e-20 passes ("stationary"), or at
+    cfg.max_iters; cfg is a SolverConfig, whose MM settings it ignores.
     """
     if cfg is None:
-        cfg = OracleConfig()
+        cfg = SolverConfig()
     p, d, alpha, two_beta = prob.p, prob.d, prob.alpha, 2.0 * prob.beta
     I, J = edge_pairs(p)
     w = np.ones(prob.m)

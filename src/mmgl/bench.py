@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline_oracle, data_gen, graph_model, mm_solver
-from .baseline_oracle import OracleConfig
 from .mm_solver import SolverConfig
 
 SOLVERS = ("mm", "newton-oracle")
@@ -37,13 +36,12 @@ class ExperimentSpec:
     graph_path: str = ""
     signals_path: str = ""
     signals_header: bool = False
-    n: int = 1200
-    sigma: float = 0.1
+    n: int = data_gen.SignalModel.n
+    sigma: float = data_gen.SignalModel.sigma
     alpha: float = 1.0
     beta: float = 1.0
     solver: str = "mm"
     solver_config: SolverConfig = field(default_factory=SolverConfig)
-    oracle_config: OracleConfig = field(default_factory=OracleConfig)
     monte_carlo_runs: int = 1
     seed: int = 0
     out_dir: str = "."
@@ -105,10 +103,8 @@ def run_single(spec, run_index=0):
     run_seed = spec.seed + run_index
     prob = build_problem(spec, run_seed)
     t0 = time.perf_counter()
-    if spec.solver == "mm":
-        result = mm_solver.solve(prob, spec.solver_config)
-    else:
-        result = baseline_oracle.newton_solve(prob, spec.oracle_config)
+    solve = mm_solver.solve if spec.solver == "mm" else baseline_oracle.newton_solve
+    result = solve(prob, spec.solver_config)
     wall = time.perf_counter() - t0
     write_trace_csv(result.trace, out / f"trace_run{run_index}.csv")
     graph_model.save_edges_csv(result.w_star, prob.p, out / f"edges_run{run_index}.csv")

@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from . import bench, data_gen, graph_model
-from .baseline_oracle import OracleConfig
 from .mm_solver import SolverConfig
 
 EXIT_OK = 0
@@ -31,10 +30,11 @@ def _add_run_args(sub):
     """Declare what `solve` and `bench` share; each default is read from
     the dataclass that owns the setting."""
     spec = bench.ExperimentSpec
-    src = sub.add_argument_group("problem source (pick one)")
-    src.add_argument("--family", choices=("er", "sbm"), help="synthetic ground-truth family")
-    src.add_argument("--graph", metavar="FILE", help="ground-truth edge-list CSV to generate signals from")
-    src.add_argument("--signals", metavar="FILE", help="data matrix CSV, one node per row")
+    src = sub.add_argument_group("problem source")
+    one = src.add_mutually_exclusive_group(required=True)
+    one.add_argument("--family", choices=("er", "sbm"), help="synthetic ground-truth family")
+    one.add_argument("--graph", metavar="FILE", help="ground-truth edge-list CSV to generate signals from")
+    one.add_argument("--signals", metavar="FILE", help="data matrix CSV, one node per row")
     src.add_argument("--signals-header", action="store_true", help="skip one header row in --signals")
     _add_generation_args(sub)
     sub.add_argument("--alpha", type=float, default=spec.alpha, help="log-barrier weight (default %(default)s)")
@@ -45,14 +45,11 @@ def _add_run_args(sub):
     sol.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
                      help="relative-objective stopping tolerance (default %(default)s)")
     sol.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
-                     help="iteration safety cap (default %(default)s)")
+                     help="iteration cap of either solver (default %(default)s)")
     sol.add_argument("--elim-threshold", type=float, default=SolverConfig.elimination_threshold,
                      help="weight elimination threshold, 0 turns it off (default %(default)s)")
-    orc = sub.add_argument_group("newton-oracle")
-    orc.add_argument("--tol", type=float, default=OracleConfig.tol,
-                     help="stopping bound on the relative KKT residual (default %(default)s)")
-    orc.add_argument("--oracle-max-iters", type=int, default=OracleConfig.max_iters,
-                     help="oracle iteration cap (default %(default)s)")
+    sol.add_argument("--tol", type=float, default=SolverConfig.tol,
+                     help="newton-oracle: stopping bound on the relative KKT residual (default %(default)s)")
     sub.add_argument("--seed", type=int,
                      help="generation seed, required unless --signals; bench run k uses seed + k")
     sub.add_argument("--out", required=True, metavar="DIR")
@@ -73,9 +70,6 @@ def _add_generation_args(sub):
 
 
 def _experiment_spec(args, parser, runs=1):
-    sources = [bool(args.family), bool(args.graph), bool(args.signals)]
-    if sum(sources) != 1:
-        parser.error("pick exactly one of --family, --graph, --signals")
     if args.signals:
         family = "signals-file"
     elif args.graph:
@@ -99,8 +93,7 @@ def _experiment_spec(args, parser, runs=1):
         beta=args.beta,
         solver=args.solver,
         solver_config=SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters,
-                                   elimination_threshold=args.elim_threshold),
-        oracle_config=OracleConfig(tol=args.tol, max_iters=args.oracle_max_iters),
+                                   elimination_threshold=args.elim_threshold, tol=args.tol),
         monte_carlo_runs=runs,
         seed=bench.ExperimentSpec.seed if args.seed is None else args.seed,
         out_dir=args.out,
@@ -108,8 +101,6 @@ def _experiment_spec(args, parser, runs=1):
 
 
 def _cmd_gen(args, parser):
-    if bool(args.family) == bool(args.graph):
-        parser.error("pick exactly one of --family, --graph")
     out = Path(args.out)
     if args.graph:
         g = data_gen.load_graph(args.graph)
@@ -161,8 +152,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a ground-truth graph and smooth signals")
-    p_gen.add_argument("--family", choices=("er", "sbm"))
-    p_gen.add_argument("--graph", metavar="FILE", help="load this edge list instead of sampling")
+    src = p_gen.add_mutually_exclusive_group(required=True)
+    src.add_argument("--family", choices=("er", "sbm"))
+    src.add_argument("--graph", metavar="FILE", help="load this edge list instead of sampling")
     _add_generation_args(p_gen)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True, metavar="DIR")

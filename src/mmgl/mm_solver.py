@@ -33,20 +33,24 @@ from .graph_model import _checked_weights, edge_pairs, inverse_degrees, node_deg
 
 @dataclass
 class SolverConfig:
-    """Knobs for the MM loop.
+    """Settings of both solvers.
 
-    epsilon is the relative-objective stopping tolerance; weights below
+    epsilon is MM's relative-objective stopping tolerance; weights below
     elimination_threshold are clamped to exact zero and retired permanently.
-    A threshold of 0 turns elimination off.
+    A threshold of 0 turns elimination off. tol bounds the relative KKT
+    residual (graph_model.kkt_residual) at which the Newton oracle stops.
+    max_iters caps whichever solver runs.
     """
 
     epsilon: float = 1e-4
     max_iters: int = 10000
     elimination_threshold: float = 1e-8
+    tol: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"need finite epsilon > 0, got {self.epsilon}")
+        for name in ("epsilon", "tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"need finite {name} > 0, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError(f"need max_iters >= 1, got {self.max_iters}")
         if not 0 <= self.elimination_threshold < np.inf:
@@ -125,15 +129,15 @@ def _coefficients(w, inv, I, J, alpha):
     return alpha * w * (inv.take(I) + inv.take(J))
 
 
-def mm_update(w, c, prob):
+def mm_update(c, prob):
     """Closed-form minimizer of the separable surrogate.
 
-    Each output w_j is the unique nonnegative root of
-    2 d_j w_j + 2 beta w_j^2 - c_j = 0, computed in the rationalized form
-    c_j / (d_j + sqrt(d_j^2 + 2 beta c_j)) to avoid cancellation; c_j = 0
-    maps to exactly 0, with no warning, also where d_j = 0.
+    The current weights enter only through c. Each output w_j is the unique
+    nonnegative root of 2 d_j w_j + 2 beta w_j^2 - c_j = 0, computed in the
+    rationalized form c_j / (d_j + sqrt(d_j^2 + 2 beta c_j)) to avoid
+    cancellation; c_j = 0 maps to exactly 0, with no warning, also where
+    d_j = 0.
     """
-    _checked_weights(w, prob.m)
     c = _checked_weights(c, prob.m)
     d = prob.d
     with np.errstate(invalid="ignore"):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mmgl import baseline_oracle as bo
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
+from mmgl import mm_solver as ms
 
 from oracles import brute_force, default_box_upper
 
@@ -17,15 +18,6 @@ def p2_closed_form(d, alpha, beta):
 
 def make_problem(p, d, alpha=1.0, beta=1.0):
     return gm.ProblemInstance(p=p, d=np.asarray(d, dtype=float), alpha=alpha, beta=beta)
-
-
-def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        bo.OracleConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        bo.OracleConfig(tol=np.inf)
-    with pytest.raises(ValueError):
-        bo.OracleConfig(max_iters=0)
 
 
 def kkt(w, prob):
@@ -59,13 +51,13 @@ def test_newton_solve_converged_on_its_last_allowed_step():
     # the uncapped run meets tol after 10 steps; a cap of exactly 10 must
     # report the same stop, not "max_iters"
     prob = dg.assemble(dg.gen_er(8, 0.5, 2), 1.0, 1.0, model=dg.SignalModel(0.1, 20), seed=2)
-    free = bo.newton_solve(prob, bo.OracleConfig(tol=1e-5))
+    free = bo.newton_solve(prob, ms.SolverConfig(tol=1e-5))
     assert free.reason == "converged" and free.iters == 10
-    capped = bo.newton_solve(prob, bo.OracleConfig(tol=1e-5, max_iters=10))
+    capped = bo.newton_solve(prob, ms.SolverConfig(tol=1e-5, max_iters=10))
     assert capped.reason == "converged" and capped.converged
     np.testing.assert_array_equal(capped.w_star, free.w_star)
     assert capped.f_star == free.f_star
-    assert bo.newton_solve(prob, bo.OracleConfig(tol=1e-5, max_iters=9)).reason == "max_iters"
+    assert bo.newton_solve(prob, ms.SolverConfig(tol=1e-5, max_iters=9)).reason == "max_iters"
 
 
 def er_or_sbm(family, p, seed, alpha, beta):
@@ -84,7 +76,7 @@ def er_or_sbm(family, p, seed, alpha, beta):
 ])
 def test_newton_solve_certifies_ill_conditioned_instances(family, p, seed, alpha, beta):
     prob = er_or_sbm(family, p, seed, alpha, beta)
-    res = bo.newton_solve(prob, bo.OracleConfig(tol=1e-10))
+    res = bo.newton_solve(prob, ms.SolverConfig(tol=1e-10))
     assert res.converged
     assert kkt(res.w_star, prob) <= 1e-10
 
@@ -94,7 +86,7 @@ def test_newton_solve_reports_converged_only_within_tol():
     # after 159 steps), below 1.3484193969237828, where the earlier
     # projected-gradient oracle stopped
     prob = er_or_sbm("er", 100, 7, 1e-3, 1e-3)
-    res = bo.newton_solve(prob, bo.OracleConfig(tol=1e-10))
+    res = bo.newton_solve(prob, ms.SolverConfig(tol=1e-10))
     assert res.converged == (kkt(res.w_star, prob) <= 1e-10)
     assert res.reason in ("converged", "stationary")
     assert res.f_star <= 1.3484193969237828
@@ -111,9 +103,9 @@ def test_newton_solve_trace_monotone(seed):
     p = int(rng.integers(3, 9))
     prob = make_problem(p, rng.uniform(0, 3, gm.num_edges(p)),
                         alpha=float(rng.uniform(0.3, 3)), beta=float(rng.uniform(0.3, 3)))
-    res = bo.newton_solve(prob, bo.OracleConfig(max_iters=5000))
+    res = bo.newton_solve(prob, ms.SolverConfig(max_iters=5000))
     assert np.all(np.diff(res.trace.f) <= 0)
-    assert not res.converged or kkt(res.w_star, prob) <= bo.OracleConfig.tol
+    assert not res.converged or kkt(res.w_star, prob) <= ms.SolverConfig.tol
     assert res.f_star == res.trace.f[-1]
     assert res.iters == len(res.trace) - 1
 
@@ -142,7 +134,6 @@ def test_brute_force_rejects_large_problems():
 
 
 def test_all_three_solvers_agree():
-    from mmgl import mm_solver as ms
     rng = np.random.default_rng(33)
     for _ in range(5):
         prob = make_problem(3, rng.uniform(0, 4, 3),

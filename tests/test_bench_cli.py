@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import mmgl
-from mmgl import baseline_oracle as bo
 from mmgl import bench, cli
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
@@ -214,7 +213,7 @@ PINNED_BUNDLE = {
     "mc/edges_run0.csv": "f413bda02d6f996023926abafe93cba2f9751e69e585f69a9d2b3d503467b7e6",
     "mc/edges_run1.csv": "e258e6fc3b470927af45cfc63aadbac4b77fb98807079e0c85853dcf55fcea69",
     "mc/edges_run2.csv": "591b38cb938c3a05df7d2844bbde55ba4c74dde1027e64b22a8a5d6a132abacb",
-    "mc/spec.echo": "4c25ba662efd67eb58c7cc4311ba1992e49bac0bdaeac5d22d3904244c24b003",
+    "mc/spec.echo": "5ed9a79df63046fa14ce18ac1f7408930b06727862f154343099f84a0ec322d3",
     "mc/summary.csv": "e4a46cace83d4f835eea42e806db380cbf7f8704d8deb5e5034ba929cdf1973b",
     "mc/trace_run0.csv": "fc4f0acbfa2c2a15139ed85e4936650880697c5149b242c28b1a3b8816c45f1d",
     "mc/trace_run1.csv": "799975897405d22455055ca5aeb1f81df6f35c7dbb46f16ec1a5791c8c1b4149",
@@ -287,7 +286,7 @@ def test_cli_bench_names_stop_reasons(tmp_path, capsys):
     out = tmp_path / "newton"
     rc = cli.main(["bench", "--solver", "newton-oracle", "--family", "er", "--p", "30", "--runs", "3",
                    "--seed", "5", "--alpha", "10", "--beta", "10", "--tol", "1e-300",
-                   "--oracle-max-iters", "40", "--out", str(out)])
+                   "--max-iters", "40", "--out", str(out)])
     assert rc == cli.EXIT_MAX_ITERS
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("convergence rate 0.00%")
@@ -313,6 +312,16 @@ def test_cli_bench_when_every_run_stops_at_iteration_0(tmp_path):
     assert (out / "timing.csv").read_text().splitlines()[1].endswith(",0.0")
 
 
+def test_cli_max_iters_caps_the_newton_oracle(tmp_path, capsys):
+    # uncapped, this instance converges after 35 steps
+    out = tmp_path / "capped"
+    rc = cli.main(["solve", "--solver", "newton-oracle", "--family", "er", "--p", "30", "--seed", "5",
+                   "--alpha", "10", "--beta", "10", "--max-iters", "3", "--out", str(out)])
+    assert rc == cli.EXIT_MAX_ITERS
+    assert "newton-oracle: hit max_iters after 3 iterations" in capsys.readouterr().out
+    assert len((out / "trace_run0.csv").read_text().splitlines()) == 5  # header, start, 3 steps
+
+
 def test_cli_solve_oracle_backend(tmp_path):
     rc = cli.main(["solve", "--family", "er", "--p", "8", "--prob-edge", "0.5",
                    "--n", "20", "--seed", "2", "--solver", "newton-oracle",
@@ -331,7 +340,8 @@ def test_cli_rejects_the_projected_gradient_oracle_name(tmp_path, command):
 
 
 @pytest.mark.parametrize("flag", [["--elim-enabled", "false"], ["--initial-step", "1.0"],
-                                  ["--backtrack-factor", "0.5"], ["--config", "x.cfg"]])
+                                  ["--backtrack-factor", "0.5"], ["--config", "x.cfg"],
+                                  ["--oracle-max-iters", "9"]])
 def test_cli_rejects_removed_solver_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["solve", "--family", "er", "--p", "8", "--seed", "2", *flag,
@@ -347,25 +357,24 @@ def test_cli_generation_flags_parse_alike():
              "--n", "50", "--sigma", "0.3"]
     defaults = bench.ExperimentSpec()
     for cmd in ("gen", "solve", "bench"):
-        args = parser.parse_args([cmd, "--seed", "1", "--out", "o"])
+        args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o"])
         assert [getattr(args, k) for k in names] == [getattr(defaults, k) for k in names]
         assert [getattr(args, k) for k in names] == [100, 0.1, 0.3, 0.05, 1200, 0.1]
-        args = parser.parse_args([cmd, *flags, "--seed", "1", "--out", "o"])
+        args = parser.parse_args([cmd, "--family", "er", *flags, "--seed", "1", "--out", "o"])
         assert [getattr(args, k) for k in names] == [9, 0.2, 0.4, 0.01, 50, 0.3]
     # a default solve or bench spec carries the dataclass defaults throughout
     for cmd in ("solve", "bench"):
         args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o"])
         spec = cli._experiment_spec(args, parser)
         assert spec.solver_config == ms.SolverConfig()
-        assert spec.oracle_config == bo.OracleConfig()
         assert (spec.alpha, spec.beta, spec.solver) == (defaults.alpha, defaults.beta, defaults.solver)
-        # and each explicit solver or oracle flag reaches its field
+        # and each explicit solver flag reaches its field
         args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o",
                                   "--epsilon", "1e-5", "--max-iters", "7", "--elim-threshold", "0",
-                                  "--tol", "1e-3", "--oracle-max-iters", "9"])
+                                  "--tol", "1e-3"])
         spec = cli._experiment_spec(args, parser)
-        assert spec.solver_config == ms.SolverConfig(epsilon=1e-5, max_iters=7, elimination_threshold=0.0)
-        assert spec.oracle_config == bo.OracleConfig(tol=1e-3, max_iters=9)
+        assert spec.solver_config == ms.SolverConfig(epsilon=1e-5, max_iters=7, elimination_threshold=0.0,
+                                                     tol=1e-3)
 
 
 def test_readme_cli_section_names_only_real_flags():

@@ -39,6 +39,9 @@ def test_solver_config_validation():
         ms.SolverConfig(elimination_threshold=np.nan)
     with pytest.raises(ValueError):
         ms.SolverConfig(elimination_threshold=np.inf)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ms.SolverConfig(tol=tol)
 
 
 # ----------------------------------------------------------------- compute_c
@@ -78,9 +81,8 @@ def test_compute_c_rejects_negative_weights():
 
 @pytest.mark.parametrize("entry", [
     lambda w, prob: ms.compute_c(w, prob),
-    lambda w, prob: ms.mm_update(np.ones(3), w, prob),
-    lambda w, prob: ms.mm_update(w, np.ones(3), prob),
-], ids=["compute_c", "mm_update-c", "mm_update-w"])
+    lambda w, prob: ms.mm_update(w, prob),
+], ids=["compute_c", "mm_update-c"])
 def test_kernels_reject_non_finite_weights(entry):
     prob = make_problem(3, [1.0, 2.0, 3.0])
     for bad in (np.nan, np.inf, -np.inf):
@@ -92,9 +94,9 @@ def test_kernels_reject_non_finite_weights(entry):
 
 def test_mm_update_examples():
     prob = make_problem(2, [0.0])
-    np.testing.assert_allclose(ms.mm_update(np.array([5.0]), np.array([2.0]), prob), [1.0])
+    np.testing.assert_allclose(ms.mm_update(np.array([2.0]), prob), [1.0])
     prob_d1 = make_problem(2, [1.0])
-    w = ms.mm_update(np.array([5.0]), np.array([2.0]), prob_d1)
+    w = ms.mm_update(np.array([2.0]), prob_d1)
     # positive root of 2 w + 2 w^2 - 2 = 0, the golden-ratio conjugate
     assert w[0] == pytest.approx((-2 + np.sqrt(20)) / 4, abs=1e-14)
     assert 2 * 1 * w[0] + 2 * w[0] ** 2 - 2 == pytest.approx(0.0, abs=1e-14)
@@ -102,7 +104,7 @@ def test_mm_update_examples():
 
 def test_mm_update_zero_coefficient_gives_exact_zero():
     prob = make_problem(2, [3.7])
-    w = ms.mm_update(np.array([1.0]), np.array([0.0]), prob)
+    w = ms.mm_update(np.array([0.0]), prob)
     assert w[0] == 0.0
 
 
@@ -112,7 +114,7 @@ def test_mm_update_quadratic_residual(seed):
     prob = random_problem(rng, p_hi=20, d_hi=10.0)
     c = rng.uniform(0, 4, prob.m)
     c[rng.random(prob.m) < 0.2] = 0.0
-    w = ms.mm_update(np.ones(prob.m), c, prob)
+    w = ms.mm_update(c, prob)
     residual = 2 * prob.d * w + 2 * prob.beta * w * w - c
     assert np.max(np.abs(residual)) <= 1e-10
     assert np.array_equal(w == 0.0, c == 0.0)
@@ -292,7 +294,7 @@ def solve_against_full_length_reference(prob, cfg):
     w = np.ones(prob.m)
     fs = [gm.objective(w, prob)]
     for w_solve in seen:
-        w = ms.mm_update(w, ms.compute_c(w, prob), prob)
+        w = ms.mm_update(ms.compute_c(w, prob), prob)
         w[w < cfg.elimination_threshold] = 0.0
         assert np.array_equal(w_solve, w)
         fs.append(gm.objective(w, prob))
@@ -324,7 +326,7 @@ def test_retired_zero_distance_edge_stays_zero_in_working_arrays():
     assert list(res.trace.active_count[3:6]) == [121, 120, 120]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = ms.mm_update(np.zeros(1), np.zeros(1), make_problem(2, [0.0]))
+        w = ms.mm_update(np.zeros(1), make_problem(2, [0.0]))
     assert w[0] == 0.0
 
 
@@ -399,7 +401,7 @@ def test_iterates_match_pinned_bytes():
         assert run_digests(res) == PINNED_RUNS[name], name
         if name == "gapped-14":
             assert res.trace.active_count[-1] < 0.5 * prob.m  # compaction ran
-    res = bo.newton_solve(problems["uniform-3"], bo.OracleConfig(max_iters=200))
+    res = bo.newton_solve(problems["uniform-3"], ms.SolverConfig(max_iters=200))
     assert res.converged
     assert run_digests(res) == PINNED_RUNS["newton-uniform-3"]
 

@@ -29,9 +29,10 @@ def test_run_er_benchmark_smoke(tmp_path):
 
 def test_run_er_benchmark_names_stop_reasons(tmp_path):
     # the oracle meets its default tol after 35, 35 and 46 steps on seeds
-    # 5, 6 and 7, so a cap of 40 stops the third run
+    # 5, 6 and 7, and MM converges within the cap, so a cap of 40 on both
+    # stops only the oracle's third run
     lines = run_script("run_er_benchmark.py", "--sizes", "30", "--runs", "3", "--seed", "5",
-                       "--alpha", "10", "--beta", "10", "--with-oracle", "--oracle-max-iters", "40",
+                       "--alpha", "10", "--beta", "10", "--with-oracle", "--max-iters", "40",
                        "--out", str(tmp_path))
     assert len(lines) == 3
     assert lines[2].split()[2] == "newton-oracle"
