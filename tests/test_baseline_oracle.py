@@ -20,6 +20,15 @@ def make_problem(p, d, alpha=1.0, beta=1.0):
     return gm.ProblemInstance(p=p, d=np.asarray(d, dtype=float), alpha=alpha, beta=beta)
 
 
+def test_oracle_config_validation():
+    # the oracle reads tol and max_iters from the shared SolverConfig
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ms.SolverConfig(tol=tol)
+    with pytest.raises(ValueError):
+        ms.SolverConfig(max_iters=0)
+
+
 def kkt(w, prob):
     return gm.kkt_residual(w, gm.objective_gradient(w, prob), prob.d, gm.degrees(w, prob.p), prob.alpha)
 
