@@ -12,16 +12,17 @@ Example:
 """
 
 import argparse
+import dataclasses
 from pathlib import Path
 
-from mmgl import bench
+from mmgl import bench, cli
 from mmgl.mm_solver import SolverConfig
 
 
 def main():
     defaults = bench.ExperimentSpec
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--family", choices=("er", "sbm"), default=defaults.family)
+    parser.add_argument("--family", choices=bench.GENERATED, default=defaults.family)
     parser.add_argument("--sizes", type=int, nargs="+", default=[defaults.p])
     parser.add_argument("--prob-edge", type=float, default=defaults.prob_edge)
     parser.add_argument("--p-in", type=float, default=defaults.p_in)
@@ -33,29 +34,24 @@ def main():
     parser.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
     parser.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
                         help="iteration cap of both solvers; capped runs are flagged, not fatal")
-    parser.add_argument("--runs", type=int, default=100)
+    parser.add_argument("--runs", dest="monte_carlo_runs", metavar="RUNS", type=int, default=100)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--out", required=True)
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
     parser.add_argument("--with-oracle", action="store_true",
                         help="also run the projected Newton oracle")
     args = parser.parse_args()
+    base = cli._experiment_spec(args, parser)
 
     solvers = ["mm"] + (["newton-oracle"] if args.with_oracle else [])
     print(f"{'setting':>16} {'solver':>10} {'mean':>8} {'median':>8} {'time[s]':>9}")
     for p in args.sizes:
         for solver in solvers:
-            tag = f"{args.family}{p}-{solver}"
-            spec = bench.ExperimentSpec(
-                family=args.family, p=p, prob_edge=args.prob_edge,
-                p_in=args.p_in, p_out=args.p_out, n=args.n, sigma=args.sigma,
-                alpha=args.alpha, beta=args.beta, solver=solver,
-                solver_config=SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters),
-                monte_carlo_runs=args.runs, seed=args.seed,
-                out_dir=str(Path(args.out) / tag))
+            tag = f"{base.family}{p}-{solver}"
+            spec = dataclasses.replace(base, p=p, solver=solver, out_dir=str(Path(base.out_dir) / tag))
             summary = bench.run_montecarlo(spec)
             flag = "" if summary.converged_runs == summary.runs else \
                 f"  ({summary.stop_reasons_line()})"
-            print(f"{args.family + ' p=' + str(p):>16} {solver:>10} "
+            print(f"{base.family + ' p=' + str(p):>16} {solver:>10} "
                   f"{summary.mean_iterations:>8.2f} {summary.median_iterations:>8.1f} "
                   f"{summary.mean_wall_time_s:>9.4f}{flag}", flush=True)
 

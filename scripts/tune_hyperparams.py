@@ -17,7 +17,7 @@ import argparse
 
 import numpy as np
 
-from mmgl import cli
+from mmgl import bench, cli
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
@@ -43,11 +43,11 @@ def best_threshold_f1(w_learned, w_true):
     return best
 
 
-def evaluate(alpha, beta, instances, epsilon):
+def evaluate(alpha, beta, instances, config):
     f1s, iters = [], []
     for g, d in instances:
         prob = gm.ProblemInstance(p=g.p, d=d, alpha=alpha, beta=beta)
-        res = ms.solve(prob, ms.SolverConfig(epsilon=epsilon))
+        res = ms.solve(prob, config)
         f1s.append(best_threshold_f1(res.w_star, g.w_true))
         iters.append(res.iters)
     return float(np.mean(f1s)), float(np.mean(iters))
@@ -55,10 +55,10 @@ def evaluate(alpha, beta, instances, epsilon):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--family", choices=("er", "sbm"), default="er")
+    parser.add_argument("--family", choices=bench.GENERATED, default="er")
     cli._add_generation_args(parser)
     parser.add_argument("--seeds", type=int, default=5, help="instances per grid point")
-    parser.add_argument("--base-seed", type=int, default=1000)
+    parser.add_argument("--base-seed", dest="seed", metavar="BASE_SEED", type=int, default=1000)
     parser.add_argument("--epsilon", type=float, default=ms.SolverConfig.epsilon)
     parser.add_argument("--iter-budget", type=float, default=15.0,
                         help="benchmark bound on mean iterations")
@@ -67,15 +67,12 @@ def main():
     parser.add_argument("--betas", type=float, nargs="+",
                         default=[1.0, 10.0, 100.0, 1000.0, 3000.0, 10000.0, 30000.0])
     args = parser.parse_args()
+    spec = cli._experiment_spec(args, parser)
 
-    model = dg.SignalModel(sigma=args.sigma, n=args.n)
+    model = dg.SignalModel(sigma=spec.sigma, n=spec.n)
     instances = []
-    for k in range(args.seeds):
-        seed = args.base_seed + k
-        if args.family == "er":
-            g = dg.gen_er(args.p, args.prob_edge, seed)
-        else:
-            g = dg.gen_sbm(args.p, args.p_in, args.p_out, seed)
+    for seed in range(spec.seed, spec.seed + args.seeds):
+        g = bench.ground_truth(spec, seed)
         X = dg.gen_signals(g, model, seed)
         instances.append((g, gm.pairwise_distances(X)))
 
@@ -83,7 +80,7 @@ def main():
     results = []
     for alpha in args.alphas:
         for beta in args.betas:
-            f1, iters = evaluate(alpha, beta, instances, args.epsilon)
+            f1, iters = evaluate(alpha, beta, instances, spec.solver_config)
             results.append((alpha, beta, f1, iters))
             print(f"{alpha:>10g} {beta:>10g} {f1:>7.3f} {iters:>7.1f}", flush=True)
 

@@ -21,7 +21,8 @@ from . import baseline_oracle, data_gen, graph_model, mm_solver
 from .mm_solver import SolverConfig
 
 SOLVERS = ("mm", "newton-oracle")
-FAMILIES = ("er", "sbm", "graph-file", "signals-file")
+GENERATED = ("er", "sbm")
+FAMILIES = GENERATED + ("graph-file", "signals-file")
 
 
 @dataclass
@@ -77,20 +78,24 @@ class BenchSummary:
         return "stop reasons: " + ", ".join(f"{r} {n}" for r, n in self.stop_reasons.items())
 
 
+def ground_truth(spec, seed):
+    """The run's ground-truth graph, sampled with `seed` or read from
+    spec.graph_path. Calls go through data_gen's attributes, which a tracer may wrap."""
+    if spec.family == "er":
+        return data_gen.gen_er(spec.p, spec.prob_edge, seed)
+    if spec.family == "sbm":
+        return data_gen.gen_sbm(spec.p, spec.p_in, spec.p_out, seed)
+    return data_gen.load_graph(spec.graph_path)
+
+
 def build_problem(spec, run_seed):
     """Materialize the ProblemInstance for one run (data generation is not
     part of any timed section)."""
-    model = data_gen.SignalModel(sigma=spec.sigma, n=spec.n)
-    if spec.family == "er":
-        g = data_gen.gen_er(spec.p, spec.prob_edge, run_seed)
-    elif spec.family == "sbm":
-        g = data_gen.gen_sbm(spec.p, spec.p_in, spec.p_out, run_seed)
-    elif spec.family == "graph-file":
-        g = data_gen.load_graph(spec.graph_path)
-    else:
+    if spec.family == "signals-file":
         X = graph_model.load_signals_csv(spec.signals_path, skip_header=spec.signals_header)
         return data_gen.assemble(X, spec.alpha, spec.beta)
-    return data_gen.assemble(g, spec.alpha, spec.beta, model=model, seed=run_seed)
+    model = data_gen.SignalModel(sigma=spec.sigma, n=spec.n)
+    return data_gen.assemble(ground_truth(spec, run_seed), spec.alpha, spec.beta, model=model, seed=run_seed)
 
 
 def run_single(spec, run_index=0):

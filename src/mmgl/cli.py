@@ -7,6 +7,7 @@ data errors.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,13 +29,14 @@ _STOP_MESSAGES = {
 
 def _add_run_args(sub):
     """Declare what `solve` and `bench` share; each default is read from
-    the dataclass that owns the setting."""
+    the dataclass that owns the setting, and each dest is its field name."""
     spec = bench.ExperimentSpec
     src = sub.add_argument_group("problem source")
     one = src.add_mutually_exclusive_group(required=True)
-    one.add_argument("--family", choices=("er", "sbm"), help="synthetic ground-truth family")
-    one.add_argument("--graph", metavar="FILE", help="ground-truth edge-list CSV to generate signals from")
-    one.add_argument("--signals", metavar="FILE", help="data matrix CSV, one node per row")
+    one.add_argument("--family", choices=bench.GENERATED, help="synthetic ground-truth family")
+    one.add_argument("--graph", dest="graph_path", metavar="FILE",
+                     help="ground-truth edge-list CSV to generate signals from")
+    one.add_argument("--signals", dest="signals_path", metavar="FILE", help="data matrix CSV, one node per row")
     src.add_argument("--signals-header", action="store_true", help="skip one header row in --signals")
     _add_generation_args(sub)
     sub.add_argument("--alpha", type=float, default=spec.alpha, help="log-barrier weight (default %(default)s)")
@@ -46,13 +48,14 @@ def _add_run_args(sub):
                      help="relative-objective stopping tolerance (default %(default)s)")
     sol.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
                      help="iteration cap of either solver (default %(default)s)")
-    sol.add_argument("--elim-threshold", type=float, default=SolverConfig.elimination_threshold,
+    sol.add_argument("--elim-threshold", dest="elimination_threshold", metavar="ELIM_THRESHOLD",
+                     type=float, default=SolverConfig.elimination_threshold,
                      help="weight elimination threshold, 0 turns it off (default %(default)s)")
     sol.add_argument("--tol", type=float, default=SolverConfig.tol,
                      help="newton-oracle: stopping bound on the relative KKT residual (default %(default)s)")
     sub.add_argument("--seed", type=int,
                      help="generation seed, required unless --signals; bench run k uses seed + k")
-    sub.add_argument("--out", required=True, metavar="DIR")
+    sub.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
 
 
 def _add_generation_args(sub):
@@ -69,47 +72,38 @@ def _add_generation_args(sub):
     gen.add_argument("--sigma", type=float, default=spec.sigma, help="signal noise level (default %(default)s)")
 
 
-def _experiment_spec(args, parser, runs=1):
-    if args.signals:
-        family = "signals-file"
-    elif args.graph:
-        family = "graph-file"
-    else:
-        family = args.family
-    if family != "signals-file" and args.seed is None:
+def _experiment_spec(args, parser):
+    """The ExperimentSpec that parsed flags describe. Each flag's dest names
+    the ExperimentSpec or SolverConfig field it sets; None means not given,
+    so the field keeps its default."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    if "signals_path" in given:
+        given["family"] = "signals-file"
+    elif "graph_path" in given:
+        given["family"] = "graph-file"
+    if given["family"] != "signals-file" and "seed" not in given:
         parser.error("--seed is required when signals are generated")
-    return bench.ExperimentSpec(
-        family=family,
-        p=args.p,
-        prob_edge=args.prob_edge,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        graph_path=args.graph or "",
-        signals_path=args.signals or "",
-        signals_header=args.signals_header,
-        n=args.n,
-        sigma=args.sigma,
-        alpha=args.alpha,
-        beta=args.beta,
-        solver=args.solver,
-        solver_config=SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters,
-                                   elimination_threshold=args.elim_threshold, tol=args.tol),
-        monte_carlo_runs=runs,
-        seed=bench.ExperimentSpec.seed if args.seed is None else args.seed,
-        out_dir=args.out,
-    )
+    config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
+                             if f.name in given})
+    spec = bench.ExperimentSpec(solver_config=config, **{
+        f.name: given[f.name] for f in dataclasses.fields(bench.ExperimentSpec) if f.name in given})
+    # a changed setting that the chosen solver does not read is refused, not echoed
+    unread = {"mm": {"tol": "--tol"},
+              "newton-oracle": {"epsilon": "--epsilon", "elimination_threshold": "--elim-threshold"}}
+    for name, flag in unread[spec.solver].items():
+        if getattr(config, name) != getattr(SolverConfig, name):
+            parser.error(f"{flag} does not apply to --solver {spec.solver}")
+    if spec.family == "graph-file":
+        spec = dataclasses.replace(spec, p=bench.ground_truth(spec, spec.seed).p)
+    return spec
 
 
 def _cmd_gen(args, parser):
-    out = Path(args.out)
-    if args.graph:
-        g = data_gen.load_graph(args.graph)
-    elif args.family == "er":
-        g = data_gen.gen_er(args.p, args.prob_edge, args.seed)
-    else:
-        g = data_gen.gen_sbm(args.p, args.p_in, args.p_out, args.seed)
-    model = data_gen.SignalModel(sigma=args.sigma, n=args.n)
-    X = data_gen.gen_signals(g, model, args.seed)
+    spec = _experiment_spec(args, parser)
+    out = Path(spec.out_dir)
+    g = bench.ground_truth(spec, spec.seed)
+    model = data_gen.SignalModel(sigma=spec.sigma, n=spec.n)
+    X = data_gen.gen_signals(g, model, spec.seed)
     graph_model.save_edges_csv(g.w_true, g.p, out / "edges_true.csv")
     graph_model.save_signals_csv(X, out / "signals.csv")
     print(f"wrote {out / 'edges_true.csv'} and {out / 'signals.csv'} (p={g.p}, n={model.n})")
@@ -117,7 +111,7 @@ def _cmd_gen(args, parser):
 
 
 def _cmd_solve(args, parser):
-    spec = _experiment_spec(args, parser, runs=1)
+    spec = _experiment_spec(args, parser)
     bench.write_spec_echo(spec)
     result, wall = bench.run_single(spec, run_index=0)
     print(f"{spec.solver}: {_STOP_MESSAGES[result.reason]} after {result.iters} iterations, "
@@ -127,7 +121,7 @@ def _cmd_solve(args, parser):
 
 
 def _cmd_bench(args, parser):
-    spec = _experiment_spec(args, parser, runs=args.runs)
+    spec = _experiment_spec(args, parser)
     summary = bench.run_montecarlo(spec)
     print(f"{summary.solver}: {summary.runs} runs, mean iterations "
           f"{summary.mean_iterations:.2f}, median {summary.median_iterations:.1f}, "
@@ -153,11 +147,11 @@ def build_parser():
 
     p_gen = sub.add_parser("gen", help="generate a ground-truth graph and smooth signals")
     src = p_gen.add_mutually_exclusive_group(required=True)
-    src.add_argument("--family", choices=("er", "sbm"))
-    src.add_argument("--graph", metavar="FILE", help="load this edge list instead of sampling")
+    src.add_argument("--family", choices=bench.GENERATED)
+    src.add_argument("--graph", dest="graph_path", metavar="FILE", help="load this edge list instead of sampling")
     _add_generation_args(p_gen)
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--out", required=True, metavar="DIR")
+    p_gen.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_solve = sub.add_parser("solve", help="solve one instance and write its trace and edge list")
@@ -166,7 +160,8 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="Monte-Carlo batch over seeded instances")
     _add_run_args(p_bench)
-    p_bench.add_argument("--runs", type=int, default=100, help="Monte-Carlo run count (default %(default)s)")
+    p_bench.add_argument("--runs", dest="monte_carlo_runs", metavar="RUNS", type=int, default=100,
+                         help="Monte-Carlo run count (default %(default)s)")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_plot = sub.add_parser("plotdata", help="merge experiment traces into one tidy CSV")

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import os
 import re
@@ -362,19 +363,53 @@ def test_cli_generation_flags_parse_alike():
         assert [getattr(args, k) for k in names] == [100, 0.1, 0.3, 0.05, 1200, 0.1]
         args = parser.parse_args([cmd, "--family", "er", *flags, "--seed", "1", "--out", "o"])
         assert [getattr(args, k) for k in names] == [9, 0.2, 0.4, 0.01, 50, 0.3]
+    # each generation flag reaches its spec field, for gen as for solve and bench
+    for cmd in ("gen", "solve", "bench"):
+        args = parser.parse_args([cmd, "--family", "sbm", *flags, "--seed", "4", "--out", "o"])
+        spec = cli._experiment_spec(args, parser)
+        assert [getattr(spec, k) for k in names] == [9, 0.2, 0.4, 0.01, 50, 0.3]
+        assert (spec.family, spec.seed, spec.out_dir) == ("sbm", 4, "o")
     # a default solve or bench spec carries the dataclass defaults throughout
     for cmd in ("solve", "bench"):
         args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o"])
         spec = cli._experiment_spec(args, parser)
         assert spec.solver_config == ms.SolverConfig()
         assert (spec.alpha, spec.beta, spec.solver) == (defaults.alpha, defaults.beta, defaults.solver)
-        # and each explicit solver flag reaches its field
+        # and each explicit flag of the chosen solver reaches its field
         args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o",
-                                  "--epsilon", "1e-5", "--max-iters", "7", "--elim-threshold", "0",
-                                  "--tol", "1e-3"])
+                                  "--epsilon", "1e-5", "--max-iters", "7", "--elim-threshold", "0"])
         spec = cli._experiment_spec(args, parser)
-        assert spec.solver_config == ms.SolverConfig(epsilon=1e-5, max_iters=7, elimination_threshold=0.0,
-                                                     tol=1e-3)
+        assert spec.solver_config == ms.SolverConfig(epsilon=1e-5, max_iters=7, elimination_threshold=0.0)
+        args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o",
+                                  "--solver", "newton-oracle", "--tol", "1e-3", "--max-iters", "7"])
+        spec = cli._experiment_spec(args, parser)
+        assert spec.solver == "newton-oracle"
+        assert spec.solver_config == ms.SolverConfig(max_iters=7, tol=1e-3)
+
+
+def test_cli_flag_dests_name_spec_fields():
+    # _experiment_spec matches dests to field names, so a dest that names
+    # no field would be dropped without a word
+    fields = {f.name for f in dataclasses.fields(bench.ExperimentSpec)}
+    fields |= {f.name for f in dataclasses.fields(ms.SolverConfig)}
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for cmd in ("gen", "solve", "bench"):
+        dests = {a.dest for a in commands.choices[cmd]._actions if a.dest != "help"}
+        assert dests <= fields, (cmd, sorted(dests - fields))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "1e-300"],
+    ["--solver", "newton-oracle", "--epsilon", "0.1"],
+    ["--solver", "newton-oracle", "--elim-threshold", "0.5"],
+])
+def test_cli_refuses_settings_the_solver_does_not_read(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["solve", "--family", "er", "--p", "30", "--seed", "5", "--alpha", "10", "--beta", "10",
+                  *flags, "--out", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    assert f"{flags[-2]} does not apply to --solver" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_readme_cli_section_names_only_real_flags():
@@ -428,7 +463,7 @@ def test_cli_gen_from_loaded_graph(tmp_path):
     assert X.shape == (3, 25)
 
 
-def test_cli_solve_from_loaded_graph(tmp_path):
+def test_cli_solve_from_loaded_graph(tmp_path, capsys):
     # real-world connectivity ingestion path: signals generated on the
     # loaded graph, then the adjacency is learned back from them
     src = tmp_path / "g.csv"
@@ -440,6 +475,14 @@ def test_cli_solve_from_loaded_graph(tmp_path):
     w, p = gm.load_edges_csv(out / "edges_run0.csv", p=4)
     assert p == 4
     assert np.all(gm.degrees(w, 4) > 0)
+    # spec.echo records the node count of the file, not the --p default
+    assert "p=4" in (out / "spec.echo").read_text(encoding="utf-8").splitlines()
+    # a missing file fails before the bundle directory is made
+    missing = tmp_path / "missing"
+    rc = cli.main(["solve", "--graph", str(tmp_path / "none.csv"), "--seed", "6", "--out", str(missing)])
+    assert rc == cli.EXIT_IO
+    assert "none.csv" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_import_does_not_load_scipy():
