@@ -18,7 +18,6 @@ import argparse
 import numpy as np
 
 from mmgl import bench, cli
-from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
@@ -69,11 +68,9 @@ def main():
     args = parser.parse_args()
     spec = cli._experiment_spec(args, parser)
 
-    model = dg.SignalModel(sigma=spec.sigma, n=spec.n)
     instances = []
     for seed in range(spec.seed, spec.seed + args.seeds):
-        g = bench.ground_truth(spec, seed)
-        X = dg.gen_signals(g, model, seed)
+        g, X = bench.run_data(spec, seed)
         instances.append((g, gm.pairwise_distances(X)))
 
     print(f"{'alpha':>10} {'beta':>10} {'F1':>7} {'iters':>7}")

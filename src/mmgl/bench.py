@@ -78,35 +78,36 @@ class BenchSummary:
         return "stop reasons: " + ", ".join(f"{r} {n}" for r, n in self.stop_reasons.items())
 
 
-def ground_truth(spec, seed):
-    """The run's ground-truth graph, sampled with `seed` or read from
-    spec.graph_path. Calls go through data_gen's attributes, which a tracer may wrap."""
-    if spec.family == "er":
-        return data_gen.gen_er(spec.p, spec.prob_edge, seed)
-    if spec.family == "sbm":
-        return data_gen.gen_sbm(spec.p, spec.p_in, spec.p_out, seed)
-    return data_gen.load_graph(spec.graph_path)
-
-
-def build_problem(spec, run_seed):
-    """Materialize the ProblemInstance for one run (data generation is not
-    part of any timed section)."""
+def run_data(spec, seed):
+    """The run's ground-truth graph (None for a signals file) and its p x n
+    signal matrix: read from spec.signals_path, or sampled with `seed` on a
+    graph sampled with `seed` or read from spec.graph_path. Calls go through
+    data_gen's and graph_model's attributes, which a tracer may wrap."""
     if spec.family == "signals-file":
-        X = graph_model.load_signals_csv(spec.signals_path, skip_header=spec.signals_header)
-        return data_gen.assemble(X, spec.alpha, spec.beta)
+        return None, graph_model.load_signals_csv(spec.signals_path, skip_header=spec.signals_header)
     model = data_gen.SignalModel(sigma=spec.sigma, n=spec.n)
-    return data_gen.assemble(ground_truth(spec, run_seed), spec.alpha, spec.beta, model=model, seed=run_seed)
+    if spec.family == "er":
+        g = data_gen.gen_er(spec.p, spec.prob_edge, seed)
+    elif spec.family == "sbm":
+        g = data_gen.gen_sbm(spec.p, spec.p_in, spec.p_out, seed)
+    else:
+        g = data_gen.load_graph(spec.graph_path)
+    return g, data_gen.gen_signals(g, model, seed)
 
 
 def run_single(spec, run_index=0):
     """Generate or load one problem, solve it, and write the run's files.
 
     Returns (SolveResult, wall_time_of_solve). The trace CSV and the learned
-    edge list land in spec.out_dir as trace_run<k>.csv / edges_run<k>.csv.
+    edge list land in spec.out_dir as trace_run<k>.csv / edges_run<k>.csv;
+    run 0 first writes spec.echo with the p and n of the instance it built.
     """
     out = Path(spec.out_dir)
     run_seed = spec.seed + run_index
-    prob = build_problem(spec, run_seed)
+    _, X = run_data(spec, run_seed)
+    prob = data_gen.assemble(X, spec.alpha, spec.beta)
+    if run_index == 0:
+        write_spec_echo(dataclasses.replace(spec, p=prob.p, n=X.shape[1]))
     t0 = time.perf_counter()
     solve = mm_solver.solve if spec.solver == "mm" else baseline_oracle.newton_solve
     result = solve(prob, spec.solver_config)
@@ -118,12 +119,11 @@ def run_single(spec, run_index=0):
 
 def run_montecarlo(spec):
     """Run monte_carlo_runs seeded instances (seed + run index), aggregate,
-    and write spec.echo, summary.csv and timing.csv.
+    and write summary.csv and timing.csv.
 
     Runs that hit max_iters are recorded, not fatal; the summary flags them
     through convergence_rate < 1.
     """
-    write_spec_echo(spec)
     out = Path(spec.out_dir)
     results = []
     walls = []

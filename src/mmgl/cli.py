@@ -11,7 +11,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import bench, data_gen, graph_model
+from . import bench, graph_model
 from .mm_solver import SolverConfig
 
 EXIT_OK = 0
@@ -83,36 +83,34 @@ def _experiment_spec(args, parser):
         given["family"] = "graph-file"
     if given["family"] != "signals-file" and "seed" not in given:
         parser.error("--seed is required when signals are generated")
-    config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
-                             if f.name in given})
-    spec = bench.ExperimentSpec(solver_config=config, **{
-        f.name: given[f.name] for f in dataclasses.fields(bench.ExperimentSpec) if f.name in given})
+    try:
+        config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
+                                 if f.name in given})
+        spec = bench.ExperimentSpec(solver_config=config, **{
+            f.name: given[f.name] for f in dataclasses.fields(bench.ExperimentSpec) if f.name in given})
+    except ValueError as exc:
+        parser.error(str(exc))
     # a changed setting that the chosen solver does not read is refused, not echoed
     unread = {"mm": {"tol": "--tol"},
               "newton-oracle": {"epsilon": "--epsilon", "elimination_threshold": "--elim-threshold"}}
     for name, flag in unread[spec.solver].items():
         if getattr(config, name) != getattr(SolverConfig, name):
             parser.error(f"{flag} does not apply to --solver {spec.solver}")
-    if spec.family == "graph-file":
-        spec = dataclasses.replace(spec, p=bench.ground_truth(spec, spec.seed).p)
     return spec
 
 
 def _cmd_gen(args, parser):
     spec = _experiment_spec(args, parser)
     out = Path(spec.out_dir)
-    g = bench.ground_truth(spec, spec.seed)
-    model = data_gen.SignalModel(sigma=spec.sigma, n=spec.n)
-    X = data_gen.gen_signals(g, model, spec.seed)
+    g, X = bench.run_data(spec, spec.seed)
     graph_model.save_edges_csv(g.w_true, g.p, out / "edges_true.csv")
     graph_model.save_signals_csv(X, out / "signals.csv")
-    print(f"wrote {out / 'edges_true.csv'} and {out / 'signals.csv'} (p={g.p}, n={model.n})")
+    print(f"wrote {out / 'edges_true.csv'} and {out / 'signals.csv'} (p={g.p}, n={X.shape[1]})")
     return EXIT_OK
 
 
 def _cmd_solve(args, parser):
     spec = _experiment_spec(args, parser)
-    bench.write_spec_echo(spec)
     result, wall = bench.run_single(spec, run_index=0)
     print(f"{spec.solver}: {_STOP_MESSAGES[result.reason]} after {result.iters} iterations, "
           f"f = {result.f_star:.10g}, solve time {wall:.3f}s")

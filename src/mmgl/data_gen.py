@@ -122,17 +122,10 @@ def gen_signals(g, model, seed):
     return X
 
 
-def assemble(source, alpha, beta, model=None, seed=None):
-    """Build a ProblemInstance from either a data matrix or a ground-truth
-    graph (in which case signals are generated first)."""
-    if isinstance(source, GroundTruthGraph):
-        if model is None or seed is None:
-            raise ValueError("assembling from a graph requires a SignalModel and a seed")
-        X = gen_signals(source, model, seed)
-    else:
-        X = np.asarray(source, dtype=float)
-    d = pairwise_distances(X)
-    return ProblemInstance(p=X.shape[0], d=d, alpha=alpha, beta=beta)
+def assemble(X, alpha, beta):
+    """Build a ProblemInstance from a p x n data matrix, one node per row."""
+    X = np.asarray(X, dtype=float)
+    return ProblemInstance(p=X.shape[0], d=pairwise_distances(X), alpha=alpha, beta=beta)
 
 
 def load_graph(path, p=None):

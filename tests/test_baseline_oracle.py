@@ -59,7 +59,7 @@ def test_newton_solve_p2_closed_forms():
 def test_newton_solve_converged_on_its_last_allowed_step():
     # the uncapped run meets tol after 10 steps; a cap of exactly 10 must
     # report the same stop, not "max_iters"
-    prob = dg.assemble(dg.gen_er(8, 0.5, 2), 1.0, 1.0, model=dg.SignalModel(0.1, 20), seed=2)
+    prob = dg.assemble(dg.gen_signals(dg.gen_er(8, 0.5, 2), dg.SignalModel(0.1, 20), 2), 1.0, 1.0)
     free = bo.newton_solve(prob, ms.SolverConfig(tol=1e-5))
     assert free.reason == "converged" and free.iters == 10
     capped = bo.newton_solve(prob, ms.SolverConfig(tol=1e-5, max_iters=10))
@@ -71,7 +71,7 @@ def test_newton_solve_converged_on_its_last_allowed_step():
 
 def er_or_sbm(family, p, seed, alpha, beta):
     g = dg.gen_er(p, 0.1, seed) if family == "er" else dg.gen_sbm(p, 0.3, 0.05, seed)
-    return dg.assemble(g, alpha, beta, model=dg.SignalModel(0.1, 1200), seed=seed)
+    return dg.assemble(dg.gen_signals(g, dg.SignalModel(0.1, 1200), seed), alpha, beta)
 
 
 @pytest.mark.parametrize("family, p, seed, alpha, beta", [

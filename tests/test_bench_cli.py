@@ -136,9 +136,10 @@ def test_cli_gen_solve_bench_plotdata_pipeline(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "mc-signals" / "summary.csv").exists()
     # a signals file is one instance: more runs would repeat one solve
-    rc = cli.main(["bench", "--signals", str(gen_dir / "signals.csv"), "--runs", "2",
-                   "--out", str(tmp_path / "mc-signals-2")])
-    assert rc == cli.EXIT_IO
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["bench", "--signals", str(gen_dir / "signals.csv"), "--runs", "2",
+                  "--out", str(tmp_path / "mc-signals-2")])
+    assert excinfo.value.code == 2
     assert "error: a signals file is one instance" in capsys.readouterr().err
     assert not (tmp_path / "mc-signals-2").exists()
 
@@ -444,6 +445,64 @@ def test_cli_usage_errors(tmp_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--family", "er", "--seed", "1", "--runs", "0"],
+    ["solve", "--family", "er", "--seed", "1", "--epsilon", "0"],
+    ["solve", "--family", "er", "--seed", "1", "--max-iters", "0"],
+    ["solve", "--family", "er", "--seed", "1", "--elim-threshold", "-1"],
+    ["bench", "--signals", "x.csv", "--runs", "2"],  # a signals file is one instance
+])
+def test_cli_settings_the_dataclasses_refuse_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    toy_signals_csv(Path("x.csv"), [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--out", "x"])
+    assert excinfo.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "er", "--seed", "1", "--n", "0"],
+    ["--family", "er", "--seed", "1", "--p", "1"],
+    ["--family", "er", "--seed", "1", "--prob-edge", "2"],
+    ["--family", "er", "--seed", "1", "--alpha", "-1"],
+    ["--signals", "bad.csv"],
+])
+def test_cli_run_whose_inputs_fail_leaves_no_bundle(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_text("1.0,2.0\nbroken\n", encoding="utf-8")
+    assert cli.main(["solve", *flags, "--out", "x"]) == cli.EXIT_IO
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_echoes_the_instance_it_built_from_one_read(tmp_path, monkeypatch):
+    # a signals run echoes the file's shape, not the --p and --n defaults
+    sig = tmp_path / "signals.csv"
+    gm.save_signals_csv(np.random.default_rng(0).standard_normal((12, 30)), sig)
+    assert cli.main(["solve", "--signals", str(sig), "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+    echo = (tmp_path / "s" / "spec.echo").read_text(encoding="utf-8").splitlines()
+    assert "p=12" in echo and "n=30" in echo
+    # each run reads its --graph file once
+    reads = []
+    real_load_graph = dg.load_graph
+
+    def load_graph(path, p=None):
+        reads.append(path)
+        return real_load_graph(path, p)
+
+    monkeypatch.setattr(dg, "load_graph", load_graph)
+    src = tmp_path / "g.csv"
+    src.write_text("i,j,weight\n0,1,1.0\n1,2,2.0\n0,3,1.5\n2,3,1.0\n", encoding="utf-8")
+    graph = ["--graph", str(src), "--n", "50", "--seed", "6"]
+    for argv, runs in [(["solve", *graph], 1), (["gen", *graph], 1), (["bench", *graph, "--runs", "5"], 5)]:
+        reads.clear()
+        assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == cli.EXIT_OK
+        assert len(reads) == runs, argv[0]
+    assert "p=4" in (tmp_path / "bench" / "spec.echo").read_text(encoding="utf-8").splitlines()
+
+
 def test_cli_io_error_reports_path(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,2.0\nbroken\n", encoding="utf-8")
@@ -483,6 +542,17 @@ def test_cli_solve_from_loaded_graph(tmp_path, capsys):
     assert rc == cli.EXIT_IO
     assert "none.csv" in capsys.readouterr().err
     assert not missing.exists()
+
+
+def test_readme_quick_start_runs(capsys):
+    # a later API change cannot leave the README's example stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("\n## Library quick start\n")) + len("```python\n")
+    code = readme[start:readme.index("```", start)]
+    # padded so that a traceback names the README's own line numbers
+    exec(compile("\n" * readme.count("\n", 0, start) + code, "README.md", "exec"), {})
+    converged, iters, f_star = capsys.readouterr().out.split()
+    assert converged == "True" and int(iters) > 0 and np.isfinite(float(f_star))
 
 
 def test_import_does_not_load_scipy():

@@ -203,15 +203,6 @@ def test_assemble_from_signals():
     np.testing.assert_array_equal(dg.assemble(same, 1.0, 1.0).d, np.zeros(6))
 
 
-def test_assemble_from_graph_requires_model_and_seed():
-    g = dg.gen_er(5, 0.5, 0)
-    with pytest.raises(ValueError):
-        dg.assemble(g, 1.0, 1.0)
-    prob = dg.assemble(g, 1.0, 1.0, model=dg.SignalModel(0.1, 10), seed=1)
-    assert prob.p == 5
-    assert np.all(prob.d >= 0)
-
-
 def test_signal_model_validation():
     with pytest.raises(ValueError):
         dg.SignalModel(sigma=-0.1, n=5)

@@ -337,8 +337,8 @@ def test_repeated_compaction_matches_uncompacted_run():
     # SBM edges retire a few at a time over hundreds of iterations, so the
     # working arrays are compacted many times
     seed = 1
-    prob = dg.assemble(dg.gen_sbm(30, 0.3, 0.05, seed), 100.0, 100.0,
-                       model=dg.SignalModel(0.1, 200), seed=seed)
+    prob = dg.assemble(dg.gen_signals(dg.gen_sbm(30, 0.3, 0.05, seed), dg.SignalModel(0.1, 200), seed),
+                       100.0, 100.0)
     res = solve_against_full_length_reference(prob, ms.SolverConfig(epsilon=1e-10, max_iters=100000))
     assert res.converged
     assert len(np.unique(res.trace.active_count)) > 5
