@@ -8,8 +8,7 @@ from .graph_model import (
     objective_gradient,
     pairwise_distances,
 )
-from .mm_solver import SolveResult, SolverConfig, compute_c, mm_update, solve
-from .baseline_oracle import newton_solve
+from .mm_solver import SolveResult, SolverConfig, compute_c, mm_update, newton_solve, solve
 from .data_gen import GroundTruthGraph, SignalModel, assemble, gen_er, gen_sbm, gen_signals, laplacian_pinv
 
 __all__ = [

@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baseline_oracle, data_gen, graph_model, mm_solver
-from .mm_solver import SolverConfig
+from . import data_gen, graph_model, mm_solver
 
 SOLVERS = ("mm", "newton-oracle")
 GENERATED = ("er", "sbm")
@@ -42,7 +41,7 @@ class ExperimentSpec:
     alpha: float = 1.0
     beta: float = 1.0
     solver: str = "mm"
-    solver_config: SolverConfig = field(default_factory=SolverConfig)
+    solver_config: mm_solver.SolverConfig = field(default_factory=mm_solver.SolverConfig)
     monte_carlo_runs: int = 1
     seed: int = 0
     out_dir: str = "."
@@ -109,7 +108,7 @@ def run_single(spec, run_index=0):
     if run_index == 0:
         write_spec_echo(dataclasses.replace(spec, p=prob.p, n=X.shape[1]))
     t0 = time.perf_counter()
-    solve = mm_solver.solve if spec.solver == "mm" else baseline_oracle.newton_solve
+    solve = mm_solver.solve if spec.solver == "mm" else mm_solver.newton_solve
     result = solve(prob, spec.solver_config)
     wall = time.perf_counter() - t0
     write_trace_csv(result.trace, out / f"trace_run{run_index}.csv")

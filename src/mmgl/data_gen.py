@@ -13,7 +13,7 @@ import numpy as np
 
 from .graph_model import (
     ProblemInstance,
-    _checked_weights,
+    checked_weights,
     edge_pairs,
     load_edges_csv,
     num_edges,
@@ -33,7 +33,7 @@ class GroundTruthGraph:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"need p >= 2, got p={self.p}")
-        self.w_true = _checked_weights(self.w_true, num_edges(self.p))
+        self.w_true = checked_weights(self.w_true, num_edges(self.p))
 
 
 @dataclass

@@ -67,7 +67,7 @@ def edge_pairs(p):
     return I, J
 
 
-def _checked_weights(w, m):
+def checked_weights(w, m):
     """w as a float vector of length m; ValueError on another shape or a
     negative or non-finite entry."""
     w = np.asarray(w, dtype=float)
@@ -122,14 +122,14 @@ def kkt_residual(w, g, d, deg, alpha):
 def degrees(w, p):
     """Node degree vector S w for edge weights w; cost O(p^2)."""
     I, J = edge_pairs(p)
-    return node_degrees(_checked_weights(w, I.size), I, J, p)
+    return node_degrees(checked_weights(w, I.size), I, J, p)
 
 
 def weights_to_matrix(w, p):
     """Symmetric adjacency matrix W with zero diagonal from edge weights w."""
     I, J = edge_pairs(p)
     W = np.zeros((p, p))
-    W[I, J] = _checked_weights(w, I.size)
+    W[I, J] = checked_weights(w, I.size)
     W += W.T
     return W
 
@@ -213,7 +213,7 @@ def objective(w, prob):
         On a negative or non-finite weight (distinct from the +inf barrier
         return).
     """
-    w = _checked_weights(w, prob.m)
+    w = checked_weights(w, prob.m)
     I, J = edge_pairs(prob.p)
     return objective_value(w, prob.d, node_degrees(w, I, J, prob.p), prob.alpha, prob.beta)
 
@@ -223,7 +223,7 @@ def objective_gradient(w, prob):
 
     Requires every node degree strictly positive.
     """
-    w = _checked_weights(w, prob.m)
+    w = checked_weights(w, prob.m)
     I, J = edge_pairs(prob.p)
     deg = node_degrees(w, I, J, prob.p)
     if np.any(deg <= 0):
@@ -283,7 +283,7 @@ def save_edges_csv(w, p, path):
     """Write strictly positive edge weights as CSV rows `i,j,weight` (i < j),
     one write per _WRITE_BLOCK edges."""
     I, J = edge_pairs(p)
-    w = _checked_weights(w, I.size)
+    w = checked_weights(w, I.size)
     blocks = (s + np.flatnonzero(w[s:s + _WRITE_BLOCK] > 0) for s in range(0, w.size, _WRITE_BLOCK))
     _write_text(path, itertools.chain(["i,j,weight\n"], (
         "".join([f"{i},{j},{x!r}\n" for i, j, x in zip(I[k].tolist(), J[k].tolist(), w[k].tolist())])

@@ -1,11 +1,14 @@
-"""Majorization-minimization solver with zero-lock active-set elimination.
+"""The two solvers of f(w) = 2 w.d - alpha sum log(Sw) + beta ||w||^2 over
+w >= 0, both started from all ones, set by one SolverConfig and recorded
+in one SolveResult.
 
-Each iteration majorizes the log-barrier via Jensen's inequality around the
-current iterate, which makes the surrogate separable per edge and gives a
-closed-form nonnegative quadratic-root update. A weight that reaches exact
-zero produces a zero coefficient and therefore stays zero forever, so
-eliminated edges are dropped from the working arrays as soon as 1% or more
-of them have retired.
+solve is the majorization-minimization method with zero-lock active-set
+elimination. Each iteration majorizes the log-barrier via Jensen's
+inequality around the current iterate, which makes the surrogate separable
+per edge and gives a closed-form nonnegative quadratic-root update. A
+weight that reaches exact zero produces a zero coefficient and therefore
+stays zero forever, so eliminated edges are dropped from the working
+arrays as soon as 1% or more of them have retired.
 
 The working arrays hold the edges in anti-diagonal order, sorted by i + j
 and then by i. Each node still meets its edges in ascending edge order, on
@@ -20,6 +23,10 @@ with the working arrays. A retired edge with d = 0 gets 0/0 = nan there;
 the one live mask per iteration (w >= threshold) clamps it back to 0 along
 with every other retired edge, and the same mask counts the active edges
 and selects the survivors at compaction.
+
+newton_solve is projected Newton, an independent oracle that certifies the
+optimum MM reaches, not a published competitor. Each of its steps solves a
+dense p x p system; its edges stay in row-major order.
 """
 
 import math
@@ -28,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import _checked_weights, edge_pairs, inverse_degrees, node_degrees, objective_value
+from .graph_model import (
+    checked_weights, edge_pairs, gradient_value, inverse_degrees, kkt_residual, node_degrees, objective_value)
 
 
 @dataclass
@@ -112,6 +120,14 @@ def _run_result(w_star, rows, reason):
     return SolveResult(w_star=w_star, trace=trace, reason=reason)
 
 
+def _all_ones_start(p, I, J, d, alpha, beta):
+    """All-ones w on the edges (I, J), its degrees, f summed in that order, and trace row 0."""
+    w = np.ones(d.size)
+    deg = node_degrees(w, I, J, p)
+    f = objective_value(w, d, deg, alpha, beta)
+    return w, deg, f, [(f, d.size, 0.0)]
+
+
 def compute_c(w, prob):
     """Surrogate coefficients c_j = alpha * w_j * (1/deg_a + 1/deg_b).
 
@@ -119,7 +135,7 @@ def compute_c(w, prob):
     exactly when w_j = 0, and sum(c) = alpha * (number of nodes with
     positive degree).
     """
-    w = _checked_weights(w, prob.m)
+    w = checked_weights(w, prob.m)
     I, J = edge_pairs(prob.p)
     inv = inverse_degrees(node_degrees(w, I, J, prob.p))
     return _coefficients(w, inv, I, J, prob.alpha)
@@ -138,7 +154,7 @@ def mm_update(c, prob):
     cancellation; c_j = 0 maps to exactly 0, with no warning, also where
     d_j = 0.
     """
-    c = _checked_weights(c, prob.m)
+    c = checked_weights(c, prob.m)
     d = prob.d
     with np.errstate(invalid="ignore"):
         w_new = _root_update(d, d * d, c, 2.0 * prob.beta)
@@ -200,12 +216,9 @@ def solve(prob, cfg=None, callback=None):
     m = d.size
     orig = np.argsort(I + J, kind="stable")
     I, J, d = I[orig], J[orig], d[orig]
-    w = np.ones(m)
     dd = d * d
     floor = max(cfg.elimination_threshold, np.nextafter(0.0, 1.0))
-    deg = node_degrees(w, I, J, p)
-    f_prev = objective_value(w, d, deg, alpha, beta)
-    rows = [(f_prev, m, 0.0)]
+    w, deg, f_prev, rows = _all_ones_start(p, I, J, d, alpha, beta)
     reason = "max_iters"
 
     with np.errstate(invalid="ignore"):
@@ -241,3 +254,79 @@ def solve(prob, cfg=None, callback=None):
     w_full = np.zeros(m)
     w_full[orig] = w
     return _run_result(w_full, rows, reason)
+
+
+# Armijo sufficient-decrease constant of the line search.
+ARMIJO_SIGMA = 1e-4
+
+
+def _newton_direction(g, deg, I, J, alpha, two_beta, free):
+    """Newton direction of f on the edges `free`, zero elsewhere.
+
+    With S_F their node-edge incidence, the Hessian there is
+    2 beta I + alpha S_F^T diag(1/deg^2) S_F. By Woodbury the direction is
+    S_F^T y / (2 beta)^2 - g_F / (2 beta), where
+    (diag(deg^2 / alpha) + S_F S_F^T / (2 beta)) y = S_F g_F.
+    """
+    p = deg.size
+    i, j, g_free = I[free], J[free], g[free]
+    M = np.zeros((p, p))
+    M[i, j] = M[j, i] = 1.0 / two_beta
+    M.flat[::p + 1] = node_degrees(np.ones(i.size), i, j, p) / two_beta + deg * deg / alpha
+    y = np.linalg.solve(M, node_degrees(g_free, i, j, p))
+    delta = np.zeros(g.size)
+    delta[free] = (y[i] + y[j]) / two_beta**2 - g_free / two_beta
+    return delta
+
+
+def newton_solve(prob, cfg=None):
+    """Projected Newton on f over the nonnegative orthant, from all ones.
+
+    The free edges have w > 0, or w = 0 and g < 0. Those that the Newton
+    direction pushes below zero while g > 0 keep it; if there are any, the
+    rest are solved again without them. Then w = max(w + t delta, 0), with t
+    halved from 1 until f falls by the Armijo rule, or f does not rise and
+    the relative KKT residual (graph_model.kkt_residual) halves, which keeps
+    it moving below f's rounding. Stops at a residual <= cfg.tol
+    ("converged"), when no t >= 1e-20 passes ("stationary"), or at
+    cfg.max_iters; cfg is a SolverConfig, whose MM settings it ignores.
+    """
+    if cfg is None:
+        cfg = SolverConfig()
+    p, d, alpha, two_beta = prob.p, prob.d, prob.alpha, 2.0 * prob.beta
+    I, J = edge_pairs(p)
+    w, deg, f, rows = _all_ones_start(p, I, J, d, alpha, prob.beta)
+    g = gradient_value(w, d, deg, I, J, alpha, prob.beta)
+    res = kkt_residual(w, g, d, deg, alpha)
+
+    for _ in range(cfg.max_iters):
+        t_start = time.perf_counter()
+        if res <= cfg.tol:
+            reason = "converged"
+            break
+        free = (w > 0) | (g < 0)
+        delta = _newton_direction(g, deg, I, J, alpha, two_beta, free)
+        bound = free & (w + delta < 0) & (g > 0)
+        if bound.any():
+            delta = np.where(bound, delta, _newton_direction(g, deg, I, J, alpha, two_beta, free & ~bound))
+        t = 1.0
+        while t >= 1e-20:
+            w_new = np.maximum(w + t * delta, 0.0)
+            deg_new = node_degrees(w_new, I, J, p)
+            f_new = objective_value(w_new, d, deg_new, alpha, prob.beta)
+            if f_new <= f:
+                g_new = gradient_value(w_new, d, deg_new, I, J, alpha, prob.beta)
+                res_new = kkt_residual(w_new, g_new, d, deg_new, alpha)
+                if f_new < f and f_new <= f + ARMIJO_SIGMA * (g @ (w_new - w)) or res_new <= 0.5 * res:
+                    break
+            t *= 0.5
+        else:
+            reason = "stationary"
+            break
+        w, deg, f, g, res = w_new, deg_new, f_new, g_new, res_new
+        rows.append((f, int(np.count_nonzero(w)), time.perf_counter() - t_start))
+    else:
+        # The last allowed step may have met the tolerance.
+        reason = "converged" if res <= cfg.tol else "max_iters"
+
+    return _run_result(w, rows, reason)

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from mmgl.graph_model import _checked_weights, edge_pairs, inverse_degrees, node_degrees, objective
+from mmgl.graph_model import checked_weights, edge_pairs, inverse_degrees, node_degrees, objective
 
 
 def default_box_upper(prob):
@@ -96,10 +96,10 @@ def surrogate_value(w, w_k, prob):
     Only used for majorization checks in tests, never in the solve loop.
     Returns +inf when some w_j = 0 (the surrogate's log diverges there).
     """
-    w_k = _checked_weights(w_k, prob.m)
+    w_k = checked_weights(w_k, prob.m)
     if np.any(w_k == 0):
         raise ValueError("expansion point w_k must be strictly positive")
-    w = _checked_weights(w, prob.m)
+    w = checked_weights(w, prob.m)
     if np.any(w == 0):
         return np.inf
     I, J = edge_pairs(prob.p)

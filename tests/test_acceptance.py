@@ -8,7 +8,6 @@ values selected by scripts/tune_hyperparams.py on held-out seeds.
 import numpy as np
 import pytest
 
-from mmgl import baseline_oracle as bo
 from mmgl import bench
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
@@ -85,7 +84,7 @@ def test_criterion_3_global_optimum_oracle_equivalence():
                                   alpha=float(rng.uniform(0.3, 3)),
                                   beta=float(rng.uniform(0.3, 3)))
         f_mm = ms.solve(prob, ms.SolverConfig(epsilon=1e-12, max_iters=200000)).f_star
-        f_oracle = bo.newton_solve(prob).f_star
+        f_oracle = ms.newton_solve(prob).f_star
         if m <= 4:
             f_bf = gm.objective(brute_force(prob), prob)
             assert abs(f_bf - f_oracle) / abs(f_oracle) <= 1e-5

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmgl import baseline_oracle as bo
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
@@ -187,7 +186,7 @@ def test_solve_p3_symmetric_lands_in_one_update():
 def test_solve_matches_oracle_on_p3():
     prob = make_problem(3, [1.0, 2.0, 3.0])
     res = ms.solve(prob, ms.SolverConfig(epsilon=1e-12, max_iters=100000))
-    oracle = bo.newton_solve(prob)
+    oracle = ms.newton_solve(prob)
     gap = abs(res.f_star - oracle.f_star) / abs(oracle.f_star)
     assert gap <= 1e-6
 
@@ -398,7 +397,7 @@ def test_iterates_match_pinned_bytes():
         assert run_digests(res) == PINNED_RUNS[name], name
         if name == "gapped-14":
             assert res.trace.active_count[-1] < 0.5 * prob.m  # compaction ran
-    res = bo.newton_solve(problems["uniform-3"], ms.SolverConfig(max_iters=200))
+    res = ms.newton_solve(problems["uniform-3"], ms.SolverConfig(max_iters=200))
     assert res.converged
     assert run_digests(res) == PINNED_RUNS["newton-uniform-3"]
 

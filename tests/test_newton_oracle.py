@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmgl import baseline_oracle as bo
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
@@ -47,11 +46,11 @@ def test_kkt_residual():
 
 
 def test_newton_solve_p2_closed_forms():
-    res = bo.newton_solve(make_problem(2, [0.0]))
+    res = ms.newton_solve(make_problem(2, [0.0]))
     assert res.converged
     assert res.w_star[0] == pytest.approx(1.0, abs=1e-6)
 
-    res = bo.newton_solve(make_problem(2, [1.0]))
+    res = ms.newton_solve(make_problem(2, [1.0]))
     assert res.w_star[0] == pytest.approx(0.618034, abs=1e-6)
     assert res.w_star[0] == pytest.approx(p2_closed_form(1.0, 1.0, 1.0), abs=1e-6)
 
@@ -60,13 +59,13 @@ def test_newton_solve_converged_on_its_last_allowed_step():
     # the uncapped run meets tol after 10 steps; a cap of exactly 10 must
     # report the same stop, not "max_iters"
     prob = dg.assemble(dg.gen_signals(dg.gen_er(8, 0.5, 2), dg.SignalModel(0.1, 20), 2), 1.0, 1.0)
-    free = bo.newton_solve(prob, ms.SolverConfig(tol=1e-5))
+    free = ms.newton_solve(prob, ms.SolverConfig(tol=1e-5))
     assert free.reason == "converged" and free.iters == 10
-    capped = bo.newton_solve(prob, ms.SolverConfig(tol=1e-5, max_iters=10))
+    capped = ms.newton_solve(prob, ms.SolverConfig(tol=1e-5, max_iters=10))
     assert capped.reason == "converged" and capped.converged
     np.testing.assert_array_equal(capped.w_star, free.w_star)
     assert capped.f_star == free.f_star
-    assert bo.newton_solve(prob, ms.SolverConfig(tol=1e-5, max_iters=9)).reason == "max_iters"
+    assert ms.newton_solve(prob, ms.SolverConfig(tol=1e-5, max_iters=9)).reason == "max_iters"
 
 
 def er_or_sbm(family, p, seed, alpha, beta):
@@ -85,7 +84,7 @@ def er_or_sbm(family, p, seed, alpha, beta):
 ])
 def test_newton_solve_certifies_ill_conditioned_instances(family, p, seed, alpha, beta):
     prob = er_or_sbm(family, p, seed, alpha, beta)
-    res = bo.newton_solve(prob, ms.SolverConfig(tol=1e-10))
+    res = ms.newton_solve(prob, ms.SolverConfig(tol=1e-10))
     assert res.converged
     assert kkt(res.w_star, prob) <= 1e-10
 
@@ -95,14 +94,21 @@ def test_newton_solve_reports_converged_only_within_tol():
     # after 159 steps), below 1.3484193969237828, where the earlier
     # projected-gradient oracle stopped
     prob = er_or_sbm("er", 100, 7, 1e-3, 1e-3)
-    res = bo.newton_solve(prob, ms.SolverConfig(tol=1e-10))
+    res = ms.newton_solve(prob, ms.SolverConfig(tol=1e-10))
     assert res.converged == (kkt(res.w_star, prob) <= 1e-10)
     assert res.reason in ("converged", "stationary")
     assert res.f_star <= 1.3484193969237828
 
 
+@pytest.mark.xfail(strict=True, reason="open defect: the oracle stops stationary after 42 steps at "
+                   "f 0.005741204079714243; a fix turns this into an XPASS, which fails the suite")
+def test_newton_solve_converges_on_er30_seed5_at_1e_minus_5():
+    # equilibrating the Woodbury system was measured not to mend it
+    assert ms.newton_solve(er_or_sbm("er", 30, 5, 1e-5, 1e-5)).converged
+
+
 def test_newton_solve_p3_symmetric():
-    res = bo.newton_solve(make_problem(3, [0, 0, 0]))
+    res = ms.newton_solve(make_problem(3, [0, 0, 0]))
     np.testing.assert_allclose(res.w_star, np.full(3, 0.707107), atol=1e-5)
 
 
@@ -112,7 +118,7 @@ def test_newton_solve_trace_monotone(seed):
     p = int(rng.integers(3, 9))
     prob = make_problem(p, rng.uniform(0, 3, gm.num_edges(p)),
                         alpha=float(rng.uniform(0.3, 3)), beta=float(rng.uniform(0.3, 3)))
-    res = bo.newton_solve(prob, ms.SolverConfig(max_iters=5000))
+    res = ms.newton_solve(prob, ms.SolverConfig(max_iters=5000))
     assert np.all(np.diff(res.trace.f) <= 0)
     assert not res.converged or kkt(res.w_star, prob) <= ms.SolverConfig.tol
     assert res.f_star == res.trace.f[-1]
@@ -132,7 +138,7 @@ def test_brute_force_agrees_with_pg_on_p3():
         prob = make_problem(3, rng.uniform(0, 3, 3),
                             alpha=float(rng.uniform(0.3, 3)), beta=float(rng.uniform(0.3, 3)))
         w_bf = brute_force(prob)
-        res_oracle = bo.newton_solve(prob)
+        res_oracle = ms.newton_solve(prob)
         f_bf = gm.objective(w_bf, prob)
         assert abs(f_bf - res_oracle.f_star) <= 1e-6 * max(1.0, abs(res_oracle.f_star))
 
@@ -148,7 +154,7 @@ def test_all_three_solvers_agree():
         prob = make_problem(3, rng.uniform(0, 4, 3),
                             alpha=float(rng.uniform(0.3, 2)), beta=float(rng.uniform(0.3, 2)))
         f_mm = ms.solve(prob, ms.SolverConfig(epsilon=1e-12, max_iters=100000)).f_star
-        f_oracle = bo.newton_solve(prob).f_star
+        f_oracle = ms.newton_solve(prob).f_star
         f_bf = gm.objective(brute_force(prob), prob)
         assert f_mm == pytest.approx(f_oracle, rel=1e-5)
         assert f_bf == pytest.approx(f_oracle, rel=1e-5)
