@@ -56,7 +56,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--family", choices=bench.GENERATED, default="er")
     cli._add_generation_args(parser)
-    parser.add_argument("--seeds", type=int, default=5, help="instances per grid point")
+    parser.add_argument("--seeds", dest="monte_carlo_runs", metavar="SEEDS", type=int, default=5,
+                        help="instances per grid point")
     parser.add_argument("--base-seed", dest="seed", metavar="BASE_SEED", type=int, default=1000)
     parser.add_argument("--epsilon", type=float, default=ms.SolverConfig.epsilon)
     parser.add_argument("--iter-budget", type=float, default=15.0,
@@ -68,10 +69,7 @@ def main():
     args = parser.parse_args()
     spec = cli._experiment_spec(args, parser)
 
-    instances = []
-    for seed in range(spec.seed, spec.seed + args.seeds):
-        g, X = bench.run_data(spec, seed)
-        instances.append((g, gm.pairwise_distances(X)))
+    instances = [(g, gm.pairwise_distances(X)) for g, X in bench.run_data(spec)]
 
     print(f"{'alpha':>10} {'beta':>10} {'F1':>7} {'iters':>7}")
     results = []

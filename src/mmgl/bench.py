@@ -22,6 +22,8 @@ from . import data_gen, graph_model, mm_solver
 SOLVERS = ("mm", "newton-oracle")
 GENERATED = ("er", "sbm")
 FAMILIES = GENERATED + ("graph-file", "signals-file")
+# ExperimentSpec fields that only signal generation reads
+SIGNALS_UNREAD = ("seed", "sigma", "prob_edge", "p_in", "p_out", "graph_path")
 
 
 @dataclass
@@ -77,33 +79,35 @@ class BenchSummary:
         return "stop reasons: " + ", ".join(f"{r} {n}" for r, n in self.stop_reasons.items())
 
 
-def run_data(spec, seed):
-    """The run's ground-truth graph (None for a signals file) and its p x n
-    signal matrix: read from spec.signals_path, or sampled with `seed` on a
-    graph sampled with `seed` or read from spec.graph_path. Calls go through
-    data_gen's and graph_model's attributes, which a tracer may wrap."""
+def run_data(spec):
+    """Yield (ground-truth graph, p x n signals) for each run of the batch.
+    Run k samples its signals, and a generated graph, with seed + k; a
+    --graph file is read and factored once; a signals file is the one run,
+    with graph None. Calls go through data_gen's and graph_model's
+    attributes, which a tracer may wrap."""
     if spec.family == "signals-file":
-        return None, graph_model.load_signals_csv(spec.signals_path, skip_header=spec.signals_header)
+        yield None, graph_model.load_signals_csv(spec.signals_path, skip_header=spec.signals_header)
+        return
     model = data_gen.SignalModel(sigma=spec.sigma, n=spec.n)
-    if spec.family == "er":
-        g = data_gen.gen_er(spec.p, spec.prob_edge, seed)
-    elif spec.family == "sbm":
-        g = data_gen.gen_sbm(spec.p, spec.p_in, spec.p_out, seed)
-    else:
+    if spec.family == "graph-file":
         g = data_gen.load_graph(spec.graph_path)
-    return g, data_gen.gen_signals(g, model, seed)
+    for seed in range(spec.seed, spec.seed + spec.monte_carlo_runs):
+        if spec.family == "er":
+            g = data_gen.gen_er(spec.p, spec.prob_edge, seed)
+        elif spec.family == "sbm":
+            g = data_gen.gen_sbm(spec.p, spec.p_in, spec.p_out, seed)
+        yield g, data_gen.gen_signals(g, model, seed)
 
 
-def run_single(spec, run_index=0):
-    """Generate or load one problem, solve it, and write the run's files.
+def run_single(spec, run_index, X):
+    """Solve run run_index of the batch on its p x n signal matrix X, and
+    write the run's files.
 
     Returns (SolveResult, wall_time_of_solve). The trace CSV and the learned
     edge list land in spec.out_dir as trace_run<k>.csv / edges_run<k>.csv;
     run 0 first writes spec.echo with the p and n of the instance it built.
     """
     out = Path(spec.out_dir)
-    run_seed = spec.seed + run_index
-    _, X = run_data(spec, run_seed)
     prob = data_gen.assemble(X, spec.alpha, spec.beta)
     if run_index == 0:
         write_spec_echo(dataclasses.replace(spec, p=prob.p, n=X.shape[1]))
@@ -117,8 +121,8 @@ def run_single(spec, run_index=0):
 
 
 def run_montecarlo(spec):
-    """Run monte_carlo_runs seeded instances (seed + run index), aggregate,
-    and write summary.csv and timing.csv.
+    """Solve each run that run_data yields, aggregate, and write summary.csv
+    and timing.csv.
 
     Runs that hit max_iters are recorded, not fatal; the summary flags them
     through convergence_rate < 1.
@@ -126,8 +130,10 @@ def run_montecarlo(spec):
     out = Path(spec.out_dir)
     results = []
     walls = []
+    runs = run_data(spec)
     for k in range(spec.monte_carlo_runs):
-        result, wall = run_single(spec, run_index=k)
+        # run k's X goes straight into run_single, so it is freed with the run
+        result, wall = run_single(spec, k, next(runs)[1])
         results.append(result)
         walls.append(wall)
     iters = [r.iters for r in results]
@@ -200,9 +206,13 @@ def write_timing_csv(summary, path):
 
 
 def write_spec_echo(spec):
-    """Echo the resolved spec as sorted key=value lines into out_dir/spec.echo."""
+    """Echo the resolved spec as sorted key=value lines into out_dir/spec.echo,
+    leaving out the generation settings that a signals file does not read."""
+    unread = SIGNALS_UNREAD if spec.family == "signals-file" else ()
     flat = {}
     for f in dataclasses.fields(spec):
+        if f.name in unread:
+            continue
         value = getattr(spec, f.name)
         if dataclasses.is_dataclass(value):
             for g in dataclasses.fields(value):

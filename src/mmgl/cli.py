@@ -102,7 +102,7 @@ def _experiment_spec(args, parser):
 def _cmd_gen(args, parser):
     spec = _experiment_spec(args, parser)
     out = Path(spec.out_dir)
-    g, X = bench.run_data(spec, spec.seed)
+    g, X = next(bench.run_data(spec))
     graph_model.save_edges_csv(g.w_true, g.p, out / "edges_true.csv")
     graph_model.save_signals_csv(X, out / "signals.csv")
     print(f"wrote {out / 'edges_true.csv'} and {out / 'signals.csv'} (p={g.p}, n={X.shape[1]})")
@@ -111,7 +111,7 @@ def _cmd_gen(args, parser):
 
 def _cmd_solve(args, parser):
     spec = _experiment_spec(args, parser)
-    result, wall = bench.run_single(spec, run_index=0)
+    result, wall = bench.run_single(spec, 0, next(bench.run_data(spec))[1])
     print(f"{spec.solver}: {_STOP_MESSAGES[result.reason]} after {result.iters} iterations, "
           f"f = {result.f_star:.10g}, solve time {wall:.3f}s")
     print(f"outputs in {spec.out_dir}")

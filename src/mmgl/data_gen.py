@@ -7,6 +7,7 @@ edges. All randomness flows through numpy's default_rng (PCG64), which is
 seedable and stable across platforms.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .graph_model import (
 EIG_CUTOFF = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruthGraph:
     p: int
     w_true: np.ndarray
@@ -33,7 +34,24 @@ class GroundTruthGraph:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"need p >= 2, got p={self.p}")
-        self.w_true = checked_weights(self.w_true, num_edges(self.p))
+        # frozen, with a private read-only copy, so signal_root always matches
+        w = checked_weights(np.array(self.w_true, dtype=float), num_edges(self.p))
+        w.setflags(write=False)
+        object.__setattr__(self, "w_true", w)
+
+    @functools.cached_property
+    def signal_root(self):
+        """L_pinv^(1/2), the read-only root of the Laplacian's pseudo-inverse,
+        from one eigendecomposition on first use. Eigenvalues below
+        EIG_CUTOFF times the largest count as exactly zero, so a connected
+        graph keeps exactly one null mode (the constant vector)."""
+        vals, vecs = np.linalg.eigh(laplacian(self))
+        keep = vals > EIG_CUTOFF * max(float(vals[-1]), 0.0)
+        inv_vals = np.zeros_like(vals)
+        inv_vals[keep] = 1.0 / vals[keep]
+        root = (vecs * np.sqrt(inv_vals)) @ vecs.T
+        root.setflags(write=False)
+        return root
 
 
 @dataclass
@@ -80,28 +98,10 @@ def laplacian(g):
     return np.diag(W.sum(axis=1)) - W
 
 
-def _pinv_eig(L):
-    vals, vecs = np.linalg.eigh(L)
-    cutoff = EIG_CUTOFF * max(float(vals[-1]), 0.0)
-    keep = vals > cutoff
-    inv_vals = np.zeros_like(vals)
-    inv_vals[keep] = 1.0 / vals[keep]
-    return inv_vals, vecs
-
-
 def laplacian_pinv(g):
-    """Moore-Penrose pseudo-inverse of the Laplacian via eigendecomposition.
-
-    Eigenvalues below 1e-9 times the largest are treated as exactly zero, so
-    a connected graph keeps exactly one null mode (the constant vector).
-    """
-    inv_vals, vecs = _pinv_eig(laplacian(g))
-    return (vecs * inv_vals) @ vecs.T
-
-
-def _pinv_sqrt(g):
-    inv_vals, vecs = _pinv_eig(laplacian(g))
-    return (vecs * np.sqrt(inv_vals)) @ vecs.T
+    """Moore-Penrose pseudo-inverse of the Laplacian, the square of
+    g.signal_root."""
+    return g.signal_root @ g.signal_root
 
 
 def gen_signals(g, model, seed):
@@ -113,9 +113,8 @@ def gen_signals(g, model, seed):
     is formed, so at most two p x n arrays are live.
     """
     rng = np.random.default_rng(seed)
-    root = _pinv_sqrt(g)
     Z = rng.standard_normal((g.p, model.n))
-    X = root @ Z
+    X = g.signal_root @ Z
     E = rng.standard_normal(Z.shape, out=Z)
     E *= model.sigma
     X += E

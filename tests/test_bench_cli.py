@@ -29,6 +29,11 @@ def small_spec(tmp_path, **overrides):
     return bench.ExperimentSpec(**kwargs)
 
 
+def run_first(spec):
+    """run_single on the first run that run_data yields for spec."""
+    return bench.run_single(spec, 0, next(bench.run_data(spec))[1])
+
+
 # ----------------------------------------------------------------- harness
 
 def test_experiment_spec_validation(tmp_path):
@@ -46,7 +51,7 @@ def test_experiment_spec_validation(tmp_path):
 
 def test_run_single_writes_trace_and_edges(tmp_path):
     spec = small_spec(tmp_path)
-    result, wall = bench.run_single(spec, run_index=0)
+    result, wall = run_first(spec)
     assert result.converged
     assert wall >= 0
     out = tmp_path / "exp"
@@ -64,7 +69,7 @@ def test_toy_p2_identical_rows_learns_unit_edge(tmp_path):
     sig = tmp_path / "toy.csv"
     toy_signals_csv(sig, [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0]])
     spec = small_spec(tmp_path, family="signals-file", signals_path=str(sig))
-    result, _ = bench.run_single(spec)
+    result, _ = run_first(spec)
     lines = (tmp_path / "exp" / "edges_run0.csv").read_text().splitlines()
     assert lines == ["i,j,weight", "0,1,1.0"]
 
@@ -72,7 +77,7 @@ def test_toy_p2_identical_rows_learns_unit_edge(tmp_path):
 def test_empty_ground_truth_still_converges(tmp_path):
     # the barrier constrains the learned graph, not the true one
     spec = small_spec(tmp_path, prob_edge=0.0, n=60)
-    result, _ = bench.run_single(spec)
+    result, _ = run_first(spec)
     assert result.converged
     assert np.all(gm.degrees(result.w_star, spec.p) > 0)
 
@@ -80,7 +85,7 @@ def test_empty_ground_truth_still_converges(tmp_path):
 def test_montecarlo_single_run_matches_run_single(tmp_path):
     spec = small_spec(tmp_path, monte_carlo_runs=1)
     summary = bench.run_montecarlo(spec)
-    result, _ = bench.run_single(small_spec(tmp_path, out_dir=str(tmp_path / "solo")))
+    result, _ = run_first(small_spec(tmp_path, out_dir=str(tmp_path / "solo")))
     assert summary.runs == 1
     assert summary.mean_iterations == result.iters
     assert summary.median_iterations == result.iters
@@ -205,13 +210,23 @@ def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
-# sha256 of each file that a small `mmgl gen`, `mmgl bench` and `mmgl
-# plotdata` write, with timing.csv and spec.echo's out_dir line left out.
-# At p = 20 the signals, and so every file, are the same bits at 1, 2 and 4
-# BLAS threads.
+# sha256 of each file that a small `mmgl gen`, `mmgl bench`, `mmgl bench
+# --graph` on gen's edge list and `mmgl plotdata` write, with timing.csv and
+# spec.echo's out_dir line left out. At p = 20 the signals, and so every
+# file, are the same bits at 1, 2 and 4 BLAS threads. The --graph batch's
+# run 0 has the graph and seed of the generated batch's run 0, so their
+# files agree.
 PINNED_BUNDLE = {
     "gen/edges_true.csv": "8a2b57837f2a23fd7d7e024b9fece2212b79f5f8ead8804285af9bf251b3e22a",
     "gen/signals.csv": "0ec172575ec3279e722f62d930015a7e31d386502d03b88f05affd8c33ffa148",
+    "graph/edges_run0.csv": "f413bda02d6f996023926abafe93cba2f9751e69e585f69a9d2b3d503467b7e6",
+    "graph/edges_run1.csv": "d2dca679acc439eb2042c2c1c968486e530a1485c1328e5dcd8e5b6c58b56af2",
+    "graph/edges_run2.csv": "a53a85c47d1d93ffb333e8fc078cd36795f9ba8ad5fb07841c9b76788b67e419",
+    "graph/spec.echo": "d5657347aa90022525548291967a8db62dfda5d18da2f834bbc89783f095856e",
+    "graph/summary.csv": "19fc2e4402029546ee3bdf4315efb71901d7934d2605ff0c74d4204844b2aa5b",
+    "graph/trace_run0.csv": "fc4f0acbfa2c2a15139ed85e4936650880697c5149b242c28b1a3b8816c45f1d",
+    "graph/trace_run1.csv": "67b62dd2057f51e8cf45077ac40f3a94e366f5b21acee2905a35d4a4d4fa6dad",
+    "graph/trace_run2.csv": "9e3502d62d22bee3b78c1145a34518a668c5958914fc42d756210991ee1a0536",
     "mc/edges_run0.csv": "f413bda02d6f996023926abafe93cba2f9751e69e585f69a9d2b3d503467b7e6",
     "mc/edges_run1.csv": "e258e6fc3b470927af45cfc63aadbac4b77fb98807079e0c85853dcf55fcea69",
     "mc/edges_run2.csv": "591b38cb938c3a05df7d2844bbde55ba4c74dde1027e64b22a8a5d6a132abacb",
@@ -224,10 +239,14 @@ PINNED_BUNDLE = {
 }
 
 
-def test_bundle_matches_pinned_bytes(tmp_path):
+def test_bundle_matches_pinned_bytes(tmp_path, monkeypatch):
+    # a relative --graph path keeps graph_path= in spec.echo the same
+    monkeypatch.chdir(tmp_path)
     family = ["--family", "er", "--p", "20", "--prob-edge", "0.2", "--n", "100", "--seed", "3"]
     assert cli.main(["gen", *family, "--out", str(tmp_path / "gen")]) == cli.EXIT_OK
     assert cli.main(["bench", *family, "--runs", "3", "--out", str(tmp_path / "mc")]) == cli.EXIT_OK
+    assert cli.main(["bench", "--graph", "gen/edges_true.csv", "--n", "100", "--seed", "3", "--runs", "3",
+                     "--out", str(tmp_path / "graph")]) == cli.EXIT_OK
     assert cli.main(["plotdata", str(tmp_path / "mc"), "--out", str(tmp_path / "plot.csv")]) == cli.EXIT_OK
     digests = {}
     for path in sorted(tmp_path.rglob("*")):
@@ -271,8 +290,8 @@ def test_cli_solve_prints_stop_reason(tmp_path, capsys, monkeypatch, reason, arg
     results = []
     real_run_single = bench.run_single
 
-    def run_single(spec, run_index=0):
-        results.append(real_run_single(spec, run_index))
+    def run_single(spec, run_index, X):
+        results.append(real_run_single(spec, run_index, X))
         return results[-1]
 
     monkeypatch.setattr(bench, "run_single", run_single)
@@ -484,23 +503,49 @@ def test_cli_echoes_the_instance_it_built_from_one_read(tmp_path, monkeypatch):
     assert cli.main(["solve", "--signals", str(sig), "--out", str(tmp_path / "s")]) == cli.EXIT_OK
     echo = (tmp_path / "s" / "spec.echo").read_text(encoding="utf-8").splitlines()
     assert "p=12" in echo and "n=30" in echo
-    # each run reads its --graph file once
+    # each command reads its --graph file once and factors its Laplacian
+    # once, a bench batch too
     reads = []
+    eighs = []
     real_load_graph = dg.load_graph
+    real_eigh = np.linalg.eigh
 
     def load_graph(path, p=None):
         reads.append(path)
         return real_load_graph(path, p)
 
+    def eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(dg, "load_graph", load_graph)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     src = tmp_path / "g.csv"
     src.write_text("i,j,weight\n0,1,1.0\n1,2,2.0\n0,3,1.5\n2,3,1.0\n", encoding="utf-8")
     graph = ["--graph", str(src), "--n", "50", "--seed", "6"]
-    for argv, runs in [(["solve", *graph], 1), (["gen", *graph], 1), (["bench", *graph, "--runs", "5"], 5)]:
+    for argv in [["solve", *graph], ["gen", *graph], ["bench", *graph, "--runs", "5"]]:
         reads.clear()
+        eighs.clear()
         assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == cli.EXIT_OK
-        assert len(reads) == runs, argv[0]
+        assert (len(reads), eighs) == (1, [(4, 4)]), argv[0]
+    assert len(list((tmp_path / "bench").glob("trace_run*.csv"))) == 5
     assert "p=4" in (tmp_path / "bench" / "spec.echo").read_text(encoding="utf-8").splitlines()
+
+
+def test_cli_signals_echo_leaves_out_generation_settings(tmp_path):
+    # a --signals run reads no seed, noise level, edge probability or graph
+    sig = tmp_path / "signals.csv"
+    gm.save_signals_csv(np.random.default_rng(0).standard_normal((6, 20)), sig)
+    assert cli.main(["solve", "--signals", str(sig), "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+    keys = [line.split("=", 1)[0] for line in (tmp_path / "s" / "spec.echo").read_text().splitlines()]
+    assert keys == ["alpha", "beta", "family", "monte_carlo_runs", "n", "out_dir", "p",
+                    "signals_header", "signals_path", "solver", "solver_config.elimination_threshold",
+                    "solver_config.epsilon", "solver_config.max_iters", "solver_config.tol"]
+    # a --graph run keeps them
+    assert cli.main(["solve", "--graph", str(tmp_path / "s" / "edges_run0.csv"), "--seed", "1",
+                     "--out", str(tmp_path / "g")]) == cli.EXIT_OK
+    echo = (tmp_path / "g" / "spec.echo").read_text().splitlines()
+    assert {"seed=1", "sigma=0.1", "prob_edge=0.1", "p_in=0.3", "p_out=0.05"} <= set(echo)
 
 
 def test_cli_io_error_reports_path(tmp_path, capsys):

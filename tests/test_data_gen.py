@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -78,6 +79,26 @@ def test_generators_are_deterministic():
     np.testing.assert_array_equal(X1, X2)
     X3 = dg.gen_signals(g, dg.SignalModel(0.1, 30), 78)
     assert not np.array_equal(X1, X3)
+
+
+def test_ground_truth_keeps_a_private_read_only_copy():
+    # signal_root is computed once per graph, so the weights it comes from
+    # must not change under it
+    w_orig = dg.gen_er(20, 0.3, 4).w_true
+    w = w_orig.copy()
+    g = dg.GroundTruthGraph(p=20, w_true=w)
+    w[:] = 1.0
+    np.testing.assert_array_equal(g.w_true, w_orig)
+    model = dg.SignalModel(0.1, 30)
+    X = dg.gen_signals(g, model, 5)
+    w[:] = 0.0
+    np.testing.assert_array_equal(dg.gen_signals(g, model, 5), X)
+    np.testing.assert_array_equal(X, dg.gen_signals(dg.GroundTruthGraph(p=20, w_true=w_orig), model, 5))
+    for frozen in (g.w_true, g.signal_root):
+        with pytest.raises(ValueError):
+            frozen[0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.w_true = np.zeros_like(w)
 
 
 # ------------------------------------------------------------------ laplacian
@@ -178,7 +199,7 @@ def test_gen_signals_matches_pinned_bytes():
         rng = np.random.default_rng(seed + 1)
         Z = rng.standard_normal((p, n))
         E = rng.standard_normal((p, n))
-        np.testing.assert_array_equal(X, dg._pinv_sqrt(g) @ Z + sigma * E)
+        np.testing.assert_array_equal(X, g.signal_root @ Z + sigma * E)
         assert hashlib.sha256(X.tobytes()).hexdigest() == digest, (family, p, n, sigma, seed)
 
 

@@ -4,15 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     """Run scripts/<name> with src/ on the path; RuntimeWarnings are errors."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args]
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == returncode, out.stderr
     return out.stdout.splitlines()
 
 
@@ -49,3 +51,9 @@ def test_tune_hyperparams_smoke():
     assert lines[51].startswith("best recovery overall:     alpha=")
     assert lines[52].startswith(("best within iter budget:   alpha=", "no grid point meets"))
     assert len(lines) == 53
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_tune_hyperparams_refuses_no_seeds(seeds):
+    # no instance to score would print a grid of nan; the spec refuses it
+    assert run_script("tune_hyperparams.py", "--p", "20", "--seeds", seeds, returncode=2) == []
