@@ -83,20 +83,25 @@ def run_data(spec):
     """Yield (ground-truth graph, p x n signals) for each run of the batch.
     Run k samples its signals, and a generated graph, with seed + k; a
     --graph file is read and factored once; a signals file is the one run,
-    with graph None. Calls go through data_gen's and graph_model's
-    attributes, which a tracer may wrap."""
+    with graph None. Every run draws its noise into one p x n scratch
+    buffer that the batch keeps, while each yielded X is a fresh array.
+    Calls go through data_gen's and graph_model's attributes, which a
+    tracer may wrap."""
     if spec.family == "signals-file":
         yield None, graph_model.load_signals_csv(spec.signals_path, skip_header=spec.signals_header)
         return
     model = data_gen.SignalModel(sigma=spec.sigma, n=spec.n)
     if spec.family == "graph-file":
         g = data_gen.load_graph(spec.graph_path)
+    scratch = None
     for seed in range(spec.seed, spec.seed + spec.monte_carlo_runs):
         if spec.family == "er":
             g = data_gen.gen_er(spec.p, spec.prob_edge, seed)
         elif spec.family == "sbm":
             g = data_gen.gen_sbm(spec.p, spec.p_in, spec.p_out, seed)
-        yield g, data_gen.gen_signals(g, model, seed)
+        if scratch is None:
+            scratch = np.empty((g.p, model.n))
+        yield g, data_gen.gen_signals(g, model, seed, scratch)
 
 
 def run_single(spec, run_index, X):
@@ -106,11 +111,15 @@ def run_single(spec, run_index, X):
     Returns (SolveResult, wall_time_of_solve). The trace CSV and the learned
     edge list land in spec.out_dir as trace_run<k>.csv / edges_run<k>.csv;
     run 0 first writes spec.echo with the p and n of the instance it built.
+    X is let go once its distances are formed, so it is not live during
+    the solve and the writes.
     """
     out = Path(spec.out_dir)
+    n = X.shape[1]
     prob = data_gen.assemble(X, spec.alpha, spec.beta)
+    del X
     if run_index == 0:
-        write_spec_echo(dataclasses.replace(spec, p=prob.p, n=X.shape[1]))
+        write_spec_echo(dataclasses.replace(spec, p=prob.p, n=n))
     t0 = time.perf_counter()
     solve = mm_solver.solve if spec.solver == "mm" else mm_solver.newton_solve
     result = solve(prob, spec.solver_config)
@@ -125,30 +134,33 @@ def run_montecarlo(spec):
     and timing.csv.
 
     Runs that hit max_iters are recorded, not fatal; the summary flags them
-    through convergence_rate < 1.
+    through convergence_rate < 1. Each run is folded into running totals
+    and dropped before the next is drawn, so the batch holds one run at a
+    time.
     """
     out = Path(spec.out_dir)
-    results = []
-    walls = []
+    iters = []
+    reasons = collections.Counter()
+    wall_sum = iter_time_sum = 0.0
     runs = run_data(spec)
     for k in range(spec.monte_carlo_runs):
-        # run k's X goes straight into run_single, so it is freed with the run
+        # run k's X goes straight into run_single, which lets go of it
         result, wall = run_single(spec, k, next(runs)[1])
-        results.append(result)
-        walls.append(wall)
-    iters = [r.iters for r in results]
-    iter_times = np.concatenate([r.trace.wall_time[1:] for r in results])
-    converged = sum(1 for r in results if r.converged)
+        iters.append(result.iters)
+        reasons[result.reason] += 1
+        wall_sum += wall
+        iter_time_sum += float(result.trace.wall_time[1:].sum())
+        del result  # now, not when run k + 1 rebinds it after its draw and solve
     summary = BenchSummary(
         solver=spec.solver,
         runs=spec.monte_carlo_runs,
-        converged_runs=converged,
-        convergence_rate=converged / spec.monte_carlo_runs,
+        converged_runs=reasons["converged"],
+        convergence_rate=reasons["converged"] / spec.monte_carlo_runs,
         mean_iterations=float(np.mean(iters)),
         median_iterations=float(statistics.median(iters)),
-        mean_wall_time_s=float(np.mean(walls)),
-        mean_iter_time_s=float(np.mean(iter_times)) if iter_times.size else 0.0,
-        stop_reasons=dict(sorted(collections.Counter(r.reason for r in results).items())),
+        mean_wall_time_s=wall_sum / spec.monte_carlo_runs,
+        mean_iter_time_s=iter_time_sum / sum(iters) if sum(iters) else 0.0,
+        stop_reasons=dict(sorted(reasons.items())),
     )
     write_summary_csv(summary, out / "summary.csv")
     write_timing_csv(summary, out / "timing.csv")

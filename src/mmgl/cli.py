@@ -8,6 +8,7 @@ data errors.
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -75,7 +76,8 @@ def _add_generation_args(sub):
 def _experiment_spec(args, parser):
     """The ExperimentSpec that parsed flags describe. Each flag's dest names
     the ExperimentSpec or SolverConfig field it sets; None means not given,
-    so the field keeps its default."""
+    so the field keeps its default. A value a dataclass refuses is a usage
+    error that names the flag, not the field."""
     given = {k: v for k, v in vars(args).items() if v is not None}
     if "signals_path" in given:
         given["family"] = "signals-file"
@@ -83,20 +85,34 @@ def _experiment_spec(args, parser):
         given["family"] = "graph-file"
     if given["family"] != "signals-file" and "seed" not in given:
         parser.error("--seed is required when signals are generated")
+    flags = _flags_by_dest(parser)
     try:
         config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
                                  if f.name in given})
         spec = bench.ExperimentSpec(solver_config=config, **{
             f.name: given[f.name] for f in dataclasses.fields(bench.ExperimentSpec) if f.name in given})
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
     # a changed setting that the chosen solver does not read is refused, not echoed
-    unread = {"mm": {"tol": "--tol"},
-              "newton-oracle": {"epsilon": "--epsilon", "elimination_threshold": "--elim-threshold"}}
-    for name, flag in unread[spec.solver].items():
+    unread = {"mm": ("tol",), "newton-oracle": ("epsilon", "elimination_threshold")}
+    for name in unread[spec.solver]:
         if getattr(config, name) != getattr(SolverConfig, name):
-            parser.error(f"{flag} does not apply to --solver {spec.solver}")
+            parser.error(f"{flags[name]} does not apply to --solver {spec.solver}")
     return spec
+
+
+def _flags_by_dest(parser):
+    """The option string that sets each spec or config field, in parser and
+    its subcommands: monte_carlo_runs -> --runs."""
+    fields = {f.name for cls in (bench.ExperimentSpec, SolverConfig) for f in dataclasses.fields(cls)}
+    flags = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags.update(_flags_by_dest(sub))
+        elif action.dest in fields and action.option_strings:
+            flags[action.dest] = action.option_strings[0]
+    return flags
 
 
 def _cmd_gen(args, parser):

@@ -104,16 +104,20 @@ def laplacian_pinv(g):
     return g.signal_root @ g.signal_root
 
 
-def gen_signals(g, model, seed):
+def gen_signals(g, model, seed, scratch=None):
     """Sample a p x n data matrix with i.i.d. columns from
     N(0, L_pinv + sigma^2 I).
 
     Realized as L_pinv^(1/2) Z + sigma E with Z drawn before E, so a seed
     pins the output exactly. E is drawn into Z's buffer once the product
-    is formed, so at most two p x n arrays are live.
+    is formed, so at most two p x n arrays are live. scratch, a C-ordered
+    float64 p x n array, is that buffer if given: a batch passes one for
+    all its runs, so the draws reuse its pages. Its contents are
+    overwritten and the bytes returned are the same either way; the result
+    is always a fresh array that shares no memory with scratch.
     """
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((g.p, model.n))
+    Z = rng.standard_normal((g.p, model.n), out=scratch)
     X = g.signal_root @ Z
     E = rng.standard_normal(Z.shape, out=Z)
     E *= model.sigma

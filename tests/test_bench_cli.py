@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,71 @@ def test_montecarlo_seeds_differ(tmp_path):
     assert (tmp_path / "a" / "edges_run1.csv").exists()
     assert (tmp_path / "a" / "spec.echo").exists()
     assert (tmp_path / "a" / "timing.csv").exists()
+
+
+def test_run_data_yields_signals_that_share_no_memory(tmp_path):
+    spec = small_spec(tmp_path, monte_carlo_runs=3)
+    runs = bench.run_data(spec)
+    (g0, X0), (g1, X1) = next(runs), next(runs)
+    assert not np.shares_memory(X0, X1)
+    model = dg.SignalModel(sigma=spec.sigma, n=spec.n)
+    # drawing run 1 left run 0's signals as they were
+    assert X0.tobytes() == dg.gen_signals(g0, model, spec.seed).tobytes()
+    assert X1.tobytes() == dg.gen_signals(g1, model, spec.seed + 1).tobytes()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller keeps its call's arguments alive until the call returns")
+def test_montecarlo_signals_are_not_live_during_the_solve(tmp_path, monkeypatch):
+    signals = []
+    gen_signals, solve = dg.gen_signals, ms.solve
+
+    def recorded_gen(*args):
+        X = gen_signals(*args)
+        signals.append(weakref.ref(X))
+        return X
+
+    def checked_solve(*args):
+        assert [ref() for ref in signals] == [None] * len(signals)
+        return solve(*args)
+
+    monkeypatch.setattr(dg, "gen_signals", recorded_gen)
+    monkeypatch.setattr(ms, "solve", checked_solve)
+    bench.run_montecarlo(small_spec(tmp_path, monte_carlo_runs=2))
+    assert len(signals) == 2
+
+
+def test_montecarlo_memory_does_not_grow_with_runs(tmp_path, traced_peak):
+    # each run's 19900 weights are 159 kB; a batch that kept its finished
+    # runs would hold 20 of them at the end of the 20-run batch
+    peaks = {}
+    for runs in (1, 2, 20):  # the 1-run batch warms the caches of p = 200
+        spec = small_spec(tmp_path, p=200, prob_edge=0.1, n=20, alpha=100.0, beta=1e4,
+                          monte_carlo_runs=runs, out_dir=str(tmp_path / f"runs{runs}"))
+        peaks[runs] = traced_peak(lambda: bench.run_montecarlo(spec))
+    assert peaks[20] <= 1.2 * peaks[2]
+
+
+def test_montecarlo_timing_csv_means_over_runs(tmp_path, monkeypatch):
+    # a mix of run lengths, so a mean of per-run means would differ
+    runs = []
+    run_single = bench.run_single
+
+    def recorded(*args):
+        result, wall = run_single(*args)
+        runs.append((result.trace.wall_time[1:], wall))
+        return result, wall
+
+    monkeypatch.setattr(bench, "run_single", recorded)
+    spec = small_spec(tmp_path, p=20, alpha=10.0, beta=10.0, monte_carlo_runs=4)
+    bench.run_montecarlo(spec)
+    iter_times = np.concatenate([t for t, _ in runs])
+    assert len({t.size for t, _ in runs}) > 1
+    header, row = (Path(spec.out_dir) / "timing.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "mean_wall_time_s,mean_iter_time_s"
+    wall, iter_time = map(float, row.split(","))
+    assert wall == pytest.approx(np.mean([w for _, w in runs]), rel=1e-12)
+    assert iter_time == pytest.approx(np.mean(iter_times), rel=1e-12)
 
 
 def test_montecarlo_summary_deterministic_bytes(tmp_path):
@@ -477,7 +543,10 @@ def test_cli_settings_the_dataclasses_refuse_are_usage_errors(tmp_path, monkeypa
     with pytest.raises(SystemExit) as excinfo:
         cli.main([*argv, "--out", "x"])
     assert excinfo.value.code == 2
-    assert "error: " in capsys.readouterr().err
+    # the message names the flag typed, not the field it sets
+    err = capsys.readouterr().err
+    assert "error: " in err and argv[-2] in err, err
+    assert not re.search(r"monte_carlo_runs|max_iters|elimination_threshold", err), err
     assert not (tmp_path / "x").exists()
 
 

@@ -10,12 +10,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args, returncode=0):
+    """script_process, checked for its exit code; returns its stdout lines."""
+    out = script_process(name, *args)
+    assert out.returncode == returncode, out.stderr
+    return out.stdout.splitlines()
+
+
+def script_process(name, *args):
     """Run scripts/<name> with src/ on the path; RuntimeWarnings are errors."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args]
-    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == returncode, out.stderr
-    return out.stdout.splitlines()
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_run_er_benchmark_smoke(tmp_path):
@@ -55,5 +60,8 @@ def test_tune_hyperparams_smoke():
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_tune_hyperparams_refuses_no_seeds(seeds):
-    # no instance to score would print a grid of nan; the spec refuses it
-    assert run_script("tune_hyperparams.py", "--p", "20", "--seeds", seeds, returncode=2) == []
+    # no instance to score would print a grid of nan; the spec refuses it,
+    # naming the flag typed
+    out = script_process("tune_hyperparams.py", "--p", "20", "--seeds", seeds)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert f"error: need --seeds >= 1, got {seeds}" in out.stderr, out.stderr
