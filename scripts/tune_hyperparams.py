@@ -68,6 +68,13 @@ def main():
                         default=[1.0, 10.0, 100.0, 1000.0, 3000.0, 10000.0, 30000.0])
     args = parser.parse_args()
     spec = cli._experiment_spec(args, parser)
+    # every grid value passes ProblemInstance's check before the first row prints
+    for flag, key in (("--alphas", "alpha"), ("--betas", "beta")):
+        for value in getattr(args, key + "s"):
+            try:
+                gm.ProblemInstance(p=2, d=[0.0], **{"alpha": 1.0, "beta": 1.0, key: value})
+            except ValueError as exc:
+                parser.error(f"{flag} {value}: {exc}")
 
     instances = [(g, gm.pairwise_distances(X)) for g, X in bench.run_data(spec)]
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import data_gen, graph_model, mm_solver
 
-SOLVERS = ("mm", "newton-oracle")
+# each solver, with the SolverConfig fields that it does not read
+SOLVERS = {"mm": ("tol",), "newton-oracle": ("epsilon", "elimination_threshold")}
 GENERATED = ("er", "sbm")
 FAMILIES = GENERATED + ("graph-file", "signals-file")
 # ExperimentSpec fields that only signal generation reads
@@ -57,6 +58,12 @@ class ExperimentSpec:
             raise ValueError(f"need monte_carlo_runs >= 1, got {self.monte_carlo_runs}")
         if self.family == "signals-file" and self.monte_carlo_runs > 1:
             raise ValueError("a signals file is one instance, so use --runs 1 or mmgl solve")
+        # a changed setting that the chosen solver does not read is refused, not echoed
+        for name in SOLVERS[self.solver]:
+            if getattr(self.solver_config, name) != getattr(mm_solver.SolverConfig, name):
+                raise ValueError(f"{name} does not apply to solver {self.solver}")
+        if self.family != "signals-file" and self.seed < 0:
+            raise ValueError(f"need seed >= 0, got {self.seed}")
 
 
 @dataclass

@@ -89,16 +89,10 @@ def _experiment_spec(args, parser):
     try:
         config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
                                  if f.name in given})
-        spec = bench.ExperimentSpec(solver_config=config, **{
+        return bench.ExperimentSpec(solver_config=config, **{
             f.name: given[f.name] for f in dataclasses.fields(bench.ExperimentSpec) if f.name in given})
     except ValueError as exc:
         parser.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
-    # a changed setting that the chosen solver does not read is refused, not echoed
-    unread = {"mm": ("tol",), "newton-oracle": ("epsilon", "elimination_threshold")}
-    for name in unread[spec.solver]:
-        if getattr(config, name) != getattr(SolverConfig, name):
-            parser.error(f"{flags[name]} does not apply to --solver {spec.solver}")
-    return spec
 
 
 def _flags_by_dest(parser):

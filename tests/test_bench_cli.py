@@ -48,6 +48,24 @@ def test_experiment_spec_validation(tmp_path):
         small_spec(tmp_path, monte_carlo_runs=0)
     with pytest.raises(ValueError, match="--runs 1 or mmgl solve"):
         small_spec(tmp_path, family="signals-file", signals_path="x.csv", monte_carlo_runs=2)
+    with pytest.raises(ValueError, match="need seed >= 0, got -1"):
+        small_spec(tmp_path, seed=-1)
+    # a signals file reads no seed
+    assert small_spec(tmp_path, family="signals-file", signals_path="x.csv", seed=-1).seed == -1
+
+
+def test_experiment_spec_refuses_settings_the_solver_does_not_read(tmp_path):
+    with pytest.raises(ValueError, match="epsilon does not apply to solver newton-oracle"):
+        bench.ExperimentSpec(solver="newton-oracle", solver_config=ms.SolverConfig(epsilon=1e-6))
+    with pytest.raises(ValueError, match="tol does not apply to solver mm"):
+        small_spec(tmp_path, solver_config=ms.SolverConfig(tol=1e-9))
+    # a spec derived from a valid one is checked again
+    mm_spec = small_spec(tmp_path, solver_config=ms.SolverConfig(epsilon=1e-6))
+    with pytest.raises(ValueError, match="epsilon does not apply to solver newton-oracle"):
+        dataclasses.replace(mm_spec, solver="newton-oracle")
+    # a changed setting that the chosen solver reads is kept
+    oracle = small_spec(tmp_path, solver="newton-oracle", solver_config=ms.SolverConfig(tol=1e-9))
+    assert oracle.solver_config.tol == 1e-9
 
 
 def test_run_single_writes_trace_and_edges(tmp_path):
@@ -536,6 +554,7 @@ def test_cli_usage_errors(tmp_path):
     ["solve", "--family", "er", "--seed", "1", "--max-iters", "0"],
     ["solve", "--family", "er", "--seed", "1", "--elim-threshold", "-1"],
     ["bench", "--signals", "x.csv", "--runs", "2"],  # a signals file is one instance
+    ["bench", "--family", "er", "--seed", "-1"],
 ])
 def test_cli_settings_the_dataclasses_refuse_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -23,30 +23,6 @@ def script_process(name, *args):
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_run_er_benchmark_smoke(tmp_path):
-    lines = run_script("run_er_benchmark.py", "--runs", "2", "--sizes", "20", "--seed", "1",
-                       "--out", str(tmp_path))
-    assert lines[0].split() == ["setting", "solver", "mean", "median", "time[s]"]
-    assert len(lines) == 2
-    assert re.fullmatch(r"\s+er p=20\s+mm\s+\d+\.\d\d\s+\d+\.\d\s+\d+\.\d{4}", lines[1])
-    assert (tmp_path / "er20-mm" / "summary.csv").exists()
-    assert sorted(q.name for q in (tmp_path / "er20-mm").glob("edges_run*.csv")) == [
-        "edges_run0.csv", "edges_run1.csv"]
-
-
-def test_run_er_benchmark_names_stop_reasons(tmp_path):
-    # the oracle meets its default tol after 35, 35 and 46 steps on seeds
-    # 5, 6 and 7, and MM converges within the cap, so a cap of 40 on both
-    # stops only the oracle's third run
-    lines = run_script("run_er_benchmark.py", "--sizes", "30", "--runs", "3", "--seed", "5",
-                       "--alpha", "10", "--beta", "10", "--with-oracle", "--max-iters", "40",
-                       "--out", str(tmp_path))
-    assert len(lines) == 3
-    assert lines[2].split()[2] == "newton-oracle"
-    assert lines[2].endswith("  (stop reasons: converged 2, max_iters 1)")
-    assert not any("cap" in line for line in lines)
-
-
 def test_tune_hyperparams_smoke():
     lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "1")
     assert lines[0].split() == ["alpha", "beta", "F1", "iters"]
@@ -65,3 +41,19 @@ def test_tune_hyperparams_refuses_no_seeds(seeds):
     out = script_process("tune_hyperparams.py", "--p", "20", "--seeds", seeds)
     assert (out.returncode, out.stdout) == (2, "")
     assert f"error: need --seeds >= 1, got {seeds}" in out.stderr, out.stderr
+
+
+def test_tune_hyperparams_refuses_a_negative_base_seed():
+    out = script_process("tune_hyperparams.py", "--p", "20", "--seeds", "1", "--base-seed", "-1")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "error: need --base-seed >= 0, got -1" in out.stderr, out.stderr
+
+
+@pytest.mark.parametrize("flags", [["--alphas", "1", "-1"], ["--betas", "10", "0"], ["--betas", "nan"]])
+def test_tune_hyperparams_refuses_grid_values_before_any_row(flags):
+    # ProblemInstance's check, run on every grid value before the grid
+    # prints, names the flag and the value
+    out = script_process("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "1", *flags)
+    assert (out.returncode, out.stdout) == (2, "")
+    value = float(flags[-1])
+    assert f"error: {flags[0]} {value}: need finite alpha > 0 and beta > 0" in out.stderr, out.stderr
