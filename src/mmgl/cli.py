@@ -8,6 +8,7 @@ data errors.
 
 import argparse
 import dataclasses
+import functools
 import re
 import sys
 from pathlib import Path
@@ -76,8 +77,9 @@ def _add_generation_args(sub):
 def _experiment_spec(args, parser):
     """The ExperimentSpec that parsed flags describe. Each flag's dest names
     the ExperimentSpec or SolverConfig field it sets; None means not given,
-    so the field keeps its default. A value a dataclass refuses is a usage
-    error that names the flag, not the field."""
+    so the field keeps its default. parser is the one that declared the
+    flags, a subcommand's own: a value a dataclass refuses is a usage error
+    reported through it, naming the flag, not the field."""
     given = {k: v for k, v in vars(args).items() if v is not None}
     if "signals_path" in given:
         given["family"] = "signals-file"
@@ -96,17 +98,10 @@ def _experiment_spec(args, parser):
 
 
 def _flags_by_dest(parser):
-    """The option string that sets each spec or config field, in parser and
-    its subcommands: monte_carlo_runs -> --runs."""
+    """The option string of parser that sets each spec or config field:
+    monte_carlo_runs -> --runs."""
     fields = {f.name for cls in (bench.ExperimentSpec, SolverConfig) for f in dataclasses.fields(cls)}
-    flags = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags.update(_flags_by_dest(sub))
-        elif action.dest in fields and action.option_strings:
-            flags[action.dest] = action.option_strings[0]
-    return flags
+    return {a.dest: a.option_strings[0] for a in parser._actions if a.dest in fields and a.option_strings}
 
 
 def _cmd_gen(args, parser):
@@ -140,7 +135,7 @@ def _cmd_bench(args, parser):
     return EXIT_OK if summary.converged_runs == summary.runs else EXIT_MAX_ITERS
 
 
-def _cmd_plotdata(args, parser):
+def _cmd_plotdata(args):
     count = bench.plot_data(args.experiment_dirs, args.out)
     print(f"wrote {args.out} ({count} traces)")
     return EXIT_OK
@@ -160,17 +155,17 @@ def build_parser():
     _add_generation_args(p_gen)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
-    p_gen.set_defaults(func=_cmd_gen)
+    p_gen.set_defaults(func=functools.partial(_cmd_gen, parser=p_gen))
 
     p_solve = sub.add_parser("solve", help="solve one instance and write its trace and edge list")
     _add_run_args(p_solve)
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=functools.partial(_cmd_solve, parser=p_solve))
 
     p_bench = sub.add_parser("bench", help="Monte-Carlo batch over seeded instances")
     _add_run_args(p_bench)
     p_bench.add_argument("--runs", dest="monte_carlo_runs", metavar="RUNS", type=int, default=100,
                          help="Monte-Carlo run count (default %(default)s)")
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=functools.partial(_cmd_bench, parser=p_bench))
 
     p_plot = sub.add_parser("plotdata", help="merge experiment traces into one tidy CSV")
     p_plot.add_argument("experiment_dirs", nargs="+", metavar="DIR")
@@ -183,7 +178,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -98,12 +98,6 @@ def laplacian(g):
     return np.diag(W.sum(axis=1)) - W
 
 
-def laplacian_pinv(g):
-    """Moore-Penrose pseudo-inverse of the Laplacian, the square of
-    g.signal_root."""
-    return g.signal_root @ g.signal_root
-
-
 def gen_signals(g, model, seed, scratch=None):
     """Sample a p x n data matrix with i.i.d. columns from
     N(0, L_pinv + sigma^2 I).

@@ -8,9 +8,9 @@ vectorized form; the adjacency matrix is only materialized on demand.
 
 The edge kernels (node_degrees, inverse_degrees, objective_value,
 gradient_value, kkt_residual) take explicit edge arrays (w, d, I, J) and
-check nothing, so the solvers can run them on any edge subset. The public functions
-(degrees, objective, objective_gradient) validate their inputs and then
-call the same kernels.
+check nothing, so the solvers can run them on any edge subset. The public
+functions degrees and objective validate their inputs and then call the
+same kernels.
 
 Every file mmgl writes goes through _write_text (UTF-8, LF line ends) and
 every CSV file it reads through _csv_rows (errors name `path:line`).
@@ -216,19 +216,6 @@ def objective(w, prob):
     w = checked_weights(w, prob.m)
     I, J = edge_pairs(prob.p)
     return objective_value(w, prob.d, node_degrees(w, I, J, prob.p), prob.alpha, prob.beta)
-
-
-def objective_gradient(w, prob):
-    """Gradient of f at an interior point: 2 d_j + 2 beta w_j - alpha (1/deg_a + 1/deg_b).
-
-    Requires every node degree strictly positive.
-    """
-    w = checked_weights(w, prob.m)
-    I, J = edge_pairs(prob.p)
-    deg = node_degrees(w, I, J, prob.p)
-    if np.any(deg <= 0):
-        raise ValueError("gradient undefined: some node degree is zero")
-    return gradient_value(w, prob.d, deg, I, J, prob.alpha, prob.beta)
 
 
 def _csv_rows(path, ncols=None, header=False):

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import (
-    checked_weights, edge_pairs, gradient_value, inverse_degrees, kkt_residual, node_degrees, objective_value)
+from .graph_model import edge_pairs, gradient_value, inverse_degrees, kkt_residual, node_degrees, objective_value
 
 
 @dataclass
@@ -128,42 +127,16 @@ def _all_ones_start(p, I, J, d, alpha, beta):
     return w, deg, f, [(f, d.size, 0.0)]
 
 
-def compute_c(w, prob):
-    """Surrogate coefficients c_j = alpha * w_j * (1/deg_a + 1/deg_b).
-
-    deg_a, deg_b are the current degrees of edge j's endpoints. c_j = 0
-    exactly when w_j = 0, and sum(c) = alpha * (number of nodes with
-    positive degree).
-    """
-    w = checked_weights(w, prob.m)
-    I, J = edge_pairs(prob.p)
-    inv = inverse_degrees(node_degrees(w, I, J, prob.p))
-    return _coefficients(w, inv, I, J, prob.alpha)
-
-
 def _coefficients(w, inv, I, J, alpha):
+    """Surrogate coefficients c_j = alpha w_j (1/deg_a + 1/deg_b) from the
+    inverse degrees inv; c_j = 0 exactly where w_j = 0."""
     return alpha * w * (inv.take(I) + inv.take(J))
 
 
-def mm_update(c, prob):
-    """Closed-form minimizer of the separable surrogate.
-
-    The current weights enter only through c. Each output w_j is the unique
-    nonnegative root of 2 d_j w_j + 2 beta w_j^2 - c_j = 0, computed in the
-    rationalized form c_j / (d_j + sqrt(d_j^2 + 2 beta c_j)) to avoid
-    cancellation; c_j = 0 maps to exactly 0, with no warning, also where
-    d_j = 0.
-    """
-    c = checked_weights(c, prob.m)
-    d = prob.d
-    with np.errstate(invalid="ignore"):
-        w_new = _root_update(d, d * d, c, 2.0 * prob.beta)
-    w_new[c == 0] = 0.0
-    return w_new
-
-
 def _root_update(d, dd, c, two_beta):
-    """Unmasked root c / (d + sqrt(dd + two_beta c)) with dd = d * d.
+    """Unmasked nonnegative root of 2 d w + two_beta w^2 = c, the surrogate's
+    minimizer, in the cancellation-free form c / (d + sqrt(dd + two_beta c))
+    with dd = d * d.
 
     Gives 0 where c = 0 < d, and 0/0 = nan where c = d = 0: the caller
     clears those entries.

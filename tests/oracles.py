@@ -3,13 +3,22 @@
 brute_force is a grid search plus cyclic coordinate bisection for tiny
 instances, used to certify the global optimum reached by the MM iterations.
 surrogate_value is the Jensen surrogate the MM step minimizes, used to check
-that it majorizes f. Neither runs in the package; tests import them from here.
+that it majorizes f.
+
+compute_c and mm_update are one MM step written from the paper's formulas
+on full-length arrays: the surrogate coefficients, then the surrogate's
+closed-form minimizer. They keep the association of the solver loop, so
+tests compare solve's iterates with them bit for bit. objective_gradient is
+the gradient of f, and laplacian_pinv is numpy's SVD pseudo-inverse of the
+ground-truth Laplacian. None of them runs in the package; tests import them
+from here.
 """
 
 import itertools
 
 import numpy as np
 
+from mmgl.data_gen import laplacian
 from mmgl.graph_model import checked_weights, edge_pairs, inverse_degrees, node_degrees, objective
 
 
@@ -108,3 +117,51 @@ def surrogate_value(w, w_k, prob):
     ratio = w / w_k
     barrier = w_k * (inv[I] * np.log(deg[I] * ratio) + inv[J] * np.log(deg[J] * ratio))
     return 2.0 * w @ prob.d + prob.beta * (w @ w) - prob.alpha * np.sum(barrier)
+
+
+def _degrees(w, p):
+    """Row-major edge endpoints I, J and the node degrees S w, as a bincount
+    over I plus a bincount over J."""
+    I, J = np.triu_indices(p, k=1)
+    return I, J, np.bincount(I, weights=w, minlength=p) + np.bincount(J, weights=w, minlength=p)
+
+
+def compute_c(w, prob):
+    """Surrogate coefficients c_j = alpha * w_j * (1/deg_a + 1/deg_b), where
+    deg_a, deg_b are the degrees of edge j's endpoints at w and a zero
+    degree adds 0. c_j = 0 exactly when w_j = 0, and
+    sum(c) = alpha * (number of nodes with positive degree)."""
+    w = checked_weights(w, prob.m)
+    I, J, deg = _degrees(w, prob.p)
+    inv = np.zeros(prob.p)
+    np.divide(1.0, deg, out=inv, where=deg > 0)
+    return prob.alpha * w * (inv[I] + inv[J])
+
+
+def mm_update(c, prob):
+    """Closed-form minimizer of the separable surrogate: each w_j is the
+    nonnegative root of 2 d_j w_j + 2 beta w_j^2 - c_j = 0, in the
+    rationalized form c_j / (d_j + sqrt(d_j^2 + 2 beta c_j)). c_j = 0 maps
+    to exactly 0, with no warning, also where d_j = 0."""
+    c = checked_weights(c, prob.m)
+    d = prob.d
+    with np.errstate(invalid="ignore"):
+        w = c / (d + np.sqrt(d * d + 2.0 * prob.beta * c))
+    w[c == 0] = 0.0
+    return w
+
+
+def objective_gradient(w, prob):
+    """Gradient of f at an interior point, 2 d_j + 2 beta w_j - alpha (1/deg_a + 1/deg_b);
+    ValueError when some node degree is zero."""
+    w = checked_weights(w, prob.m)
+    I, J, deg = _degrees(w, prob.p)
+    if np.any(deg <= 0):
+        raise ValueError("gradient undefined: some node degree is zero")
+    return 2.0 * prob.d + 2.0 * prob.beta * w - prob.alpha * (1.0 / deg[I] + 1.0 / deg[J])
+
+
+def laplacian_pinv(g):
+    """Moore-Penrose pseudo-inverse of the ground-truth Laplacian from
+    numpy's SVD, with singular values below 1e-9 of the largest cut."""
+    return np.linalg.pinv(laplacian(g), rcond=1e-9, hermitian=True)

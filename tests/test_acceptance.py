@@ -208,7 +208,7 @@ def test_criterion_9_gradient_consistency():
                                   alpha=float(rng.uniform(0.2, 5)),
                                   beta=float(rng.uniform(0.2, 5)))
         w = rng.uniform(0.5, 2.0, m)
-        grad = gm.objective_gradient(w, prob)
+        grad = gm.gradient_value(w, prob.d, gm.degrees(w, p), *gm.edge_pairs(p), prob.alpha, prob.beta)
         for j in range(m):
             h = 1e-6 * max(1.0, abs(w[j]))
             e = np.zeros(m)

@@ -539,13 +539,16 @@ def test_cli_gen_signals_round_trip_bit_identical(tmp_path, family, gen):
     assert np.array_equal(gm.load_signals_csv(out / "signals.csv"), X)
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["solve", "--out", str(tmp_path / "x")])  # no problem source
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["bench", "--family", "er", "--out", str(tmp_path / "y")])  # no seed
     assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mmgl solve ") and "usage: mmgl bench " in err, err
+    assert "mmgl bench: error: --seed is required" in err, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -562,9 +565,11 @@ def test_cli_settings_the_dataclasses_refuse_are_usage_errors(tmp_path, monkeypa
     with pytest.raises(SystemExit) as excinfo:
         cli.main([*argv, "--out", "x"])
     assert excinfo.value.code == 2
-    # the message names the flag typed, not the field it sets
+    # the message names the flag typed, not the field it sets, under the
+    # usage of the subcommand that declared the flag
     err = capsys.readouterr().err
-    assert "error: " in err and argv[-2] in err, err
+    assert err.startswith(f"usage: mmgl {argv[0]} "), err
+    assert f"mmgl {argv[0]}: error: " in err and argv[-2] in err, err
     assert not re.search(r"monte_carlo_runs|max_iters|elimination_threshold", err), err
     assert not (tmp_path / "x").exists()
 
@@ -686,6 +691,20 @@ def test_readme_quick_start_runs(capsys):
     exec(compile("\n" * readme.count("\n", 0, start) + code, "README.md", "exec"), {})
     converged, iters, f_star = capsys.readouterr().out.split()
     assert converged == "True" and int(iters) > 0 and np.isfinite(float(f_star))
+
+
+def test_package_exports_the_product_api():
+    # the solver, its generators and its problem model; the reference
+    # versions of the single MM step, the gradient and the Laplacian
+    # pseudo-inverse live in tests/oracles.py
+    assert set(mmgl.__all__) == {
+        "GroundTruthGraph", "ProblemInstance", "SignalModel", "SolveResult", "SolverConfig",
+        "assemble", "degrees", "edge_index", "gen_er", "gen_sbm", "gen_signals",
+        "newton_solve", "objective", "pairwise_distances", "solve"}
+    assert all(hasattr(mmgl, name) for name in mmgl.__all__)
+    for module in (mmgl, ms, dg, gm):
+        for name in ("compute_c", "mm_update", "laplacian_pinv", "objective_gradient"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_import_does_not_load_scipy():

