@@ -21,8 +21,9 @@ from . import data_gen, graph_model, mm_solver
 
 # each solver, with the SolverConfig fields that it does not read
 SOLVERS = {"mm": ("tol",), "newton-oracle": ("epsilon", "elimination_threshold")}
-GENERATED = ("er", "sbm")
-FAMILIES = GENERATED + ("graph-file", "signals-file")
+# each generated family, with the ExperimentSpec fields of its edge probabilities
+GENERATED = {"er": ("prob_edge",), "sbm": ("p_in", "p_out")}
+FAMILIES = (*GENERATED, "graph-file", "signals-file")
 # ExperimentSpec fields that only signal generation reads
 SIGNALS_UNREAD = ("seed", "sigma", "prob_edge", "p_in", "p_out", "graph_path")
 
@@ -64,6 +65,13 @@ class ExperimentSpec:
                 raise ValueError(f"{name} does not apply to solver {self.solver}")
         if self.family != "signals-file" and self.seed < 0:
             raise ValueError(f"need seed >= 0, got {self.seed}")
+        # each setting that the run reads must pass the rule of the code that reads it
+        if self.family in GENERATED:
+            graph_model.num_edges(self.p)  # refuses p < 2
+            data_gen.check_probabilities(**{name: getattr(self, name) for name in GENERATED[self.family]})
+        if self.family != "signals-file":
+            data_gen.SignalModel(sigma=self.sigma, n=self.n)
+        graph_model.ProblemInstance(p=2, d=[0.0], alpha=self.alpha, beta=self.beta)  # on a stand-in d
 
 
 @dataclass

@@ -32,8 +32,6 @@ class GroundTruthGraph:
     w_true: np.ndarray
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"need p >= 2, got p={self.p}")
         # frozen, with a private read-only copy, so signal_root always matches
         w = checked_weights(np.array(self.w_true, dtype=float), num_edges(self.p))
         w.setflags(write=False)
@@ -66,13 +64,17 @@ class SignalModel:
             raise ValueError(f"need finite sigma >= 0, got {self.sigma}")
 
 
+def check_probabilities(**probs):
+    """ValueError naming the first edge probability in probs outside [0, 1]."""
+    for name, prob in probs.items():
+        if not 0 <= prob <= 1:
+            raise ValueError(f"need {name} in [0, 1], got {prob}")
+
+
 def gen_er(p, prob_edge, seed):
     """Erdos-Renyi graph: each potential edge present independently with
     probability prob_edge, unit weight when present."""
-    if not 0 <= prob_edge <= 1:
-        raise ValueError(f"edge probability must be in [0, 1], got {prob_edge}")
-    if p < 2:
-        raise ValueError(f"need p >= 2, got p={p}")
+    check_probabilities(prob_edge=prob_edge)
     rng = np.random.default_rng(seed)
     w = (rng.random(num_edges(p)) < prob_edge).astype(float)
     return GroundTruthGraph(p=p, w_true=w)
@@ -82,8 +84,7 @@ def gen_sbm(p, p_in, p_out, seed):
     """2-block stochastic block model: nodes split into halves of size
     floor(p/2) and ceil(p/2); intra-block edges appear with probability
     p_in, inter-block with p_out."""
-    if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
-        raise ValueError(f"edge probabilities must be in [0, 1], got {p_in}, {p_out}")
+    check_probabilities(p_in=p_in, p_out=p_out)
     rng = np.random.default_rng(seed)
     membership = np.arange(p) >= p // 2
     I, J = edge_pairs(p)

@@ -6,11 +6,10 @@ vector w of length m = p(p-1)/2 holding the strict upper triangle of the
 adjacency matrix W in row-major order. All solvers operate on this
 vectorized form; the adjacency matrix is only materialized on demand.
 
-The edge kernels (node_degrees, inverse_degrees, objective_value,
-gradient_value, kkt_residual) take explicit edge arrays (w, d, I, J) and
-check nothing, so the solvers can run them on any edge subset. The public
-functions degrees and objective validate their inputs and then call the
-same kernels.
+The edge kernels (node_degrees, objective_value, gradient_value,
+kkt_residual) take explicit edge arrays (w, d, I, J) and check nothing, so
+the solvers can run them on any edge subset. The public functions degrees
+and objective validate their inputs and then call the same kernels.
 
 Every file mmgl writes goes through _write_text (UTF-8, LF line ends) and
 every CSV file it reads through _csv_rows (errors name `path:line`).
@@ -36,7 +35,9 @@ _WRITE_BLOCK = 1 << 15
 
 
 def num_edges(p):
-    """Number of potential edges m = p(p-1)/2 for p nodes."""
+    """Number of potential edges m = p(p-1)/2 of a graph on p >= 2 nodes."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got p={p}")
     return p * (p - 1) // 2
 
 
@@ -59,8 +60,7 @@ def edge_index(i, j, p):
 @lru_cache(maxsize=64)
 def edge_pairs(p):
     """Endpoint arrays (I, J) for all m edges in canonical order (read-only)."""
-    if p < 2:
-        raise ValueError(f"need p >= 2, got p={p}")
+    num_edges(p)  # refuses p < 2
     I, J = np.triu_indices(p, k=1)
     I.setflags(write=False)
     J.setflags(write=False)
@@ -74,7 +74,7 @@ def checked_weights(w, m):
     if w.shape != (m,):
         raise ValueError(f"vector has length {w.shape}, expected ({m},)")
     if not np.all((w >= 0) & (w < np.inf)):
-        raise ValueError("weights must be finite and nonnegative")
+        raise ValueError("entries must be finite and nonnegative")
     return w
 
 
@@ -92,11 +92,6 @@ def node_degrees(w, I, J, p):
             + np.bincount(J, weights=w, minlength=p))
 
 
-def inverse_degrees(deg):
-    """1 / deg, with 0 in place of the inverse of a zero degree."""
-    return np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-
-
 def objective_value(w, d, deg, alpha, beta):
     """f from edge arrays and their node degrees; +inf when a degree is zero."""
     if deg.min() <= 0:
@@ -107,7 +102,7 @@ def objective_value(w, d, deg, alpha, beta):
 def gradient_value(w, d, deg, I, J, alpha, beta):
     """Gradient 2 d_j + 2 beta w_j - alpha (1/deg_a + 1/deg_b) over the edges
     (I, J); every degree must be positive."""
-    inv = inverse_degrees(deg)
+    inv = 1.0 / deg
     return 2.0 * d + 2.0 * beta * w - alpha * (inv[I] + inv[J])
 
 
@@ -187,15 +182,9 @@ class ProblemInstance:
     beta: float
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"need p >= 2, got p={self.p}")
         if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
             raise ValueError(f"need finite alpha > 0 and beta > 0, got alpha={self.alpha}, beta={self.beta}")
-        d = np.array(self.d, dtype=float)
-        if d.shape != (num_edges(self.p),):
-            raise ValueError(f"distance vector has length {d.shape}, expected ({num_edges(self.p)},)")
-        if not np.all(np.isfinite(d)) or np.any(d < 0):
-            raise ValueError("distance vector must be finite and nonnegative")
+        d = checked_weights(np.array(self.d, dtype=float), num_edges(self.p))
         d.setflags(write=False)
         self.d = d
 

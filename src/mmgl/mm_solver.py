@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import edge_pairs, gradient_value, inverse_degrees, kkt_residual, node_degrees, objective_value
+from .graph_model import edge_pairs, gradient_value, kkt_residual, node_degrees, objective_value
 
 
 @dataclass
@@ -197,7 +197,7 @@ def solve(prob, cfg=None, callback=None):
     with np.errstate(invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
             t_start = time.perf_counter()
-            c = _coefficients(w, inverse_degrees(deg), I, J, alpha)
+            c = _coefficients(w, 1.0 / deg, I, J, alpha)
             w = _root_update(d, dd, c, two_beta)
             live = w >= floor
             nnz = int(np.count_nonzero(live))

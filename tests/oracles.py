@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from mmgl.data_gen import laplacian
-from mmgl.graph_model import checked_weights, edge_pairs, inverse_degrees, node_degrees, objective
+from mmgl.graph_model import checked_weights, edge_pairs, node_degrees, objective
 
 
 def default_box_upper(prob):
@@ -113,7 +113,7 @@ def surrogate_value(w, w_k, prob):
         return np.inf
     I, J = edge_pairs(prob.p)
     deg = node_degrees(w_k, I, J, prob.p)
-    inv = inverse_degrees(deg)
+    inv = 1.0 / deg  # w_k > 0, so every degree is positive
     ratio = w / w_k
     barrier = w_k * (inv[I] * np.log(deg[I] * ratio) + inv[J] * np.log(deg[J] * ratio))
     return 2.0 * w @ prob.d + prob.beta * (w @ w) - prob.alpha * np.sum(barrier)

@@ -50,8 +50,30 @@ def test_experiment_spec_validation(tmp_path):
         small_spec(tmp_path, family="signals-file", signals_path="x.csv", monte_carlo_runs=2)
     with pytest.raises(ValueError, match="need seed >= 0, got -1"):
         small_spec(tmp_path, seed=-1)
-    # a signals file reads no seed
+    # a signals file reads no seed and no generation setting, a graph file
+    # no p and no edge probability, and ER no SBM probability
     assert small_spec(tmp_path, family="signals-file", signals_path="x.csv", seed=-1).seed == -1
+    small_spec(tmp_path, family="signals-file", signals_path="x.csv", n=0, sigma=-1.0, p=1, prob_edge=2.0)
+    small_spec(tmp_path, family="graph-file", graph_path="g.csv", p=1, prob_edge=2.0, p_out=-1.0)
+    small_spec(tmp_path, p_in=2.0, p_out=-1.0)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(n=0), "need n >= 1, got 0"),
+    (dict(sigma=-1.0), "need finite sigma >= 0, got -1.0"),
+    (dict(p=1), "need p >= 2, got p=1"),
+    (dict(prob_edge=2.0), "need prob_edge in [0, 1], got 2.0"),
+    (dict(family="sbm", p_in=1.5), "need p_in in [0, 1], got 1.5"),
+    (dict(family="graph-file", graph_path="g.csv", n=0), "need n >= 1, got 0"),
+    (dict(alpha=-1.0), "need finite alpha > 0 and beta > 0, got alpha=-1.0, beta=1.0"),
+    (dict(family="signals-file", signals_path="x.csv", beta=np.inf), "need finite alpha > 0 and beta > 0"),
+])
+def test_experiment_spec_refuses_run_settings_out_of_range(tmp_path, overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_spec(tmp_path, **overrides)
+    # a spec derived from a valid one is checked again
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(small_spec(tmp_path, family=overrides.get("family", "er")), **overrides)
 
 
 def test_experiment_spec_refuses_settings_the_solver_does_not_read(tmp_path):
@@ -558,6 +580,14 @@ def test_cli_usage_errors(tmp_path, capsys):
     ["solve", "--family", "er", "--seed", "1", "--elim-threshold", "-1"],
     ["bench", "--signals", "x.csv", "--runs", "2"],  # a signals file is one instance
     ["bench", "--family", "er", "--seed", "-1"],
+    # out-of-range generation settings, alpha and beta are refused as the
+    # spec is built, before anything is drawn or written
+    *[[cmd, "--family", "er", "--seed", "1", *bad] for cmd in ("solve", "bench", "gen")
+      for bad in (["--n", "0"], ["--p", "1"], ["--prob-edge", "2"])],
+    *[[cmd, "--family", "er", "--seed", "1", "--alpha", "-1"] for cmd in ("solve", "bench")],
+    ["gen", "--family", "sbm", "--seed", "1", "--p-out", "-0.5"],
+    ["bench", "--family", "sbm", "--seed", "1", "--sigma", "-1"],
+    ["solve", "--signals", "x.csv", "--beta", "0"],
 ])
 def test_cli_settings_the_dataclasses_refuse_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -570,22 +600,28 @@ def test_cli_settings_the_dataclasses_refuse_are_usage_errors(tmp_path, monkeypa
     err = capsys.readouterr().err
     assert err.startswith(f"usage: mmgl {argv[0]} "), err
     assert f"mmgl {argv[0]}: error: " in err and argv[-2] in err, err
-    assert not re.search(r"monte_carlo_runs|max_iters|elimination_threshold", err), err
+    assert not re.search(r"monte_carlo_runs|max_iters|elimination_threshold|prob_edge|p_out", err), err
     assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("flags", [
-    ["--family", "er", "--seed", "1", "--n", "0"],
-    ["--family", "er", "--seed", "1", "--p", "1"],
-    ["--family", "er", "--seed", "1", "--prob-edge", "2"],
-    ["--family", "er", "--seed", "1", "--alpha", "-1"],
     ["--signals", "bad.csv"],
+    ["--signals", "one-row.csv"],
+    ["--signals", "missing.csv"],
+    ["--graph", "bad-edges.csv", "--seed", "1"],
+    ["--graph", "header-only.csv", "--seed", "1"],
 ])
 def test_cli_run_whose_inputs_fail_leaves_no_bundle(tmp_path, monkeypatch, capsys, flags):
+    # a file that cannot be read or parsed is a data error (exit 1) that
+    # names the file
     monkeypatch.chdir(tmp_path)
     Path("bad.csv").write_text("1.0,2.0\nbroken\n", encoding="utf-8")
+    Path("one-row.csv").write_text("1.0,2.0\n", encoding="utf-8")
+    Path("bad-edges.csv").write_text("i,j,weight\n0,1,heavy\n", encoding="utf-8")
+    Path("header-only.csv").write_text("i,j,weight\n", encoding="utf-8")
     assert cli.main(["solve", *flags, "--out", "x"]) == cli.EXIT_IO
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flags[1] in err, err
     assert not (tmp_path / "x").exists()
 
 

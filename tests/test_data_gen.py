@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ def test_gen_er_degenerate_probabilities():
 
 
 def test_gen_er_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    # each message names the argument refused
+    with pytest.raises(ValueError, match=re.escape("need prob_edge in [0, 1], got 1.5")):
         dg.gen_er(10, 1.5, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need prob_edge in [0, 1], got -0.1")):
         dg.gen_er(10, -0.1, 0)
-    with pytest.raises(ValueError):
-        dg.gen_er(1, 0.5, 0)
+    # gen_er has no p check of its own: num_edges refuses p < 2 before any draw
+    with pytest.raises(ValueError, match=re.escape("need p >= 2, got p=1")):
+        dg.gen_er(1, 0.1, 0)
 
 
 def test_gen_er_edge_count_within_binomial_bound():
@@ -67,8 +70,10 @@ def test_gen_sbm_edge_counts_within_binomial_bounds():
 
 
 def test_gen_sbm_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need p_in in [0, 1], got 1.2")):
         dg.gen_sbm(10, 1.2, 0.1, 0)
+    with pytest.raises(ValueError, match=re.escape("need p_out in [0, 1], got nan")):
+        dg.gen_sbm(10, 0.5, float("nan"), 0)
 
 
 def test_generators_are_deterministic():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +296,10 @@ def test_signals_csv_reports_line_numbers(tmp_path):
         path.write_text(f"1.0,2.0\n3.0,{bad}\n4.0,5.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"x\.csv:2: non-finite entry"):
             gm.load_signals_csv(path)
+    # an error of the whole file names the file alone
+    path.write_text("1.0,2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: need at least 2 node rows, found 1")):
+        gm.load_signals_csv(path)
 
 
 def test_edges_csv_round_trip(tmp_path):
@@ -368,3 +373,13 @@ def test_edges_csv_rejects_duplicates_and_bad_rows(tmp_path):
     path.write_text("1,0,1.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"edges\.csv:1"):
         gm.load_edges_csv(path)
+    # each message names the file, and the line where the error has one
+    for text, p, message in [
+        ("i,j,weight\n0,1,1.0\n1,two,1.0\n", None, ":3: malformed edge row"),
+        ("0,1,1.0\n1,2,heavy\n", None, ":2: malformed edge row"),
+        ("i,j,weight\n", None, ": no edges found"),
+        ("i,j,weight\n0,1,1.0\n2,5,1.0\n", 4, ": node id 5 out of range for p=4"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            gm.load_edges_csv(path, p=p)
