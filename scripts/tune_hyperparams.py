@@ -23,23 +23,17 @@ from mmgl import mm_solver as ms
 
 
 def best_threshold_f1(w_learned, w_true):
-    """F1 of the learned support at the best cut over the weight range."""
+    """F1 of the learned support at the best of 60 geometric cuts over the
+    weight range, all scored in one broadcast; a cut with no true positive
+    scores 0."""
     true = w_true > 0
     pos = w_learned[w_learned > 0]
     if pos.size == 0 or not true.any():
         return 0.0
-    best = 0.0
-    for cut in np.geomspace(pos.min(), pos.max(), 60):
-        est = w_learned >= cut
-        tp = np.sum(est & true)
-        fp = np.sum(est & ~true)
-        fn = np.sum(~est & true)
-        if tp == 0:
-            continue
-        prec = tp / (tp + fp)
-        rec = tp / (tp + fn)
-        best = max(best, 2 * prec * rec / (prec + rec))
-    return best
+    est = w_learned >= np.geomspace(pos.min(), pos.max(), 60)[:, None]
+    tp = np.sum(est & true, axis=1)
+    prec, rec = tp / np.sum(est, axis=1), tp / np.sum(true)
+    return float(np.divide(2 * prec * rec, prec + rec, out=np.zeros(tp.size), where=tp > 0).max())
 
 
 def evaluate(alpha, beta, instances, config):

@@ -53,6 +53,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown graph family {self.family!r}")
+        path = {"graph-file": "graph_path", "signals-file": "signals_path"}.get(self.family)
+        if path and not getattr(self, path):
+            raise ValueError(f"need a nonempty {path} for a {self.family} spec")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.monte_carlo_runs < 1:

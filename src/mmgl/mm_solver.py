@@ -7,8 +7,9 @@ elimination. Each iteration majorizes the log-barrier via Jensen's
 inequality around the current iterate, which makes the surrogate separable
 per edge and gives a closed-form nonnegative quadratic-root update. A
 weight that reaches exact zero produces a zero coefficient and therefore
-stays zero forever, so eliminated edges are dropped from the working
-arrays as soon as 1% or more of them have retired.
+stays zero forever. Once 1% or more of the working edges have retired,
+the next iteration opens by dropping them from the working arrays; a run
+that stops compacts nothing more.
 
 The working arrays hold the edges in anti-diagonal order, sorted by i + j
 and then by i. Each node still meets its edges in ascending edge order, on
@@ -147,10 +148,7 @@ def _root_update(d, dd, c, two_beta):
 def _stop_test(f_prev, f_new, epsilon):
     # Relative change per the stopping rule; absolute fallback when the
     # denominator is exactly zero (f can cross zero through the log term).
-    if f_prev == 0.0:
-        return abs(f_new - f_prev) <= epsilon
-    change = abs((f_prev - f_new) / f_prev)
-    return change <= epsilon
+    return abs((f_prev - f_new) / (f_prev or 1.0)) <= epsilon
 
 
 def solve(prob, cfg=None, callback=None):
@@ -159,27 +157,30 @@ def solve(prob, cfg=None, callback=None):
 
     When the previous objective value is exactly zero the stopping rule
     falls back to the absolute change (f can cross zero through the log
-    term). Inputs are never mutated; the run is a pure function of
-    (prob, cfg). The callback, if given, is invoked after every iteration
-    as callback(k, w, c) with full-length arrays (a testing hook).
+    term); a non-finite f stops the run first. Inputs are never mutated;
+    the run is a pure function of (prob, cfg). The callback, if given, is
+    invoked after every iteration as callback(k, w, c) with full-length
+    arrays (a testing hook).
 
-    All reads come from the iteration-k snapshot and all writes go to the
+    All reads come from the iteration-k arrays and all writes go to the
     k+1 buffer; there are no cross-edge dependencies. One live mask per
     iteration, w >= max(threshold, smallest positive float), clamps the
-    retired edges to 0 (the clamp runs only when some edge is dead), counts
-    the active ones and selects the survivors at compaction. It also clears
-    the nan that the unmasked root gives a retired edge with d = 0, since
-    nan >= floor is false; the loop, callback included, runs under
-    np.errstate(invalid="ignore") so that this 0/0 stays silent. As soon as
-    1% or more of the working edges have retired, they are dropped from the
-    working arrays: w, d, the cached d * d, I, J and `orig`, which maps
-    array positions back to input edge ids for the callback and the final
-    scatter. The working arrays start in anti-diagonal order (by i + j,
-    then i; see the module docstring), which leaves w and the active
-    counts bit-identical to row-major order; only the last bits of f, whose
-    dot products sum in array order, depend on it. Each trace row's wall
-    time covers the whole iteration, compaction included, and not the
-    callback. Nothing is validated inside the loop.
+    retired edges to 0 (the clamp runs only when some edge is dead) and
+    counts the active ones. It also clears the nan that the unmasked root
+    gives a retired edge with d = 0, since nan >= floor is false; the loop,
+    callback included, runs under np.errstate(invalid="ignore") so that
+    this 0/0 stays silent. When that mask leaves 1% or more of the working
+    edges dead, the next iteration opens by keeping only its survivors in
+    w, d, the cached d * d, I, J and `orig`, which maps array positions
+    back to input edge ids for the callback and the final scatter. So the
+    callback sees the clamped arrays before any compaction, and a run that
+    stops compacts nothing more. The working arrays start in anti-diagonal
+    order (by i + j, then i; see the module docstring), which leaves w and
+    the active counts bit-identical to row-major order; only the last bits
+    of f, whose dot products sum in array order, depend on it. Each trace
+    row's wall time covers its iteration, from the compaction that opens
+    it to f, and runs outside the callback. Nothing is validated inside
+    the loop.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -192,11 +193,14 @@ def solve(prob, cfg=None, callback=None):
     dd = d * d
     floor = max(cfg.elimination_threshold, np.nextafter(0.0, 1.0))
     w, deg, f_prev, rows = _all_ones_start(p, I, J, d, alpha, beta)
+    nnz = m  # row 0's active count: iteration 1 has nothing to compact
     reason = "max_iters"
 
     with np.errstate(invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
             t_start = time.perf_counter()
+            if nnz < 0.99 * w.size:
+                w, d, dd, I, J, orig = w[live], d[live], dd[live], I[live], J[live], orig[live]
             c = _coefficients(w, 1.0 / deg, I, J, alpha)
             w = _root_update(d, dd, c, two_beta)
             live = w >= floor
@@ -205,22 +209,20 @@ def solve(prob, cfg=None, callback=None):
                 w[~live] = 0.0
             deg = node_degrees(w, I, J, p)
             f_new = objective_value(w, d, deg, alpha, beta)
-            # A non-finite f means some node lost its last edge, so f is +inf
-            # from here on: retired edges never return.
-            finite = math.isfinite(f_new)
-            converged = finite and bool(_stop_test(f_prev, f_new, cfg.epsilon))
-            w_k, orig_k = w, orig
-            if finite and not converged and nnz < 0.99 * w.size:
-                w, d, dd, I, J, orig = w[live], d[live], dd[live], I[live], J[live], orig[live]
             rows.append((f_new, nnz, time.perf_counter() - t_start))
             if callback is not None:
                 w_full = np.zeros(m)
-                w_full[orig_k] = w_k
+                w_full[orig] = w
                 c_full = np.zeros(m)
-                c_full[orig_k] = c
+                c_full[orig] = c
                 callback(k, w_full, c_full)
-            if converged or not finite:
-                reason = "converged" if converged else "non_finite"
+            # A non-finite f means some node lost its last edge, so f is +inf
+            # from here on: retired edges never return.
+            if not math.isfinite(f_new):
+                reason = "non_finite"
+                break
+            if _stop_test(f_prev, f_new, cfg.epsilon):
+                reason = "converged"
                 break
             f_prev = f_new
 

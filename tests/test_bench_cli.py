@@ -72,8 +72,19 @@ def test_experiment_spec_refuses_run_settings_out_of_range(tmp_path, overrides, 
     with pytest.raises(ValueError, match=re.escape(message)):
         small_spec(tmp_path, **overrides)
     # a spec derived from a valid one is checked again
+    base = {k: v for k, v in overrides.items() if k in ("family", "graph_path", "signals_path")}
     with pytest.raises(ValueError, match=re.escape(message)):
-        dataclasses.replace(small_spec(tmp_path, family=overrides.get("family", "er")), **overrides)
+        dataclasses.replace(small_spec(tmp_path, **base), **overrides)
+
+
+@pytest.mark.parametrize("family, path", [("graph-file", "graph_path"), ("signals-file", "signals_path")])
+def test_experiment_spec_refuses_file_family_without_its_path(tmp_path, family, path):
+    # refused as the spec is built, not later by a read of the path ''
+    with pytest.raises(ValueError, match=f"need a nonempty {path} for a {family} spec"):
+        small_spec(tmp_path, family=family)
+    spec = small_spec(tmp_path, family=family, **{path: "x.csv"})
+    with pytest.raises(ValueError, match=f"need a nonempty {path} for a {family} spec"):
+        dataclasses.replace(spec, **{path: ""})
 
 
 def test_experiment_spec_refuses_settings_the_solver_does_not_read(tmp_path):
@@ -588,6 +599,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     ["gen", "--family", "sbm", "--seed", "1", "--p-out", "-0.5"],
     ["bench", "--family", "sbm", "--seed", "1", "--sigma", "-1"],
     ["solve", "--signals", "x.csv", "--beta", "0"],
+    ["bench", "--seed", "1", "--graph", ""],
+    ["solve", "--signals", ""],
 ])
 def test_cli_settings_the_dataclasses_refuse_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

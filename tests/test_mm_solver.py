@@ -247,6 +247,7 @@ def test_stationarity_at_convergence_on_gapped_instances():
 
 def test_stop_test_absolute_fallback_at_zero():
     assert ms._stop_test(0.0, 5e-5, 1e-4)
+    assert ms._stop_test(-0.0, -5e-5, 1e-4)
     assert not ms._stop_test(0.0, 5e-3, 1e-4)
     assert ms._stop_test(100.0, 100.001, 1e-4)
 
@@ -351,12 +352,14 @@ def test_repeated_compaction_matches_uncompacted_run():
 # exactly 60 MM iterations, and of one converged newton_solve run. The MM
 # iterates use only elementwise IEEE arithmetic and in-order bincount sums,
 # no BLAS or LAPACK, so the w_star bytes are the same on every CPU. f also
-# goes through numpy dot products, whose rounding may depend on the BLAS
-# build, and the oracle iterates also go through a LAPACK solve of the
-# p x p Newton system. The MM f also depends on the layout of the working
-# arrays, which the dot products run over: their anti-diagonal order (by
-# i + j, then i) and where compaction drops edges. newton_solve keeps
-# row-major order.
+# goes through objective_value's numpy dot products, whose rounding may
+# depend on the BLAS build; past 10,000 live edges OpenBLAS also splits
+# them across its threads, so a trace's f column then depends on the BLAS
+# thread count. Given the same d, w does not. The oracle iterates also go
+# through a LAPACK solve of the p x p Newton system. The MM f also depends
+# on the layout of the working arrays, which the dot products run over:
+# their anti-diagonal order (by i + j, then i) and where compaction drops
+# edges. newton_solve keeps row-major order.
 PINNED_RUNS = {
     "gapped-14": ("a16abb3c4a71d013bad5c78707b9583bdf2402a908dacfcea82182a8c5b16893",
                   "9d65abe266102cc6d49f499ff9cf05cf219b64918812e7e6806385e062443e1b",
@@ -401,6 +404,24 @@ def test_iterates_match_pinned_bytes():
     res = ms.newton_solve(problems["uniform-3"], ms.SolverConfig(max_iters=200))
     assert res.converged
     assert run_digests(res) == PINNED_RUNS["newton-uniform-3"]
+
+
+# sha256 of (w_star, trace.iterations, trace.active_count) after exactly 60
+# MM iterations at p=150: its 11,175 edges start above OpenBLAS's threaded
+# dot threshold, so f is left out (see PINNED_RUNS).
+PINNED_WIDE_RUN = ("117a58919791db67830fc4667334a8fdd4fd07f83ec020376b7524b58b602f64",
+                   "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
+                   "ea4ba5ec8ac0764985c14d9d7268285252e90b11cd03b31ffa18df29d61b99f2")
+
+
+def test_iterates_above_the_blas_thread_threshold_match_pinned_bytes():
+    rng = np.random.default_rng(150)
+    prob = make_problem(150, rng.uniform(0, 3, gm.num_edges(150)), alpha=2.0, beta=0.5)
+    assert prob.m > 10_000
+    res = ms.solve(prob, ms.SolverConfig(epsilon=1e-300, max_iters=60))
+    assert res.iters == 60
+    w_star, _, iterations, active_count = run_digests(res)
+    assert (w_star, iterations, active_count) == PINNED_WIDE_RUN
 
 
 def test_callback_sees_full_length_arrays_after_compaction():
