@@ -22,6 +22,7 @@ from . import data_gen, graph_model, mm_solver
 # each solver, with the SolverConfig fields that it does not read
 SOLVERS = {"mm": ("tol",), "newton-oracle": ("epsilon", "elimination_threshold")}
 # each generated family, with the ExperimentSpec fields of its edge probabilities
+# in the argument order of its generator data_gen.gen_<family>
 GENERATED = {"er": ("prob_edge",), "sbm": ("p_in", "p_out")}
 FAMILIES = (*GENERATED, "graph-file", "signals-file")
 # ExperimentSpec fields that only signal generation reads
@@ -56,8 +57,14 @@ class ExperimentSpec:
         path = {"graph-file": "graph_path", "signals-file": "signals_path"}.get(self.family)
         if path and not getattr(self, path):
             raise ValueError(f"need a nonempty {path} for a {self.family} spec")
+        # a file setting is refused, not echoed, on a family that does not read it
+        for name, family in (("graph_path", "graph-file"), ("signals_path", "signals-file"),
+                             ("signals_header", "signals-file")):
+            if getattr(self, name) and self.family != family:
+                raise ValueError(f"{name} applies only to a {family} spec, not to {self.family}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
+        graph_model.check_integers(monte_carlo_runs=self.monte_carlo_runs)
         if self.monte_carlo_runs < 1:
             raise ValueError(f"need monte_carlo_runs >= 1, got {self.monte_carlo_runs}")
         if self.family == "signals-file" and self.monte_carlo_runs > 1:
@@ -66,11 +73,13 @@ class ExperimentSpec:
         for name in SOLVERS[self.solver]:
             if getattr(self.solver_config, name) != getattr(mm_solver.SolverConfig, name):
                 raise ValueError(f"{name} does not apply to solver {self.solver}")
-        if self.family != "signals-file" and self.seed < 0:
-            raise ValueError(f"need seed >= 0, got {self.seed}")
+        if self.family != "signals-file":
+            graph_model.check_integers(seed=self.seed)
+            if self.seed < 0:
+                raise ValueError(f"need seed >= 0, got {self.seed}")
         # each setting that the run reads must pass the rule of the code that reads it
         if self.family in GENERATED:
-            graph_model.num_edges(self.p)  # refuses p < 2
+            graph_model.num_edges(self.p)  # refuses p < 2 and a non-integer p
             data_gen.check_probabilities(**{name: getattr(self, name) for name in GENERATED[self.family]})
         if self.family != "signals-file":
             data_gen.SignalModel(sigma=self.sigma, n=self.n)
@@ -104,7 +113,8 @@ def run_data(spec):
     with graph None. Every run draws its noise into one p x n scratch
     buffer that the batch keeps, while each yielded X is a fresh array.
     Calls go through data_gen's and graph_model's attributes, which a
-    tracer may wrap."""
+    tracer may wrap; a generated graph comes from data_gen.gen_<family>,
+    looked up at each call, with the probabilities GENERATED lists."""
     if spec.family == "signals-file":
         yield None, graph_model.load_signals_csv(spec.signals_path, skip_header=spec.signals_header)
         return
@@ -113,10 +123,9 @@ def run_data(spec):
         g = data_gen.load_graph(spec.graph_path)
     scratch = None
     for seed in range(spec.seed, spec.seed + spec.monte_carlo_runs):
-        if spec.family == "er":
-            g = data_gen.gen_er(spec.p, spec.prob_edge, seed)
-        elif spec.family == "sbm":
-            g = data_gen.gen_sbm(spec.p, spec.p_in, spec.p_out, seed)
+        if spec.family in GENERATED:
+            g = getattr(data_gen, f"gen_{spec.family}")(
+                spec.p, *(getattr(spec, name) for name in GENERATED[spec.family]), seed)
         if scratch is None:
             scratch = np.empty((g.p, model.n))
         yield g, data_gen.gen_signals(g, model, seed, scratch)

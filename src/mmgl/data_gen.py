@@ -14,6 +14,7 @@ import numpy as np
 
 from .graph_model import (
     ProblemInstance,
+    check_integers,
     checked_weights,
     edge_pairs,
     load_edges_csv,
@@ -58,6 +59,7 @@ class SignalModel:
     n: int = 1200
 
     def __post_init__(self):
+        check_integers(n=self.n)
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if not 0 <= self.sigma < np.inf:
@@ -73,11 +75,10 @@ def check_probabilities(**probs):
 
 def gen_er(p, prob_edge, seed):
     """Erdos-Renyi graph: each potential edge present independently with
-    probability prob_edge, unit weight when present."""
+    probability prob_edge, unit weight when present; the SBM whose two
+    probabilities are both prob_edge, so the same seed draws the same bits."""
     check_probabilities(prob_edge=prob_edge)
-    rng = np.random.default_rng(seed)
-    w = (rng.random(num_edges(p)) < prob_edge).astype(float)
-    return GroundTruthGraph(p=p, w_true=w)
+    return gen_sbm(p, prob_edge, prob_edge, seed)
 
 
 def gen_sbm(p, p_in, p_out, seed):

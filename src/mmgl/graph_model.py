@@ -16,6 +16,7 @@ every CSV file it reads through _csv_rows (errors name `path:line`).
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -34,8 +35,17 @@ _GRAM_GUARD = 1e-2
 _WRITE_BLOCK = 1 << 15
 
 
+def check_integers(**counts):
+    """ValueError naming the first count in counts that is not a Python or
+    numpy integer."""
+    for name, count in counts.items():
+        if not isinstance(count, numbers.Integral):
+            raise ValueError(f"need an integer {name}, got {count!r}")
+
+
 def num_edges(p):
     """Number of potential edges m = p(p-1)/2 of a graph on p >= 2 nodes."""
+    check_integers(p=p)
     if p < 2:
         raise ValueError(f"need p >= 2, got p={p}")
     return p * (p - 1) // 2

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import edge_pairs, gradient_value, kkt_residual, node_degrees, objective_value
+from .graph_model import check_integers, edge_pairs, gradient_value, kkt_residual, node_degrees, objective_value
 
 
 @dataclass
@@ -59,6 +59,7 @@ class SolverConfig:
         for name in ("epsilon", "tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"need finite {name} > 0, got {getattr(self, name)}")
+        check_integers(max_iters=self.max_iters)
         if self.max_iters < 1:
             raise ValueError(f"need max_iters >= 1, got {self.max_iters}")
         if not 0 <= self.elimination_threshold < np.inf:
@@ -67,15 +68,19 @@ class SolverConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration record of a solver run (row 0 is the starting point)."""
+    """Per-iteration record of a solver run (row 0 is the starting point);
+    iterations, 0 to len - 1, is derived from the rows, not stored."""
 
-    iterations: np.ndarray
     f: np.ndarray
     active_count: np.ndarray
     wall_time: np.ndarray
 
+    @property
+    def iterations(self):
+        return np.arange(len(self.f))
+
     def __len__(self):
-        return len(self.iterations)
+        return len(self.f)
 
 
 @dataclass
@@ -112,7 +117,6 @@ def _run_result(w_star, rows, reason):
     the stop reason."""
     f, active, wall = zip(*rows)
     trace = ConvergenceTrace(
-        iterations=np.arange(len(rows)),
         f=np.array(f, dtype=float),
         active_count=np.array(active, dtype=int),
         wall_time=np.array(wall, dtype=float),
@@ -126,6 +130,13 @@ def _all_ones_start(p, I, J, d, alpha, beta):
     deg = node_degrees(w, I, J, p)
     f = objective_value(w, d, deg, alpha, beta)
     return w, deg, f, [(f, d.size, 0.0)]
+
+
+def _scatter(x, orig, m):
+    """Full-length array that holds x[k] at input edge id orig[k] and 0 elsewhere."""
+    full = np.zeros(m)
+    full[orig] = x
+    return full
 
 
 def _coefficients(w, inv, I, J, alpha):
@@ -172,9 +183,10 @@ def solve(prob, cfg=None, callback=None):
     this 0/0 stays silent. When that mask leaves 1% or more of the working
     edges dead, the next iteration opens by keeping only its survivors in
     w, d, the cached d * d, I, J and `orig`, which maps array positions
-    back to input edge ids for the callback and the final scatter. So the
-    callback sees the clamped arrays before any compaction, and a run that
-    stops compacts nothing more. The working arrays start in anti-diagonal
+    back to input edge ids; one scatter helper through it gives the
+    callback its w and c and the result its w_star. So the callback sees
+    the clamped arrays before any compaction, and a run that stops
+    compacts nothing more. The working arrays start in anti-diagonal
     order (by i + j, then i; see the module docstring), which leaves w and
     the active counts bit-identical to row-major order; only the last bits
     of f, whose dot products sum in array order, depend on it. Each trace
@@ -211,11 +223,7 @@ def solve(prob, cfg=None, callback=None):
             f_new = objective_value(w, d, deg, alpha, beta)
             rows.append((f_new, nnz, time.perf_counter() - t_start))
             if callback is not None:
-                w_full = np.zeros(m)
-                w_full[orig] = w
-                c_full = np.zeros(m)
-                c_full[orig] = c
-                callback(k, w_full, c_full)
+                callback(k, _scatter(w, orig, m), _scatter(c, orig, m))
             # A non-finite f means some node lost its last edge, so f is +inf
             # from here on: retired edges never return.
             if not math.isfinite(f_new):
@@ -226,9 +234,7 @@ def solve(prob, cfg=None, callback=None):
                 break
             f_prev = f_new
 
-    w_full = np.zeros(m)
-    w_full[orig] = w
-    return _run_result(w_full, rows, reason)
+    return _run_result(_scatter(w, orig, m), rows, reason)
 
 
 # Armijo sufficient-decrease constant of the line search.
@@ -273,12 +279,11 @@ def newton_solve(prob, cfg=None):
     w, deg, f, rows = _all_ones_start(p, I, J, d, alpha, prob.beta)
     g = gradient_value(w, d, deg, I, J, alpha, prob.beta)
     res = kkt_residual(w, g, d, deg, alpha)
+    reason = "max_iters"
 
-    for _ in range(cfg.max_iters):
+    # rows holds the starting point and one row per step taken
+    while res > cfg.tol and len(rows) <= cfg.max_iters:
         t_start = time.perf_counter()
-        if res <= cfg.tol:
-            reason = "converged"
-            break
         free = (w > 0) | (g < 0)
         delta = _newton_direction(g, deg, I, J, alpha, two_beta, free)
         bound = free & (w + delta < 0) & (g > 0)
@@ -300,8 +305,7 @@ def newton_solve(prob, cfg=None):
             break
         w, deg, f, g, res = w_new, deg_new, f_new, g_new, res_new
         rows.append((f, int(np.count_nonzero(w)), time.perf_counter() - t_start))
-    else:
-        # The last allowed step may have met the tolerance.
-        reason = "converged" if res <= cfg.tol else "max_iters"
+    if res <= cfg.tol:
+        reason = "converged"
 
     return _run_result(w, rows, reason)

@@ -67,6 +67,11 @@ def test_experiment_spec_validation(tmp_path):
     (dict(family="graph-file", graph_path="g.csv", n=0), "need n >= 1, got 0"),
     (dict(alpha=-1.0), "need finite alpha > 0 and beta > 0, got alpha=-1.0, beta=1.0"),
     (dict(family="signals-file", signals_path="x.csv", beta=np.inf), "need finite alpha > 0 and beta > 0"),
+    # counts are integers
+    (dict(p=10.5), "need an integer p, got 10.5"),
+    (dict(n=2.5), "need an integer n, got 2.5"),
+    (dict(monte_carlo_runs=2.5), "need an integer monte_carlo_runs, got 2.5"),
+    (dict(seed=1.5), "need an integer seed, got 1.5"),
 ])
 def test_experiment_spec_refuses_run_settings_out_of_range(tmp_path, overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -85,6 +90,24 @@ def test_experiment_spec_refuses_file_family_without_its_path(tmp_path, family, 
     spec = small_spec(tmp_path, family=family, **{path: "x.csv"})
     with pytest.raises(ValueError, match=f"need a nonempty {path} for a {family} spec"):
         dataclasses.replace(spec, **{path: ""})
+
+
+@pytest.mark.parametrize("family, setting", [
+    ("er", dict(signals_header=True)),
+    ("graph-file", dict(signals_header=True)),
+    ("er", dict(graph_path="g.csv")),
+    ("signals-file", dict(graph_path="g.csv")),
+    ("sbm", dict(signals_path="x.csv")),
+    ("graph-file", dict(signals_path="x.csv")),
+])
+def test_experiment_spec_refuses_file_settings_its_family_does_not_read(tmp_path, family, setting):
+    paths = {"graph-file": dict(graph_path="g.csv"), "signals-file": dict(signals_path="x.csv")}
+    spec = small_spec(tmp_path, family=family, **paths.get(family, {}))
+    (name, _), = setting.items()
+    with pytest.raises(ValueError, match=f"{name} applies only to a .* spec, not to {family}"):
+        small_spec(tmp_path, family=family, **{**paths.get(family, {}), **setting})
+    with pytest.raises(ValueError, match=f"{name} applies only to a .* spec, not to {family}"):
+        dataclasses.replace(spec, **setting)
 
 
 def test_experiment_spec_refuses_settings_the_solver_does_not_read(tmp_path):
@@ -615,6 +638,35 @@ def test_cli_settings_the_dataclasses_refuse_are_usage_errors(tmp_path, monkeypa
     assert f"mmgl {argv[0]}: error: " in err and argv[-2] in err, err
     assert not re.search(r"monte_carlo_runs|max_iters|elimination_threshold|prob_edge|p_out", err), err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("source", [["--family", "er"], ["--graph", "g.csv"]])
+def test_cli_refuses_signals_header_without_signals(tmp_path, monkeypatch, capsys, command, source):
+    # the flag would be echoed as signals_header=True and never read
+    monkeypatch.chdir(tmp_path)
+    Path("g.csv").write_text("i,j,weight\n0,1,1.0\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, *source, "--p", "10", "--n", "30", "--seed", "1", "--signals-header", "--out", "x"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mmgl {command} "), err
+    assert f"mmgl {command}: error: --signals-header " in err, err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_signals_header_skips_one_row(tmp_path):
+    X = np.random.default_rng(3).standard_normal((8, 25))
+    plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+    gm.save_signals_csv(X, plain)
+    headed.write_text(",".join(f"s{k}" for k in range(25)) + "\n" + plain.read_text(encoding="utf-8"),
+                      encoding="utf-8")
+    assert cli.main(["solve", "--signals", str(plain), "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    assert cli.main(["solve", "--signals", str(headed), "--signals-header",
+                     "--out", str(tmp_path / "b")]) == cli.EXIT_OK
+    for name in ("trace_run0.csv", "edges_run0.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    assert "signals_header=True" in (tmp_path / "b" / "spec.echo").read_text(encoding="utf-8").splitlines()
 
 
 @pytest.mark.parametrize("flags", [

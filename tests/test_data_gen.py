@@ -29,6 +29,16 @@ def test_gen_er_rejects_bad_arguments():
         dg.gen_er(1, 0.1, 0)
 
 
+@pytest.mark.parametrize("p", [2, 7, 100])
+@pytest.mark.parametrize("q", [0.0, 0.1, 1.0])
+def test_gen_er_draws_match_their_formula(p, q):
+    # ER bits are one uniform draw per edge, compared with q; a change to
+    # gen_sbm's draw that moves every ER bundle is named here
+    for seed in (0, 1, 17):
+        expected = (np.random.default_rng(seed).random(gm.num_edges(p)) < q).astype(float)
+        np.testing.assert_array_equal(dg.gen_er(p, q, seed).w_true, expected)
+
+
 def test_gen_er_edge_count_within_binomial_bound():
     # m*q = 4950*0.1 = 495, sigma = sqrt(m q (1-q)) ~ 21.1
     m, q = gm.num_edges(100), 0.1
@@ -48,7 +58,7 @@ def test_gen_sbm_blocks():
 
 
 def test_gen_sbm_equal_probabilities_matches_er():
-    # with p_in == p_out the generator consumes randomness identically to ER
+    # gen_er is the SBM with p_in == p_out, which draws as ER does
     g_sbm = dg.gen_sbm(40, 0.2, 0.2, 9)
     g_er = dg.gen_er(40, 0.2, 9)
     np.testing.assert_array_equal(g_sbm.w_true, g_er.w_true)
@@ -262,6 +272,13 @@ def test_signal_model_validation():
         dg.SignalModel(sigma=np.nan, n=5)
     with pytest.raises(ValueError):
         dg.SignalModel(sigma=np.inf, n=5)
+    # n is a count: a float is refused, whole or not, and a numpy integer kept
+    for n in (2.5, 3.0, np.nan):
+        with pytest.raises(ValueError, match="need an integer n"):
+            dg.SignalModel(n=n)
+        with pytest.raises(ValueError, match="need an integer n"):
+            dataclasses.replace(dg.SignalModel(), n=n)
+    assert dg.SignalModel(n=np.int64(3)).n == 3
 
 
 def test_ground_truth_graph_validation():

@@ -26,6 +26,16 @@ def test_edge_index_examples():
     assert gm.edge_index(1, 2, 4) == 3
 
 
+def test_num_edges_refuses_a_non_integer_p():
+    # p is a count: 10.5 once gave 49.0 edges
+    for p in (10.5, 10.0, np.float64(4.0)):
+        with pytest.raises(ValueError, match="need an integer p"):
+            gm.num_edges(p)
+    with pytest.raises(ValueError, match=re.escape("need p >= 2, got p=1")):
+        gm.num_edges(1)
+    assert gm.num_edges(np.int64(4)) == 6
+
+
 def test_edge_index_rejects_bad_pairs():
     with pytest.raises(ValueError):
         gm.edge_index(1, 1, 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -38,6 +39,13 @@ def test_solver_config_validation():
         ms.SolverConfig(elimination_threshold=np.nan)
     with pytest.raises(ValueError):
         ms.SolverConfig(elimination_threshold=np.inf)
+    # max_iters is a count: refused when it is built, not by solve's range()
+    for max_iters in (2.5, np.nan, 10.0):
+        with pytest.raises(ValueError, match="need an integer max_iters"):
+            ms.SolverConfig(max_iters=max_iters)
+        with pytest.raises(ValueError, match="need an integer max_iters"):
+            dataclasses.replace(ms.SolverConfig(), max_iters=max_iters)
+    assert ms.solve(make_problem(2, [1.0]), ms.SolverConfig(max_iters=np.int32(1))).iters == 1
 
 
 # ----------------------------------------------------------------- compute_c
