@@ -10,7 +10,6 @@ it byte for byte.
 
 import collections
 import dataclasses
-import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,9 +28,10 @@ FAMILIES = (*GENERATED, "graph-file", "signals-file")
 SIGNALS_UNREAD = ("seed", "sigma", "prob_edge", "p_in", "p_out", "graph_path")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment; frozen, so every
+    setting keeps the checks it passed when the spec was built."""
 
     family: str = "er"
     p: int = 100
@@ -64,9 +64,7 @@ class ExperimentSpec:
                 raise ValueError(f"{name} applies only to a {family} spec, not to {self.family}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        graph_model.check_integers(monte_carlo_runs=self.monte_carlo_runs)
-        if self.monte_carlo_runs < 1:
-            raise ValueError(f"need monte_carlo_runs >= 1, got {self.monte_carlo_runs}")
+        graph_model.check_integers(monte_carlo_runs=self.monte_carlo_runs, least=1)
         if self.family == "signals-file" and self.monte_carlo_runs > 1:
             raise ValueError("a signals file is one instance, so use --runs 1 or mmgl solve")
         # a changed setting that the chosen solver does not read is refused, not echoed
@@ -74,9 +72,7 @@ class ExperimentSpec:
             if getattr(self.solver_config, name) != getattr(mm_solver.SolverConfig, name):
                 raise ValueError(f"{name} does not apply to solver {self.solver}")
         if self.family != "signals-file":
-            graph_model.check_integers(seed=self.seed)
-            if self.seed < 0:
-                raise ValueError(f"need seed >= 0, got {self.seed}")
+            graph_model.check_integers(seed=self.seed, least=0)
         # each setting that the run reads must pass the rule of the code that reads it
         if self.family in GENERATED:
             graph_model.num_edges(self.p)  # refuses p < 2 and a non-integer p
@@ -184,7 +180,7 @@ def run_montecarlo(spec):
         converged_runs=reasons["converged"],
         convergence_rate=reasons["converged"] / spec.monte_carlo_runs,
         mean_iterations=float(np.mean(iters)),
-        median_iterations=float(statistics.median(iters)),
+        median_iterations=float(np.median(iters)),
         mean_wall_time_s=wall_sum / spec.monte_carlo_runs,
         mean_iter_time_s=iter_time_sum / sum(iters) if sum(iters) else 0.0,
         stop_reasons=dict(sorted(reasons.items())),
@@ -231,17 +227,21 @@ def plot_data(exp_dirs, path):
 
 
 def write_summary_csv(summary, path):
-    graph_model._write_text(path, [
-        "solver,runs,converged_runs,convergence_rate,mean_iterations,median_iterations\n"
-        f"{summary.solver},{summary.runs},{summary.converged_runs},"
-        f"{summary.convergence_rate!r},{summary.mean_iterations!r},"
-        f"{summary.median_iterations!r}\n"])
+    _write_fields(summary, path, "solver", "runs", "converged_runs", "convergence_rate",
+                  "mean_iterations", "median_iterations")
 
 
 def write_timing_csv(summary, path):
-    graph_model._write_text(path, [
-        "mean_wall_time_s,mean_iter_time_s\n"
-        f"{summary.mean_wall_time_s!r},{summary.mean_iter_time_s!r}\n"])
+    _write_fields(summary, path, "mean_wall_time_s", "mean_iter_time_s")
+
+
+def _write_fields(summary, path, *names):
+    """Write the summary's fields `names` as a one-row CSV under a header of
+    those names: a float, numpy's included, as repr(float(value)), and any
+    other value as str(value)."""
+    values = (getattr(summary, name) for name in names)
+    graph_model._write_text(path, [",".join(names) + "\n" + ",".join(
+        repr(float(v)) if isinstance(v, float) else str(v) for v in values) + "\n"])
 
 
 def write_spec_echo(spec):

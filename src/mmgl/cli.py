@@ -24,7 +24,7 @@ EXIT_MAX_ITERS = 3
 _STOP_MESSAGES = {
     "converged": "converged",
     "max_iters": "hit max_iters",
-    "non_finite": "stopped on non-finite f (a node lost its last edge)",
+    "non_finite": "stopped on non-finite f (a node lost its last edge, or f overflowed)",
     "stationary": "stopped at a numerically stationary point",
 }
 

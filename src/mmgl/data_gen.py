@@ -53,15 +53,16 @@ class GroundTruthGraph:
         return root
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignalModel:
+    """Noise level sigma and sample count n of gen_signals; frozen, so
+    neither can change after it is checked."""
+
     sigma: float = 0.1
     n: int = 1200
 
     def __post_init__(self):
-        check_integers(n=self.n)
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        check_integers(n=self.n, least=1)
         if not 0 <= self.sigma < np.inf:
             raise ValueError(f"need finite sigma >= 0, got {self.sigma}")
 

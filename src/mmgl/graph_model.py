@@ -35,12 +35,14 @@ _GRAM_GUARD = 1e-2
 _WRITE_BLOCK = 1 << 15
 
 
-def check_integers(**counts):
+def check_integers(*, least=None, **counts):
     """ValueError naming the first count in counts that is not a Python or
-    numpy integer."""
+    numpy integer or, given least, is below least."""
     for name, count in counts.items():
         if not isinstance(count, numbers.Integral):
             raise ValueError(f"need an integer {name}, got {count!r}")
+        if least is not None and count < least:
+            raise ValueError(f"need {name} >= {least}, got {count}")
 
 
 def num_edges(p):
@@ -176,14 +178,15 @@ def pairwise_distances(X):
     return d
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
     """Everything that defines the graph learning objective f(w).
 
     f(w) = 2 w.d - alpha * sum_i log((S w)_i) + beta * ||w||_2^2
 
     with w >= 0 elementwise. The log-barrier keeps every node degree
-    strictly positive at any finite-objective point.
+    strictly positive at any finite-objective point. Frozen, with a private
+    read-only copy of d, so no field can change after it is checked.
     """
 
     p: int
@@ -196,7 +199,7 @@ class ProblemInstance:
             raise ValueError(f"need finite alpha > 0 and beta > 0, got alpha={self.alpha}, beta={self.beta}")
         d = checked_weights(np.array(self.d, dtype=float), num_edges(self.p))
         d.setflags(write=False)
-        self.d = d
+        object.__setattr__(self, "d", d)
 
     @property
     def m(self):

@@ -36,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import check_integers, edge_pairs, gradient_value, kkt_residual, node_degrees, objective_value
+from .graph_model import (check_integers, edge_pairs, gradient_value, kkt_residual, node_degrees,
+                          objective_value, weights_to_matrix)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Settings of both solvers.
 
@@ -47,7 +48,8 @@ class SolverConfig:
     elimination_threshold are clamped to exact zero and retired permanently.
     A threshold of 0 turns elimination off. tol bounds the relative KKT
     residual (graph_model.kkt_residual) at which the Newton oracle stops.
-    max_iters caps whichever solver runs.
+    max_iters caps whichever solver runs. Frozen, so a setting cannot
+    change after it is checked.
     """
 
     epsilon: float = 1e-4
@@ -59,9 +61,7 @@ class SolverConfig:
         for name in ("epsilon", "tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"need finite {name} > 0, got {getattr(self, name)}")
-        check_integers(max_iters=self.max_iters)
-        if self.max_iters < 1:
-            raise ValueError(f"need max_iters >= 1, got {self.max_iters}")
+        check_integers(max_iters=self.max_iters, least=1)
         if not 0 <= self.elimination_threshold < np.inf:
             raise ValueError(f"need finite elimination_threshold >= 0, got {self.elimination_threshold}")
 
@@ -90,8 +90,9 @@ class SolveResult:
 
     reason says why the run stopped: "converged" (the stopping rule held),
     "max_iters" (the iteration cap), "non_finite" (f became non-finite: a
-    node lost its last edge) or "stationary" (newton_solve found no step
-    that passes its line search before reaching its tolerance).
+    node lost its last edge, or f overflowed) or "stationary" (newton_solve
+    found no step that passes its line search before reaching its
+    tolerance).
     """
 
     w_star: np.ndarray
@@ -162,6 +163,7 @@ def _stop_test(f_prev, f_new, epsilon):
     return abs((f_prev - f_new) / (f_prev or 1.0)) <= epsilon
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def solve(prob, cfg=None, callback=None):
     """Run the MM algorithm from the all-ones start until the relative
     objective change drops to cfg.epsilon or max_iters is hit.
@@ -173,26 +175,28 @@ def solve(prob, cfg=None, callback=None):
     invoked after every iteration as callback(k, w, c) with full-length
     arrays (a testing hook).
 
-    All reads come from the iteration-k arrays and all writes go to the
-    k+1 buffer; there are no cross-edge dependencies. One live mask per
+    All reads come from the iteration-k arrays and all writes go to the k+1
+    buffer; there are no cross-edge dependencies. One live mask per
     iteration, w >= max(threshold, smallest positive float), clamps the
     retired edges to 0 (the clamp runs only when some edge is dead) and
     counts the active ones. It also clears the nan that the unmasked root
-    gives a retired edge with d = 0, since nan >= floor is false; the loop,
-    callback included, runs under np.errstate(invalid="ignore") so that
-    this 0/0 stays silent. When that mask leaves 1% or more of the working
-    edges dead, the next iteration opens by keeping only its survivors in
-    w, d, the cached d * d, I, J and `orig`, which maps array positions
-    back to input edge ids; one scatter helper through it gives the
-    callback its w and c and the result its w_star. So the callback sees
-    the clamped arrays before any compaction, and a run that stops
-    compacts nothing more. The working arrays start in anti-diagonal
-    order (by i + j, then i; see the module docstring), which leaves w and
-    the active counts bit-identical to row-major order; only the last bits
-    of f, whose dot products sum in array order, depend on it. Each trace
-    row's wall time covers its iteration, from the compaction that opens
-    it to f, and runs outside the callback. Nothing is validated inside
-    the loop.
+    gives a retired edge with d = 0, since nan >= floor is false. All of
+    solve, the start and the callback included, runs under
+    np.errstate(invalid="ignore", over="ignore"), so that this 0/0 stays
+    silent and so does an f that overflows, which stops the run as
+    "non_finite" like a node that lost its last edge. When that mask leaves
+    1% or more of the working edges dead, the next iteration opens by
+    keeping only its survivors in w, d, the cached d * d, I, J and `orig`,
+    which maps array positions back to input edge ids; one scatter helper
+    through it gives the callback its w and c and the result its w_star. So
+    the callback sees the clamped arrays before any compaction, and a run
+    that stops compacts nothing more. The working arrays start in
+    anti-diagonal order (by i + j, then i; see the module docstring), which
+    leaves w and the active counts bit-identical to row-major order; only
+    the last bits of f, whose dot products sum in array order, depend on it.
+    Each trace row's wall time covers its iteration, from the compaction
+    that opens it to f, and runs outside the callback. Nothing is validated
+    inside the loop.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -208,31 +212,31 @@ def solve(prob, cfg=None, callback=None):
     nnz = m  # row 0's active count: iteration 1 has nothing to compact
     reason = "max_iters"
 
-    with np.errstate(invalid="ignore"):
-        for k in range(1, cfg.max_iters + 1):
-            t_start = time.perf_counter()
-            if nnz < 0.99 * w.size:
-                w, d, dd, I, J, orig = w[live], d[live], dd[live], I[live], J[live], orig[live]
-            c = _coefficients(w, 1.0 / deg, I, J, alpha)
-            w = _root_update(d, dd, c, two_beta)
-            live = w >= floor
-            nnz = int(np.count_nonzero(live))
-            if nnz < w.size:
-                w[~live] = 0.0
-            deg = node_degrees(w, I, J, p)
-            f_new = objective_value(w, d, deg, alpha, beta)
-            rows.append((f_new, nnz, time.perf_counter() - t_start))
-            if callback is not None:
-                callback(k, _scatter(w, orig, m), _scatter(c, orig, m))
-            # A non-finite f means some node lost its last edge, so f is +inf
-            # from here on: retired edges never return.
-            if not math.isfinite(f_new):
-                reason = "non_finite"
-                break
-            if _stop_test(f_prev, f_new, cfg.epsilon):
-                reason = "converged"
-                break
-            f_prev = f_new
+    for k in range(1, cfg.max_iters + 1):
+        t_start = time.perf_counter()
+        if nnz < 0.99 * w.size:
+            w, d, dd, I, J, orig = w[live], d[live], dd[live], I[live], J[live], orig[live]
+        c = _coefficients(w, 1.0 / deg, I, J, alpha)
+        w = _root_update(d, dd, c, two_beta)
+        live = w >= floor
+        nnz = int(np.count_nonzero(live))
+        if nnz < w.size:
+            w[~live] = 0.0
+        deg = node_degrees(w, I, J, p)
+        f_new = objective_value(w, d, deg, alpha, beta)
+        rows.append((f_new, nnz, time.perf_counter() - t_start))
+        if callback is not None:
+            callback(k, _scatter(w, orig, m), _scatter(c, orig, m))
+        # A non-finite f means that some node lost its last edge, so f is
+        # +inf from here on since retired edges never return, or that f
+        # overflowed.
+        if not math.isfinite(f_new):
+            reason = "non_finite"
+            break
+        if _stop_test(f_prev, f_new, cfg.epsilon):
+            reason = "converged"
+            break
+        f_prev = f_new
 
     return _run_result(_scatter(w, orig, m), rows, reason)
 
@@ -251,12 +255,11 @@ def _newton_direction(g, deg, I, J, alpha, two_beta, free):
     """
     p = deg.size
     i, j, g_free = I[free], J[free], g[free]
-    M = np.zeros((p, p))
-    M[i, j] = M[j, i] = 1.0 / two_beta
+    M = weights_to_matrix(free, p) / two_beta
     M.flat[::p + 1] = node_degrees(np.ones(i.size), i, j, p) / two_beta + deg * deg / alpha
     y = np.linalg.solve(M, node_degrees(g_free, i, j, p))
     delta = np.zeros(g.size)
-    delta[free] = (y[i] + y[j]) / two_beta**2 - g_free / two_beta
+    delta[free] = (y[i] + y[j]) / (two_beta * two_beta) - g_free / two_beta
     return delta
 
 

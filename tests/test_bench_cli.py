@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -165,6 +166,42 @@ def test_montecarlo_single_run_matches_run_single(tmp_path):
     assert summary.mean_iterations == result.iters
     assert summary.median_iterations == result.iters
     assert summary.convergence_rate == 1.0
+
+
+def test_montecarlo_even_batch_median_is_the_mean_of_its_middle_pair(tmp_path):
+    # seed 0 gives 26, 27, 23 and 25 iterations: the median is 25.5
+    spec = small_spec(tmp_path, monte_carlo_runs=4, seed=0)
+    summary = bench.run_montecarlo(spec)
+    iters = sorted(len((tmp_path / "exp" / f"trace_run{k}.csv").read_text().splitlines()) - 2
+                   for k in range(4))
+    assert iters[1] != iters[2]
+    median = (iters[1] + iters[2]) / 2
+    assert summary.median_iterations == median
+    row = (tmp_path / "exp" / "summary.csv").read_text(encoding="utf-8").splitlines()[1]
+    assert row.split(",")[-1] == repr(median)
+
+
+def test_montecarlo_numpy_integer_runs_write_plain_numbers(tmp_path):
+    # a numpy run count makes the per-run means numpy floats; the files
+    # still hold plain numbers, not `np.float64(1.0)`
+    bench.run_montecarlo(small_spec(tmp_path, monte_carlo_runs=2, out_dir=str(tmp_path / "int")))
+    bench.run_montecarlo(small_spec(tmp_path, monte_carlo_runs=np.int64(2), out_dir=str(tmp_path / "np")))
+    assert (tmp_path / "np" / "summary.csv").read_bytes() == (tmp_path / "int" / "summary.csv").read_bytes()
+    header, row = (tmp_path / "np" / "timing.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "mean_wall_time_s,mean_iter_time_s"
+    assert [repr(float(cell)) for cell in row.split(",")] == row.split(",")
+
+
+@pytest.mark.parametrize("settings, field", [
+    (ms.SolverConfig(), "epsilon"),
+    (dg.SignalModel(), "n"),
+    (bench.ExperimentSpec(), "monte_carlo_runs"),
+    (gm.ProblemInstance(p=2, d=[1.0], alpha=1.0, beta=1.0), "alpha"),
+], ids=["SolverConfig", "SignalModel", "ExperimentSpec", "ProblemInstance"])
+def test_settings_are_frozen_once_checked(settings, field):
+    # an assignment would get round the checks made at construction
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(settings, field, -1)
 
 
 def test_montecarlo_seeds_differ(tmp_path):
@@ -413,8 +450,17 @@ def test_cli_solve_reports_non_finite_objective(tmp_path, capsys):
                    "--alpha", "1e-20", "--beta", "1", "--out", str(tmp_path / "nf")])
     assert rc == cli.EXIT_MAX_ITERS
     out = capsys.readouterr().out
-    assert "mm: stopped on non-finite f (a node lost its last edge) after 1 iterations" in out
+    assert "mm: stopped on non-finite f (a node lost its last edge, or f overflowed) after 1 iterations" in out
     assert "max_iters" not in out
+    # alpha 1e300 and beta 1e-300: f overflows in iteration 1 while every
+    # node keeps its edges, and no RuntimeWarning escapes the solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["solve", "--family", "er", "--p", "20", "--seed", "3",
+                       "--alpha", "1e300", "--beta", "1e-300", "--out", str(tmp_path / "of")])
+    assert rc == cli.EXIT_MAX_ITERS
+    assert "mm: stopped on non-finite f (a node lost its last edge, or f overflowed) after 1 iterations" \
+        in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("reason, args", [

@@ -36,6 +36,18 @@ def test_num_edges_refuses_a_non_integer_p():
     assert gm.num_edges(np.int64(4)) == 6
 
 
+def test_check_integers_least():
+    # each count is first an integer, then at least `least`
+    gm.check_integers(runs=1, seed=np.int64(0), least=0)
+    with pytest.raises(ValueError, match=re.escape("need runs >= 1, got 0")):
+        gm.check_integers(runs=np.int64(0), least=1)
+    with pytest.raises(ValueError, match="need an integer runs"):
+        gm.check_integers(runs=0.5, least=1)
+    with pytest.raises(ValueError, match=re.escape("need seed >= 0, got -1")):
+        gm.check_integers(runs=3, seed=-1, least=0)
+    gm.check_integers(seed=-1)  # no bound without least
+
+
 def test_edge_index_rejects_bad_pairs():
     with pytest.raises(ValueError):
         gm.edge_index(1, 1, 4)

@@ -278,6 +278,18 @@ def test_solve_stops_on_non_finite_objective():
     assert not res.converged
     assert res.iters == 1
     assert res.f_star == np.inf
+    # alpha 1e300 and beta 1e-300: w . w overflows in iteration 1 while
+    # every degree stays above 1e290; that stops the run the same way, and
+    # no overflow warning escapes solve
+    g = dg.gen_er(20, 0.1, 3)
+    prob = dg.assemble(dg.gen_signals(g, dg.SignalModel(), 3), 1e300, 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ms.solve(prob)
+    assert res.reason == "non_finite"
+    assert res.iters == 1
+    assert res.f_star == np.inf
+    assert gm.degrees(res.w_star, prob.p).min() > 1e290
 
 
 # ------------------------------------------------------------ active compact

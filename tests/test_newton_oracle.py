@@ -81,6 +81,9 @@ def er_or_sbm(family, p, seed, alpha, beta):
     ("er", 30, 6, 10.0, 10.0),
     ("er", 30, 7, 10.0, 10.0),
     ("sbm", 200, 70001, 100.0, 100.0),
+    # (2 beta)^2 overflows past beta ~ 6.7e153: as a float product it is
+    # inf, and the Woodbury term y / (2 beta)^2 is 0
+    ("er", 20, 3, 1.0, 1e200),
 ])
 def test_newton_solve_certifies_ill_conditioned_instances(family, p, seed, alpha, beta):
     prob = er_or_sbm(family, p, seed, alpha, beta)
