@@ -11,7 +11,7 @@ it byte for byte.
 import collections
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ class ExperimentSpec:
     alpha: float = 1.0
     beta: float = 1.0
     solver: str = "mm"
-    solver_config: mm_solver.SolverConfig = field(default_factory=mm_solver.SolverConfig)
+    solver_config: mm_solver.SolverConfig = mm_solver.SolverConfig()
     monte_carlo_runs: int = 1
     seed: int = 0
     out_dir: str = "."
@@ -71,13 +71,12 @@ class ExperimentSpec:
         for name in SOLVERS[self.solver]:
             if getattr(self.solver_config, name) != getattr(mm_solver.SolverConfig, name):
                 raise ValueError(f"{name} does not apply to solver {self.solver}")
-        if self.family != "signals-file":
-            graph_model.check_integers(seed=self.seed, least=0)
         # each setting that the run reads must pass the rule of the code that reads it
         if self.family in GENERATED:
             graph_model.num_edges(self.p)  # refuses p < 2 and a non-integer p
             data_gen.check_probabilities(**{name: getattr(self, name) for name in GENERATED[self.family]})
         if self.family != "signals-file":
+            graph_model.check_integers(seed=self.seed, least=0)
             data_gen.SignalModel(sigma=self.sigma, n=self.n)
         graph_model.ProblemInstance(p=2, d=[0.0], alpha=self.alpha, beta=self.beta)  # on a stand-in d
 
@@ -248,18 +247,10 @@ def write_spec_echo(spec):
     """Echo the resolved spec as sorted key=value lines into out_dir/spec.echo,
     leaving out the generation settings that a signals file does not read."""
     unread = SIGNALS_UNREAD if spec.family == "signals-file" else ()
-    flat = {}
-    for f in dataclasses.fields(spec):
-        if f.name in unread:
-            continue
-        value = getattr(spec, f.name)
-        if dataclasses.is_dataclass(value):
-            for g in dataclasses.fields(value):
-                flat[f"{f.name}.{g.name}"] = getattr(value, g.name)
-        else:
-            flat[f.name] = value
+    flat = dataclasses.asdict(spec)
+    flat.update((f"solver_config.{name}", value) for name, value in flat.pop("solver_config").items())
     graph_model._write_text(Path(spec.out_dir) / "spec.echo",
-                            ["".join(f"{key}={flat[key]}\n" for key in sorted(flat))])
+                            ["".join(f"{key}={flat[key]}\n" for key in sorted(flat) if key not in unread)])
 
 
 def _echoed_solver(path):

@@ -221,12 +221,16 @@ def objective(w, prob):
 
 
 def _csv_rows(path, ncols=None, header=False):
-    """Yield (lineno, cells) for each non-blank line, skipping line 1 when
-    header is set; each row has ncols cells, or as many as the first row."""
+    """Yield (lineno, cells) for each non-blank line, skipping the first
+    one when header is set; each row has ncols cells, or as many as the
+    first row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or (header and lineno == 1):
+            if not line:
+                continue
+            if header:
+                header = False
                 continue
             cells = line.split(",")
             if ncols is None:
@@ -282,12 +286,13 @@ def save_edges_csv(w, p, path):
 def load_edges_csv(path, p=None):
     """Read an edge-list CSV `i,j,weight` back into (w, p).
 
-    A header row is skipped if present. p defaults to 1 + the largest node
-    id seen; pass it explicitly when trailing nodes are isolated.
+    A header row, the first non-blank line if its first cell is `i`, is
+    skipped. p defaults to 1 + the largest node id seen; pass it explicitly
+    when trailing nodes are isolated.
     """
     entries = {}
-    for lineno, cells in _csv_rows(path, ncols=3):
-        if lineno == 1 and cells[0].strip().lower() == "i":
+    for row, (lineno, cells) in enumerate(_csv_rows(path, ncols=3)):
+        if row == 0 and cells[0].strip().lower() == "i":
             continue
         try:
             i, j, wt = int(cells[0]), int(cells[1]), float(cells[2])

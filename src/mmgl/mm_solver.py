@@ -90,9 +90,10 @@ class SolveResult:
 
     reason says why the run stopped: "converged" (the stopping rule held),
     "max_iters" (the iteration cap), "non_finite" (f became non-finite: a
-    node lost its last edge, or f overflowed) or "stationary" (newton_solve
-    found no step that passes its line search before reaching its
-    tolerance).
+    node lost its last edge, or f overflowed; newton_solve checks its
+    starting f) or "stationary" (newton_solve found no step that passes its
+    line search, or its Newton system was singular, before reaching its
+    tolerance). Neither solver emits a numpy warning on the way.
     """
 
     w_star: np.ndarray
@@ -164,7 +165,7 @@ def _stop_test(f_prev, f_new, epsilon):
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def solve(prob, cfg=None, callback=None):
+def solve(prob, cfg=SolverConfig(), callback=None):
     """Run the MM algorithm from the all-ones start until the relative
     objective change drops to cfg.epsilon or max_iters is hit.
 
@@ -198,8 +199,6 @@ def solve(prob, cfg=None, callback=None):
     that opens it to f, and runs outside the callback. Nothing is validated
     inside the loop.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     p, d, alpha, beta = prob.p, prob.d, prob.alpha, prob.beta
     two_beta = 2.0 * beta
     I, J = edge_pairs(p)
@@ -263,7 +262,8 @@ def _newton_direction(g, deg, I, J, alpha, two_beta, free):
     return delta
 
 
-def newton_solve(prob, cfg=None):
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def newton_solve(prob, cfg=SolverConfig()):
     """Projected Newton on f over the nonnegative orthant, from all ones.
 
     The free edges have w > 0, or w = 0 and g < 0. Those that the Newton
@@ -272,14 +272,18 @@ def newton_solve(prob, cfg=None):
     halved from 1 until f falls by the Armijo rule, or f does not rise and
     the relative KKT residual (graph_model.kkt_residual) halves, which keeps
     it moving below f's rounding. Stops at a residual <= cfg.tol
-    ("converged"), when no t >= 1e-20 passes ("stationary"), or at
-    cfg.max_iters; cfg is a SolverConfig, whose MM settings it ignores.
+    ("converged"), when no t >= 1e-20 passes or the Newton system is
+    singular ("stationary"), at once on a non-finite starting f
+    ("non_finite"), or at cfg.max_iters; cfg is a SolverConfig, whose MM
+    settings it ignores. Runs under np.errstate(over="ignore",
+    invalid="ignore", divide="ignore"), as solve does, so a badly scaled
+    instance stops with its reason and no warning.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     p, d, alpha, two_beta = prob.p, prob.d, prob.alpha, 2.0 * prob.beta
     I, J = edge_pairs(p)
     w, deg, f, rows = _all_ones_start(p, I, J, d, alpha, prob.beta)
+    if not math.isfinite(f):
+        return _run_result(w, rows, "non_finite")
     g = gradient_value(w, d, deg, I, J, alpha, prob.beta)
     res = kkt_residual(w, g, d, deg, alpha)
     reason = "max_iters"
@@ -288,10 +292,14 @@ def newton_solve(prob, cfg=None):
     while res > cfg.tol and len(rows) <= cfg.max_iters:
         t_start = time.perf_counter()
         free = (w > 0) | (g < 0)
-        delta = _newton_direction(g, deg, I, J, alpha, two_beta, free)
-        bound = free & (w + delta < 0) & (g > 0)
-        if bound.any():
-            delta = np.where(bound, delta, _newton_direction(g, deg, I, J, alpha, two_beta, free & ~bound))
+        try:
+            delta = _newton_direction(g, deg, I, J, alpha, two_beta, free)
+            bound = free & (w + delta < 0) & (g > 0)
+            if bound.any():
+                delta = np.where(bound, delta, _newton_direction(g, deg, I, J, alpha, two_beta, free & ~bound))
+        except np.linalg.LinAlgError:  # a singular Newton system: no step to take
+            reason = "stationary"
+            break
         t = 1.0
         while t >= 1e-20:
             w_new = np.maximum(w + t * delta, 0.0)

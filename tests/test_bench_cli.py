@@ -519,6 +519,22 @@ def test_cli_bench_when_every_run_stops_at_iteration_0(tmp_path):
     assert (out / "timing.csv").read_text().splitlines()[1].endswith(",0.0")
 
 
+def test_cli_newton_oracle_stops_stationary_on_a_singular_system(tmp_path, capsys):
+    # np.linalg.solve refuses the Newton system: a stop, not a data error
+    rc = cli.main(["solve", "--solver", "newton-oracle", "--family", "er", "--p", "20", "--seed", "3",
+                   "--alpha", "1e-10", "--beta", "1", "--out", str(tmp_path / "solve")])
+    assert rc == cli.EXIT_MAX_ITERS
+    assert f"newton-oracle: {cli._STOP_MESSAGES['stationary']} after" in capsys.readouterr().out
+    out = tmp_path / "bench"
+    rc = cli.main(["bench", "--solver", "newton-oracle", "--family", "er", "--p", "20", "--runs", "3",
+                   "--seed", "3", "--alpha", "1e-20", "--beta", "1", "--out", str(out)])
+    assert rc == cli.EXIT_MAX_ITERS
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("newton-oracle,3,0,0.0,")
+    assert sorted(q.name for q in out.iterdir()) == [
+        "edges_run0.csv", "edges_run1.csv", "edges_run2.csv", "spec.echo", "summary.csv", "timing.csv",
+        "trace_run0.csv", "trace_run1.csv", "trace_run2.csv"]
+
+
 def test_cli_max_iters_caps_the_newton_oracle(tmp_path, capsys):
     # uncapped, this instance converges after 35 steps
     out = tmp_path / "capped"

@@ -309,6 +309,23 @@ def test_signals_csv_header_flag(tmp_path):
     assert X.shape == (2, 2)
 
 
+def test_csv_header_is_the_first_non_blank_line(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("\n  \na,b\n1.0,2.0\n\n3.0,4.0\n", encoding="utf-8")
+    np.testing.assert_array_equal(gm.load_signals_csv(path, skip_header=True), [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError, match=r"x\.csv:3: non-numeric entry"):
+        gm.load_signals_csv(path)
+    path = tmp_path / "edges.csv"
+    path.write_text("\ni,j,weight\n0,1,1.5\n1,2,0.5\n", encoding="utf-8")
+    w, p = gm.load_edges_csv(path)
+    assert p == 3
+    np.testing.assert_array_equal(w, [1.5, 0.0, 0.5])
+    # only the first non-blank line may be a header
+    path.write_text("\n0,1,1.5\ni,j,weight\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"edges\.csv:3: malformed edge row"):
+        gm.load_edges_csv(path)
+
+
 def test_signals_csv_reports_line_numbers(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("1.0,2.0\n3.0\n", encoding="utf-8")

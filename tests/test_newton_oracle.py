@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -90,6 +92,37 @@ def test_newton_solve_certifies_ill_conditioned_instances(family, p, seed, alpha
     res = ms.newton_solve(prob, ms.SolverConfig(tol=1e-10))
     assert res.converged
     assert kkt(res.w_star, prob) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [1e-10, 1e-20])
+def test_newton_solve_stops_stationary_on_a_singular_system(alpha):
+    # at beta = 1 and a tiny alpha, deg^2 / alpha rounds away in M, which
+    # leaves S_F S_F^T / (2 beta): a signless Laplacian, singular once the
+    # free edges have a bipartite component. np.linalg.solve refuses it
+    # after 188 (alpha 1e-10) and 215 (1e-20) steps.
+    res = ms.newton_solve(er_or_sbm("er", 20, 3, alpha, 1.0))
+    assert res.reason == "stationary"
+    assert 0 < res.iters < ms.SolverConfig.max_iters
+    assert np.all(np.diff(res.trace.f) <= 0)
+
+
+@pytest.mark.parametrize("alpha, beta, reason", [
+    (1.0, 1e-320, "stationary"),  # 1 / (2 beta) overflows
+    (1e300, 1e-300, "stationary"),  # (2 beta)^2 underflows to 0
+    (1e-300, 1e300, "stationary"),
+    (1e308, 1.0, "non_finite"),  # alpha sum log deg overflows: f = -inf at the start
+    (1.0, 1e308, "non_finite"),  # beta ||w||^2 overflows: f = +inf at the start
+    (1e-300, 1e-300, "stationary"),
+])
+def test_newton_solve_names_each_badly_scaled_stop_without_a_warning(alpha, beta, reason):
+    prob = er_or_sbm("er", 20, 3, alpha, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = ms.newton_solve(prob)
+    assert res.reason == reason
+    if reason == "non_finite":
+        assert res.iters == 0
+        np.testing.assert_array_equal(res.w_star, np.ones(prob.m))
 
 
 def test_newton_solve_reports_converged_only_within_tol():
