@@ -155,10 +155,11 @@ def run_montecarlo(spec):
     """Solve each run that run_data yields, aggregate, and write summary.csv
     and timing.csv.
 
-    Runs that hit max_iters are recorded, not fatal; the summary flags them
-    through convergence_rate < 1. Each run is folded into running totals
-    and dropped before the next is drawn, so the batch holds one run at a
-    time.
+    Every run that stops without converging, whatever its reason, is
+    recorded, not fatal: the summary flags it through convergence_rate < 1
+    and counts it by reason in stop_reasons. Each run is folded into
+    running totals and dropped before the next is drawn, so the batch holds
+    one run at a time.
     """
     out = Path(spec.out_dir)
     iters = []
@@ -212,8 +213,9 @@ def plot_data(exp_dirs, path):
             raise FileNotFoundError(f"no trace_run*.csv files in {exp_dir}")
         for run, q in sorted(runs):
             rows = graph_model._csv_rows(q, ncols=3)
-            if next(rows, (1, None))[1] != ["iter", "f", "active_count"]:
-                raise ValueError(f"{q}:1: unexpected trace header")
+            lineno, header = next(rows, (1, None))
+            if header != ["iter", "f", "active_count"]:
+                raise ValueError(f"{q}:{lineno}: unexpected trace header")
             text = []
             for lineno, (k, f, _) in rows:
                 try:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (and solver converged), 3 stopped without converging
 (iteration cap, f became non-finite, or the Newton oracle's line search
-found no acceptable step before its tolerance), 2 usage errors, 1 file or
-data errors.
+found no acceptable step, or its Newton system was singular, before its
+tolerance), 2 usage errors, 1 file or data errors.
 """
 
 import argparse
@@ -29,18 +29,29 @@ _STOP_MESSAGES = {
 }
 
 
-def _add_run_args(sub):
-    """Declare what `solve` and `bench` share; each default is read from
+def _add_source_args(sub, signals=True):
+    """Declare the problem source, the generation flags, --seed and --out;
+    signals adds --signals and --signals-header. Each default is read from
     the dataclass that owns the setting, and each dest is its field name."""
-    spec = bench.ExperimentSpec
     src = sub.add_argument_group("problem source")
     one = src.add_mutually_exclusive_group(required=True)
     one.add_argument("--family", choices=bench.GENERATED, help="synthetic ground-truth family")
     one.add_argument("--graph", dest="graph_path", metavar="FILE",
                      help="ground-truth edge-list CSV to generate signals from")
-    one.add_argument("--signals", dest="signals_path", metavar="FILE", help="data matrix CSV, one node per row")
-    src.add_argument("--signals-header", action="store_true", help="skip one header row in --signals")
+    if signals:
+        one.add_argument("--signals", dest="signals_path", metavar="FILE", help="data matrix CSV, one node per row")
+        src.add_argument("--signals-header", action="store_true", help="skip one header row in --signals")
     _add_generation_args(sub)
+    sub.add_argument("--seed", type=int,
+                     help="generation seed, required when signals are generated; bench run k uses seed + k")
+    sub.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
+
+
+def _add_run_args(sub):
+    """Declare what `solve` and `bench` share: the source flags, the model
+    weights and the solver settings."""
+    spec = bench.ExperimentSpec
+    _add_source_args(sub)
     sub.add_argument("--alpha", type=float, default=spec.alpha, help="log-barrier weight (default %(default)s)")
     sub.add_argument("--beta", type=float, default=spec.beta, help="squared-norm weight (default %(default)s)")
     sol = sub.add_argument_group("solver")
@@ -55,9 +66,6 @@ def _add_run_args(sub):
                      help="weight elimination threshold, 0 turns it off (default %(default)s)")
     sol.add_argument("--tol", type=float, default=SolverConfig.tol,
                      help="newton-oracle: stopping bound on the relative KKT residual (default %(default)s)")
-    sub.add_argument("--seed", type=int,
-                     help="generation seed, required unless --signals; bench run k uses seed + k")
-    sub.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
 
 
 def _add_generation_args(sub):
@@ -87,21 +95,14 @@ def _experiment_spec(args, parser):
         given["family"] = "graph-file"
     if given["family"] != "signals-file" and "seed" not in given:
         parser.error("--seed is required when signals are generated")
-    flags = _flags_by_dest(parser)
     try:
         config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
                                  if f.name in given})
         return bench.ExperimentSpec(solver_config=config, **{
             f.name: given[f.name] for f in dataclasses.fields(bench.ExperimentSpec) if f.name in given})
     except ValueError as exc:
+        flags = {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings}
         parser.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
-
-
-def _flags_by_dest(parser):
-    """The option string of parser that sets each spec or config field:
-    monte_carlo_runs -> --runs."""
-    fields = {f.name for cls in (bench.ExperimentSpec, SolverConfig) for f in dataclasses.fields(cls)}
-    return {a.dest: a.option_strings[0] for a in parser._actions if a.dest in fields and a.option_strings}
 
 
 def _cmd_gen(args, parser):
@@ -149,12 +150,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a ground-truth graph and smooth signals")
-    src = p_gen.add_mutually_exclusive_group(required=True)
-    src.add_argument("--family", choices=bench.GENERATED)
-    src.add_argument("--graph", dest="graph_path", metavar="FILE", help="load this edge list instead of sampling")
-    _add_generation_args(p_gen)
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
+    _add_source_args(p_gen, signals=False)
     p_gen.set_defaults(func=functools.partial(_cmd_gen, parser=p_gen))
 
     p_solve = sub.add_parser("solve", help="solve one instance and write its trace and edge list")

@@ -12,7 +12,8 @@ the solvers can run them on any edge subset. The public functions degrees
 and objective validate their inputs and then call the same kernels.
 
 Every file mmgl writes goes through _write_text (UTF-8, LF line ends) and
-every CSV file it reads through _csv_rows (errors name `path:line`).
+every CSV file it reads through _csv_rows (UTF-8 with or without a
+byte-order mark; errors name `path:line`).
 """
 
 import itertools
@@ -37,9 +38,9 @@ _WRITE_BLOCK = 1 << 15
 
 def check_integers(*, least=None, **counts):
     """ValueError naming the first count in counts that is not a Python or
-    numpy integer or, given least, is below least."""
+    numpy integer (a bool is not a count) or, given least, is below least."""
     for name, count in counts.items():
-        if not isinstance(count, numbers.Integral):
+        if not isinstance(count, numbers.Integral) or isinstance(count, bool):
             raise ValueError(f"need an integer {name}, got {count!r}")
         if least is not None and count < least:
             raise ValueError(f"need {name} >= {least}, got {count}")
@@ -223,8 +224,8 @@ def objective(w, prob):
 def _csv_rows(path, ncols=None, header=False):
     """Yield (lineno, cells) for each non-blank line, skipping the first
     one when header is set; each row has ncols cells, or as many as the
-    first row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    first row. A leading UTF-8 byte-order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

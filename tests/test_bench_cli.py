@@ -73,6 +73,11 @@ def test_experiment_spec_validation(tmp_path):
     (dict(n=2.5), "need an integer n, got 2.5"),
     (dict(monte_carlo_runs=2.5), "need an integer monte_carlo_runs, got 2.5"),
     (dict(seed=1.5), "need an integer seed, got 1.5"),
+    # a bool is no count, though Python calls it an integer
+    (dict(monte_carlo_runs=True), "need an integer monte_carlo_runs, got True"),
+    (dict(seed=True), "need an integer seed, got True"),
+    (dict(n=True), "need an integer n, got True"),
+    (dict(p=False), "need an integer p, got False"),
 ])
 def test_experiment_spec_refuses_run_settings_out_of_range(tmp_path, overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -379,10 +384,14 @@ def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
     bad_header = tmp_path / "bad-header"
     bad_header.mkdir()
     (bad_header / "trace_run0.csv").write_text("k,f,active\n0,1.0,3\n", encoding="utf-8")
+    low_header = tmp_path / "low-header"
+    low_header.mkdir()
+    (low_header / "trace_run0.csv").write_text("\niter,f,count\n0,1.0,3\n", encoding="utf-8")
     for bundle, named in [(empty, f"no trace_run*.csv files in {empty}"),
                           (stray, f"{stray / 'trace_runX.csv'}: run number"),
                           (bad_row, f"{bad_row / 'trace_run0.csv'}:3: malformed trace row"),
-                          (bad_header, f"{bad_header / 'trace_run0.csv'}:1: unexpected trace header")]:
+                          (bad_header, f"{bad_header / 'trace_run0.csv'}:1: unexpected trace header"),
+                          (low_header, f"{low_header / 'trace_run0.csv'}:2: unexpected trace header")]:
         assert cli.main(["plotdata", str(mm), str(bundle), "--out", str(out)]) == cli.EXIT_IO
         assert named in capsys.readouterr().err
 
@@ -667,6 +676,14 @@ def test_cli_usage_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: mmgl solve ") and "usage: mmgl bench " in err, err
     assert "mmgl bench: error: --seed is required" in err, err
+    # gen refuses a missing seed by the same rule, under its own usage
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["gen", "--family", "er", "--p", "10", "--out", str(tmp_path / "z")])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mmgl gen ") and err.endswith(
+        "mmgl gen: error: --seed is required when signals are generated\n"), err
+    assert not (tmp_path / "z").exists()
 
 
 @pytest.mark.parametrize("argv", [

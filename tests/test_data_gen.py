@@ -272,8 +272,8 @@ def test_signal_model_validation():
         dg.SignalModel(sigma=np.nan, n=5)
     with pytest.raises(ValueError):
         dg.SignalModel(sigma=np.inf, n=5)
-    # n is a count: a float is refused, whole or not, and a numpy integer kept
-    for n in (2.5, 3.0, np.nan):
+    # n is a count: a float or a bool is refused, and a numpy integer kept
+    for n in (2.5, 3.0, np.nan, True):
         with pytest.raises(ValueError, match="need an integer n"):
             dg.SignalModel(n=n)
         with pytest.raises(ValueError, match="need an integer n"):

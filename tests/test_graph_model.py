@@ -28,7 +28,7 @@ def test_edge_index_examples():
 
 def test_num_edges_refuses_a_non_integer_p():
     # p is a count: 10.5 once gave 49.0 edges
-    for p in (10.5, 10.0, np.float64(4.0)):
+    for p in (10.5, 10.0, np.float64(4.0), True):
         with pytest.raises(ValueError, match="need an integer p"):
             gm.num_edges(p)
     with pytest.raises(ValueError, match=re.escape("need p >= 2, got p=1")):
@@ -43,6 +43,10 @@ def test_check_integers_least():
         gm.check_integers(runs=np.int64(0), least=1)
     with pytest.raises(ValueError, match="need an integer runs"):
         gm.check_integers(runs=0.5, least=1)
+    # a bool is an Integral to Python, but no count
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=re.escape(f"need an integer runs, got {flag}")):
+            gm.check_integers(runs=flag, least=0)
     with pytest.raises(ValueError, match=re.escape("need seed >= 0, got -1")):
         gm.check_integers(runs=3, seed=-1, least=0)
     gm.check_integers(seed=-1)  # no bound without least
@@ -324,6 +328,13 @@ def test_csv_header_is_the_first_non_blank_line(tmp_path):
     path.write_text("\n0,1,1.5\ni,j,weight\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"edges\.csv:3: malformed edge row"):
         gm.load_edges_csv(path)
+    # a UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write it,
+    # is not part of the first line: the files read as they do without it
+    path.write_bytes(b"\xef\xbb\xbfi,j,weight\n0,1,1.5\n1,2,0.5\n")
+    np.testing.assert_array_equal(gm.load_edges_csv(path)[0], [1.5, 0.0, 0.5])
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,7.0\n")
+    np.testing.assert_array_equal(gm.load_signals_csv(path), [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
 
 
 def test_signals_csv_reports_line_numbers(tmp_path):

@@ -40,7 +40,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         ms.SolverConfig(elimination_threshold=np.inf)
     # max_iters is a count: refused when it is built, not by solve's range()
-    for max_iters in (2.5, np.nan, 10.0):
+    for max_iters in (2.5, np.nan, 10.0, True):
         with pytest.raises(ValueError, match="need an integer max_iters"):
             ms.SolverConfig(max_iters=max_iters)
         with pytest.raises(ValueError, match="need an integer max_iters"):
