@@ -62,11 +62,13 @@ def main():
                         default=[1.0, 10.0, 100.0, 1000.0, 3000.0, 10000.0, 30000.0])
     args = parser.parse_args()
     spec = cli._experiment_spec(args, parser)
-    # every grid value passes ProblemInstance's check before the first row prints
-    for flag, key in (("--alphas", "alpha"), ("--betas", "beta")):
-        for value in getattr(args, key + "s"):
+    # every grid value and the budget pass check_reals before the first row prints
+    for flag, key, values, positive in (("--alphas", "alpha", args.alphas, True),
+                                        ("--betas", "beta", args.betas, True),
+                                        ("--iter-budget", "iter_budget", [args.iter_budget], False)):
+        for value in values:
             try:
-                gm.ProblemInstance(p=2, d=[0.0], **{"alpha": 1.0, "beta": 1.0, key: value})
+                gm.check_reals(positive=positive, **{key: value})
             except ValueError as exc:
                 parser.error(f"{flag} {value}: {exc}")
 

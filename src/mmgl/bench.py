@@ -73,12 +73,12 @@ class ExperimentSpec:
                 raise ValueError(f"{name} does not apply to solver {self.solver}")
         # each setting that the run reads must pass the rule of the code that reads it
         if self.family in GENERATED:
-            graph_model.num_edges(self.p)  # refuses p < 2 and a non-integer p
-            data_gen.check_probabilities(**{name: getattr(self, name) for name in GENERATED[self.family]})
+            graph_model.check_integers(p=self.p, least=2)
+            graph_model.check_reals(most=1, **{name: getattr(self, name) for name in GENERATED[self.family]})
         if self.family != "signals-file":
             graph_model.check_integers(seed=self.seed, least=0)
             data_gen.SignalModel(sigma=self.sigma, n=self.n)
-        graph_model.ProblemInstance(p=2, d=[0.0], alpha=self.alpha, beta=self.beta)  # on a stand-in d
+        graph_model.check_reals(alpha=self.alpha, beta=self.beta, positive=True)
 
 
 @dataclass

@@ -15,6 +15,7 @@ import numpy as np
 from .graph_model import (
     ProblemInstance,
     check_integers,
+    check_reals,
     checked_weights,
     edge_pairs,
     load_edges_csv,
@@ -63,22 +64,14 @@ class SignalModel:
 
     def __post_init__(self):
         check_integers(n=self.n, least=1)
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError(f"need finite sigma >= 0, got {self.sigma}")
-
-
-def check_probabilities(**probs):
-    """ValueError naming the first edge probability in probs outside [0, 1]."""
-    for name, prob in probs.items():
-        if not 0 <= prob <= 1:
-            raise ValueError(f"need {name} in [0, 1], got {prob}")
+        check_reals(sigma=self.sigma)
 
 
 def gen_er(p, prob_edge, seed):
     """Erdos-Renyi graph: each potential edge present independently with
     probability prob_edge, unit weight when present; the SBM whose two
     probabilities are both prob_edge, so the same seed draws the same bits."""
-    check_probabilities(prob_edge=prob_edge)
+    check_reals(prob_edge=prob_edge, most=1)
     return gen_sbm(p, prob_edge, prob_edge, seed)
 
 
@@ -86,7 +79,7 @@ def gen_sbm(p, p_in, p_out, seed):
     """2-block stochastic block model: nodes split into halves of size
     floor(p/2) and ceil(p/2); intra-block edges appear with probability
     p_in, inter-block with p_out."""
-    check_probabilities(p_in=p_in, p_out=p_out)
+    check_reals(p_in=p_in, p_out=p_out, most=1)
     rng = np.random.default_rng(seed)
     membership = np.arange(p) >= p // 2
     I, J = edge_pairs(p)

@@ -1,6 +1,9 @@
 """Shared data model: edge indexing, edge kernels, distances, objective,
 and the file formats of the output bundles.
 
+Every scalar setting is checked by one of two rules: check_integers for a
+count and check_reals for a real weight, tolerance or probability.
+
 A weighted undirected graph on p nodes with no self-loops is stored as a
 vector w of length m = p(p-1)/2 holding the strict upper triangle of the
 adjacency matrix W in row-major order. All solvers operate on this
@@ -46,11 +49,21 @@ def check_integers(*, least=None, **counts):
             raise ValueError(f"need {name} >= {least}, got {count}")
 
 
+def check_reals(*, positive=False, most=None, **values):
+    """ValueError naming the first value in values that is not a real number
+    (a bool is not one) in range: finite and >= 0, or > 0 given positive;
+    in [0, most] given most."""
+    for name, value in values.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if most is not None and not (real and 0 <= value <= most):
+            raise ValueError(f"need {name} in [0, {most}], got {value}")
+        if most is None and not (real and 0 <= value < np.inf and (value > 0 or not positive)):
+            raise ValueError(f"need finite {name} {'>' if positive else '>='} 0, got {value}")
+
+
 def num_edges(p):
     """Number of potential edges m = p(p-1)/2 of a graph on p >= 2 nodes."""
-    check_integers(p=p)
-    if p < 2:
-        raise ValueError(f"need p >= 2, got p={p}")
+    check_integers(p=p, least=2)
     return p * (p - 1) // 2
 
 
@@ -157,7 +170,8 @@ def pairwise_distances(X):
         exactly 0 for identical rows.
 
     Computed in Gram form, |x_i|^2 + |x_j|^2 - 2 x_i.x_j, with one matrix
-    product; pairs that lose digits to cancellation are summed directly.
+    product; pairs that lose digits to cancellation or overflow are summed
+    directly. ValueError if a squared distance itself overflows float64.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
@@ -167,15 +181,19 @@ def pairwise_distances(X):
     I, J = edge_pairs(X.shape[0])
     sq = np.einsum("ij,ij->i", X, X)
     norms = sq[I] + sq[J]
-    d = norms - 2.0 * (X @ X.T)[I, J]
     # Direct sums where the Gram form cancels or overflows, in blocks of
     # about 1 MiB of row differences.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = norms - 2.0 * (X @ X.T)[I, J]
     redo = np.flatnonzero(~(np.isfinite(d) & (d >= _GRAM_GUARD * norms)))
     step = max(1, (1 << 17) // X.shape[1])
     for lo in range(0, redo.size, step):
         k = redo[lo:lo + step]
-        diff = X[I[k]] - X[J[k]]
-        d[k] = np.einsum("ij,ij->i", diff, diff)
+        with np.errstate(over="ignore"):
+            diff = X[I[k]] - X[J[k]]
+            d[k] = np.einsum("ij,ij->i", diff, diff)
+        if not np.all(np.isfinite(d[k])):
+            raise ValueError("squared distances between signal rows overflow float64")
     return d
 
 
@@ -196,8 +214,7 @@ class ProblemInstance:
     beta: float
 
     def __post_init__(self):
-        if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
-            raise ValueError(f"need finite alpha > 0 and beta > 0, got alpha={self.alpha}, beta={self.beta}")
+        check_reals(alpha=self.alpha, beta=self.beta, positive=True)
         d = checked_weights(np.array(self.d, dtype=float), num_edges(self.p))
         d.setflags(write=False)
         object.__setattr__(self, "d", d)

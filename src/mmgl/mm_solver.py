@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import (check_integers, edge_pairs, gradient_value, kkt_residual, node_degrees,
-                          objective_value, weights_to_matrix)
+from .graph_model import (check_integers, check_reals, edge_pairs, gradient_value, kkt_residual,
+                          node_degrees, objective_value, weights_to_matrix)
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,9 @@ class SolverConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("epsilon", "tol"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"need finite {name} > 0, got {getattr(self, name)}")
+        check_reals(epsilon=self.epsilon, tol=self.tol, positive=True)
         check_integers(max_iters=self.max_iters, least=1)
-        if not 0 <= self.elimination_threshold < np.inf:
-            raise ValueError(f"need finite elimination_threshold >= 0, got {self.elimination_threshold}")
+        check_reals(elimination_threshold=self.elimination_threshold)
 
 
 @dataclass

@@ -62,12 +62,12 @@ def test_experiment_spec_validation(tmp_path):
 @pytest.mark.parametrize("overrides, message", [
     (dict(n=0), "need n >= 1, got 0"),
     (dict(sigma=-1.0), "need finite sigma >= 0, got -1.0"),
-    (dict(p=1), "need p >= 2, got p=1"),
+    (dict(p=1), "need p >= 2, got 1"),
     (dict(prob_edge=2.0), "need prob_edge in [0, 1], got 2.0"),
     (dict(family="sbm", p_in=1.5), "need p_in in [0, 1], got 1.5"),
     (dict(family="graph-file", graph_path="g.csv", n=0), "need n >= 1, got 0"),
-    (dict(alpha=-1.0), "need finite alpha > 0 and beta > 0, got alpha=-1.0, beta=1.0"),
-    (dict(family="signals-file", signals_path="x.csv", beta=np.inf), "need finite alpha > 0 and beta > 0"),
+    (dict(alpha=-1.0), "need finite alpha > 0, got -1.0"),
+    (dict(family="signals-file", signals_path="x.csv", beta=np.inf), "need finite beta > 0, got inf"),
     # counts are integers
     (dict(p=10.5), "need an integer p, got 10.5"),
     (dict(n=2.5), "need an integer n, got 2.5"),
@@ -78,6 +78,11 @@ def test_experiment_spec_validation(tmp_path):
     (dict(seed=True), "need an integer seed, got True"),
     (dict(n=True), "need an integer n, got True"),
     (dict(p=False), "need an integer p, got False"),
+    # nor is a bool a real weight, noise level or probability
+    (dict(alpha=True), "need finite alpha > 0, got True"),
+    (dict(sigma=True), "need finite sigma >= 0, got True"),
+    (dict(prob_edge=True), "need prob_edge in [0, 1], got True"),
+    (dict(family="sbm", p_in=True), "need p_in in [0, 1], got True"),
 ])
 def test_experiment_spec_refuses_run_settings_out_of_range(tmp_path, overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)):

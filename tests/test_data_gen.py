@@ -25,8 +25,12 @@ def test_gen_er_rejects_bad_arguments():
     with pytest.raises(ValueError, match=re.escape("need prob_edge in [0, 1], got -0.1")):
         dg.gen_er(10, -0.1, 0)
     # gen_er has no p check of its own: num_edges refuses p < 2 before any draw
-    with pytest.raises(ValueError, match=re.escape("need p >= 2, got p=1")):
+    with pytest.raises(ValueError, match=re.escape("need p >= 2, got 1")):
         dg.gen_er(1, 0.1, 0)
+    # a bool or a string is no probability
+    for prob_edge in (True, False, "0.5", None):
+        with pytest.raises(ValueError, match="need prob_edge in"):
+            dg.gen_er(10, prob_edge, 0)
 
 
 @pytest.mark.parametrize("p", [2, 7, 100])
@@ -84,6 +88,10 @@ def test_gen_sbm_rejects_bad_arguments():
         dg.gen_sbm(10, 1.2, 0.1, 0)
     with pytest.raises(ValueError, match=re.escape("need p_out in [0, 1], got nan")):
         dg.gen_sbm(10, 0.5, float("nan"), 0)
+    with pytest.raises(ValueError, match=re.escape("need p_in in [0, 1], got True")):
+        dg.gen_sbm(10, True, 0.1, 0)
+    with pytest.raises(ValueError, match=re.escape("need p_out in [0, 1], got False")):
+        dg.gen_sbm(10, 0.5, False, 0)
 
 
 def test_generators_are_deterministic():
@@ -279,6 +287,11 @@ def test_signal_model_validation():
         with pytest.raises(ValueError, match="need an integer n"):
             dataclasses.replace(dg.SignalModel(), n=n)
     assert dg.SignalModel(n=np.int64(3)).n == 3
+    # sigma is a real number, and a bool is none
+    for sigma in (True, False, "0.1", None):
+        with pytest.raises(ValueError, match="need finite sigma >= 0"):
+            dg.SignalModel(sigma=sigma)
+    assert dg.SignalModel(sigma=np.float32(0.5)).sigma == 0.5
 
 
 def test_ground_truth_graph_validation():

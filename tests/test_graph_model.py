@@ -31,7 +31,7 @@ def test_num_edges_refuses_a_non_integer_p():
     for p in (10.5, 10.0, np.float64(4.0), True):
         with pytest.raises(ValueError, match="need an integer p"):
             gm.num_edges(p)
-    with pytest.raises(ValueError, match=re.escape("need p >= 2, got p=1")):
+    with pytest.raises(ValueError, match=re.escape("need p >= 2, got 1")):
         gm.num_edges(1)
     assert gm.num_edges(np.int64(4)) == 6
 
@@ -101,7 +101,10 @@ def test_pairwise_distances_matches_direct_sum():
     offset = 1e6 + rng.normal(size=(6, 9))
     near_duplicate = rng.normal(size=(6, 9))
     near_duplicate[1] = near_duplicate[0] + 1e-9 * rng.normal(size=9)
-    for X in (plain, offset, near_duplicate):
+    # every |x_i|^2 overflows float64 but no distance does: the Gram form
+    # is inf - inf, and the direct sums give d without a warning
+    huge = 1e155 * rng.normal(size=(1, 9)) + 1e140 * rng.normal(size=(6, 9))
+    for X in (plain, offset, near_duplicate, huge):
         d = gm.pairwise_distances(X)
         assert np.all(d >= 0)
         for k, (i, j) in enumerate(enumerate_pairs(6)):
@@ -113,6 +116,10 @@ def test_pairwise_distances_rejects_bad_input():
         gm.pairwise_distances(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         gm.pairwise_distances(np.array([[1.0, 2.0]]))
+    # a distance that overflows is refused by name, with no numpy warning
+    for X in ([[1e200, 2e200], [3e200, 1e200], [5e200, 7e200]], [[1e308], [-1e308]]):
+        with pytest.raises(ValueError, match="squared distances between signal rows overflow float64"):
+            gm.pairwise_distances(np.array(X))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -293,6 +300,12 @@ def test_problem_instance_validation():
         gm.ProblemInstance(p=2, d=np.array([0.0, 1.0]), alpha=1.0, beta=1.0)
     with pytest.raises(ValueError):
         gm.ProblemInstance(p=2, d=np.array([-1.0]), alpha=1.0, beta=1.0)
+    # alpha and beta are real numbers: a bool or a string is refused by name
+    for value in (True, False, "1", None):
+        with pytest.raises(ValueError, match="need finite alpha > 0"):
+            gm.ProblemInstance(p=2, d=np.array([0.0]), alpha=value, beta=1.0)
+        with pytest.raises(ValueError, match="need finite beta > 0"):
+            gm.ProblemInstance(p=2, d=np.array([0.0]), alpha=1.0, beta=value)
 
 
 # ------------------------------------------------------------------ file I/O

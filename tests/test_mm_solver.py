@@ -46,6 +46,11 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="need an integer max_iters"):
             dataclasses.replace(ms.SolverConfig(), max_iters=max_iters)
     assert ms.solve(make_problem(2, [1.0]), ms.SolverConfig(max_iters=np.int32(1))).iters == 1
+    # the real settings refuse a bool or a non-number by the same rule
+    for name, rule in (("epsilon", ">"), ("tol", ">"), ("elimination_threshold", ">=")):
+        for value in (True, False, "1e-4", None):
+            with pytest.raises(ValueError, match=f"need finite {name} {rule} 0, got {value}"):
+                ms.SolverConfig(**{name: value})
 
 
 # ----------------------------------------------------------------- compute_c

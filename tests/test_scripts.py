@@ -49,11 +49,16 @@ def test_tune_hyperparams_refuses_a_negative_base_seed():
     assert "error: need --base-seed >= 0, got -1" in out.stderr, out.stderr
 
 
-@pytest.mark.parametrize("flags", [["--alphas", "1", "-1"], ["--betas", "10", "0"], ["--betas", "nan"]])
+@pytest.mark.parametrize("flags", [
+    ["--alphas", "1", "-1"], ["--betas", "10", "0"], ["--betas", "nan"],
+    # a budget no mean can meet once ran the whole grid for nothing
+    ["--iter-budget", "nan"], ["--iter-budget", "-1"],
+])
 def test_tune_hyperparams_refuses_grid_values_before_any_row(flags):
-    # ProblemInstance's check, run on every grid value before the grid
-    # prints, names the flag and the value
+    # check_reals, run on every grid value and the budget before the grid
+    # prints; the refusal names the flag and the value
     out = script_process("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "1", *flags)
     assert (out.returncode, out.stdout) == (2, "")
     value = float(flags[-1])
-    assert f"error: {flags[0]} {value}: need finite alpha > 0 and beta > 0" in out.stderr, out.stderr
+    rule = {"--alphas": "alpha > 0", "--betas": "beta > 0", "--iter-budget": "iter_budget >= 0"}[flags[0]]
+    assert f"error: {flags[0]} {value}: need finite {rule}, got {value}" in out.stderr, out.stderr
