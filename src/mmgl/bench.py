@@ -1,15 +1,16 @@
 """Experiment harness: single runs, Monte-Carlo batches, bundle files.
 
-Every experiment writes a self-describing bundle into its output directory:
-spec.echo (the resolved configuration), trace_run<k>.csv and
-edges_run<k>.csv per run, summary.csv with the deterministic aggregates,
-and timing.csv with wall-clock statistics. Wall times are kept out of
-summary.csv so that repeating an experiment with the same seed reproduces
-it byte for byte.
+Every experiment writes a self-describing bundle into its output directory,
+in place of any bundle already there: spec.echo (the resolved
+configuration), trace_run<k>.csv and edges_run<k>.csv per run, summary.csv
+with the deterministic aggregates, and timing.csv with wall-clock
+statistics. Wall times are kept out of summary.csv so that repeating an
+experiment with the same seed reproduces it byte for byte.
 """
 
 import collections
 import dataclasses
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,12 +19,15 @@ import numpy as np
 
 from . import data_gen, graph_model, mm_solver
 
-# each solver, with the SolverConfig fields that it does not read
-SOLVERS = {"mm": ("tol",), "newton-oracle": ("epsilon", "elimination_threshold")}
+# each solver, with the SolverConfig fields that it reads
+SOLVERS = {"mm": ("epsilon", "max_iters", "elimination_threshold"), "newton-oracle": ("max_iters", "tol")}
 # each generated family, with the ExperimentSpec fields of its edge probabilities
 # in the argument order of its generator data_gen.gen_<family>
 GENERATED = {"er": ("prob_edge",), "sbm": ("p_in", "p_out")}
-FAMILIES = (*GENERATED, "graph-file", "signals-file")
+# each problem source, with the ExperimentSpec fields that it reads
+SOURCES = {**{family: ("p", *probs, "n", "sigma", "seed") for family, probs in GENERATED.items()},
+           "graph-file": ("graph_path", "n", "sigma", "seed"),
+           "signals-file": ("signals_path", "signals_header")}
 # ExperimentSpec fields that only signal generation reads
 SIGNALS_UNREAD = ("seed", "sigma", "prob_edge", "p_in", "p_out", "graph_path")
 
@@ -31,7 +35,9 @@ SIGNALS_UNREAD = ("seed", "sigma", "prob_edge", "p_in", "p_out", "graph_path")
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one experiment; frozen, so every
-    setting keeps the checks it passed when the spec was built."""
+    setting keeps the checks it passed when the spec was built. A setting
+    that the run's source (SOURCES) or solver (SOLVERS) does not read must
+    keep its default."""
 
     family: str = "er"
     p: int = 100
@@ -52,32 +58,27 @@ class ExperimentSpec:
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in SOURCES:
             raise ValueError(f"unknown graph family {self.family!r}")
         path = {"graph-file": "graph_path", "signals-file": "signals_path"}.get(self.family)
         if path and not getattr(self, path):
             raise ValueError(f"need a nonempty {path} for a {self.family} spec")
-        # a file setting is refused, not echoed, on a family that does not read it
-        for name, family in (("graph_path", "graph-file"), ("signals_path", "signals-file"),
-                             ("signals_header", "signals-file")):
-            if getattr(self, name) and self.family != family:
-                raise ValueError(f"{name} applies only to a {family} spec, not to {self.family}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
+        # a setting that the run does not read is refused, not echoed, unless it keeps its default
+        for owner, table, key, reader in ((self, SOURCES, self.family, f"the {self.family} source"),
+                                          (self.solver_config, SOLVERS, self.solver, f"solver {self.solver}")):
+            for name in (name for names in table.values() for name in names):
+                if name not in table[key] and getattr(owner, name) != getattr(type(owner), name):
+                    raise ValueError(f"{name} does not apply to {reader}")
         graph_model.check_integers(monte_carlo_runs=self.monte_carlo_runs, least=1)
         if self.family == "signals-file" and self.monte_carlo_runs > 1:
             raise ValueError("a signals file is one instance, so use --runs 1 or mmgl solve")
-        # a changed setting that the chosen solver does not read is refused, not echoed
-        for name in SOLVERS[self.solver]:
-            if getattr(self.solver_config, name) != getattr(mm_solver.SolverConfig, name):
-                raise ValueError(f"{name} does not apply to solver {self.solver}")
-        # each setting that the run reads must pass the rule of the code that reads it
-        if self.family in GENERATED:
-            graph_model.check_integers(p=self.p, least=2)
-            graph_model.check_reals(most=1, **{name: getattr(self, name) for name in GENERATED[self.family]})
-        if self.family != "signals-file":
-            graph_model.check_integers(seed=self.seed, least=0)
-            data_gen.SignalModel(sigma=self.sigma, n=self.n)
+        # so every range rule can run: a setting that the run does not read has its default
+        graph_model.check_integers(p=self.p, least=2)
+        graph_model.check_reals(most=1, prob_edge=self.prob_edge, p_in=self.p_in, p_out=self.p_out)
+        graph_model.check_integers(seed=self.seed, least=0)
+        data_gen.SignalModel(sigma=self.sigma, n=self.n)
         graph_model.check_reals(alpha=self.alpha, beta=self.beta, positive=True)
 
 
@@ -116,13 +117,11 @@ def run_data(spec):
     model = data_gen.SignalModel(sigma=spec.sigma, n=spec.n)
     if spec.family == "graph-file":
         g = data_gen.load_graph(spec.graph_path)
-    scratch = None
+    scratch = np.empty((g.p if spec.family == "graph-file" else spec.p, model.n))
     for seed in range(spec.seed, spec.seed + spec.monte_carlo_runs):
         if spec.family in GENERATED:
             g = getattr(data_gen, f"gen_{spec.family}")(
                 spec.p, *(getattr(spec, name) for name in GENERATED[spec.family]), seed)
-        if scratch is None:
-            scratch = np.empty((g.p, model.n))
         yield g, data_gen.gen_signals(g, model, seed, scratch)
 
 
@@ -132,7 +131,9 @@ def run_single(spec, run_index, X):
 
     Returns (SolveResult, wall_time_of_solve). The trace CSV and the learned
     edge list land in spec.out_dir as trace_run<k>.csv / edges_run<k>.csv;
-    run 0 first writes spec.echo with the p and n of the instance it built.
+    run 0 first deletes the bundle files already there (spec.echo,
+    summary.csv, timing.csv and every run's trace and edge list), and then
+    writes spec.echo with the p and n of the instance it built.
     X is let go once its distances are formed, so it is not live during
     the solve and the writes.
     """
@@ -141,7 +142,11 @@ def run_single(spec, run_index, X):
     prob = data_gen.assemble(X, spec.alpha, spec.beta)
     del X
     if run_index == 0:
-        write_spec_echo(dataclasses.replace(spec, p=prob.p, n=n))
+        # the bundle replaces any bundle in out; other files, gen's included, stay
+        for q in out.glob("*"):
+            if re.fullmatch(r"spec\.echo|summary\.csv|timing\.csv|(trace|edges)_run\d+\.csv", q.name):
+                q.unlink()
+        write_spec_echo(spec, prob.p, n)
     t0 = time.perf_counter()
     solve = mm_solver.solve if spec.solver == "mm" else mm_solver.newton_solve
     result = solve(prob, spec.solver_config)
@@ -245,11 +250,12 @@ def _write_fields(summary, path, *names):
         repr(float(v)) if isinstance(v, float) else str(v) for v in values) + "\n"])
 
 
-def write_spec_echo(spec):
-    """Echo the resolved spec as sorted key=value lines into out_dir/spec.echo,
-    leaving out the generation settings that a signals file does not read."""
+def write_spec_echo(spec, p, n):
+    """Echo the resolved spec, with the p and n of the instance the run
+    built, as sorted key=value lines into out_dir/spec.echo, leaving out
+    the generation settings that a signals file does not read."""
     unread = SIGNALS_UNREAD if spec.family == "signals-file" else ()
-    flat = dataclasses.asdict(spec)
+    flat = {**dataclasses.asdict(spec), "p": p, "n": n}
     flat.update((f"solver_config.{name}", value) for name, value in flat.pop("solver_config").items())
     graph_model._write_text(Path(spec.out_dir) / "spec.echo",
                             ["".join(f"{key}={flat[key]}\n" for key in sorted(flat) if key not in unread)])

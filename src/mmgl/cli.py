@@ -3,7 +3,8 @@
 Exit codes: 0 success (and solver converged), 3 stopped without converging
 (iteration cap, f became non-finite, or the Newton oracle's line search
 found no acceptable step, or its Newton system was singular, before its
-tolerance), 2 usage errors, 1 file or data errors.
+tolerance), 2 usage errors, 1 file or data errors, or memory that could
+not be allocated.
 """
 
 import argparse
@@ -93,7 +94,7 @@ def _experiment_spec(args, parser):
         given["family"] = "signals-file"
     elif "graph_path" in given:
         given["family"] = "graph-file"
-    if given["family"] != "signals-file" and "seed" not in given:
+    if "seed" in bench.SOURCES[given["family"]] and "seed" not in given:
         parser.error("--seed is required when signals are generated")
     try:
         config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
@@ -175,7 +176,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -21,6 +21,7 @@ from .graph_model import (
     load_edges_csv,
     num_edges,
     pairwise_distances,
+    read_only,
     weights_to_matrix,
 )
 
@@ -36,8 +37,7 @@ class GroundTruthGraph:
     def __post_init__(self):
         # frozen, with a private read-only copy, so signal_root always matches
         w = checked_weights(np.array(self.w_true, dtype=float), num_edges(self.p))
-        w.setflags(write=False)
-        object.__setattr__(self, "w_true", w)
+        object.__setattr__(self, "w_true", read_only(w))
 
     @functools.cached_property
     def signal_root(self):
@@ -49,9 +49,7 @@ class GroundTruthGraph:
         keep = vals > EIG_CUTOFF * max(float(vals[-1]), 0.0)
         inv_vals = np.zeros_like(vals)
         inv_vals[keep] = 1.0 / vals[keep]
-        root = (vecs * np.sqrt(inv_vals)) @ vecs.T
-        root.setflags(write=False)
-        return root
+        return read_only((vecs * np.sqrt(inv_vals)) @ vecs.T)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,12 @@ def check_reals(*, positive=False, most=None, **values):
             raise ValueError(f"need finite {name} {'>' if positive else '>='} 0, got {value}")
 
 
+def read_only(a):
+    """The array a, with its write flag cleared."""
+    a.setflags(write=False)
+    return a
+
+
 def num_edges(p):
     """Number of potential edges m = p(p-1)/2 of a graph on p >= 2 nodes."""
     check_integers(p=p, least=2)
@@ -88,9 +94,7 @@ def edge_pairs(p):
     """Endpoint arrays (I, J) for all m edges in canonical order (read-only)."""
     num_edges(p)  # refuses p < 2
     I, J = np.triu_indices(p, k=1)
-    I.setflags(write=False)
-    J.setflags(write=False)
-    return I, J
+    return read_only(I), read_only(J)
 
 
 def checked_weights(w, m):
@@ -155,6 +159,7 @@ def weights_to_matrix(w, p):
     return W
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pairwise_distances(X):
     """Squared Euclidean distances between node signal rows, in edge order.
 
@@ -172,6 +177,8 @@ def pairwise_distances(X):
     Computed in Gram form, |x_i|^2 + |x_j|^2 - 2 x_i.x_j, with one matrix
     product; pairs that lose digits to cancellation or overflow are summed
     directly. ValueError if a squared distance itself overflows float64.
+    Runs under np.errstate(over="ignore", invalid="ignore"), since the
+    direct sums redo every Gram-form value that overflowed.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
@@ -183,15 +190,13 @@ def pairwise_distances(X):
     norms = sq[I] + sq[J]
     # Direct sums where the Gram form cancels or overflows, in blocks of
     # about 1 MiB of row differences.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = norms - 2.0 * (X @ X.T)[I, J]
+    d = norms - 2.0 * (X @ X.T)[I, J]
     redo = np.flatnonzero(~(np.isfinite(d) & (d >= _GRAM_GUARD * norms)))
     step = max(1, (1 << 17) // X.shape[1])
     for lo in range(0, redo.size, step):
         k = redo[lo:lo + step]
-        with np.errstate(over="ignore"):
-            diff = X[I[k]] - X[J[k]]
-            d[k] = np.einsum("ij,ij->i", diff, diff)
+        diff = X[I[k]] - X[J[k]]
+        d[k] = np.einsum("ij,ij->i", diff, diff)
         if not np.all(np.isfinite(d[k])):
             raise ValueError("squared distances between signal rows overflow float64")
     return d
@@ -216,8 +221,7 @@ class ProblemInstance:
     def __post_init__(self):
         check_reals(alpha=self.alpha, beta=self.beta, positive=True)
         d = checked_weights(np.array(self.d, dtype=float), num_edges(self.p))
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", read_only(d))
 
     @property
     def m(self):

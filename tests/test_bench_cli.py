@@ -25,8 +25,11 @@ def toy_signals_csv(path, rows):
 
 
 def small_spec(tmp_path, **overrides):
-    kwargs = dict(family="er", p=12, prob_edge=0.3, n=40, sigma=0.1,
-                  alpha=1.0, beta=1.0, seed=5, out_dir=str(tmp_path / "exp"))
+    # each generation setting goes only to a source that reads it
+    family = overrides.get("family", "er")
+    kwargs = {name: value for name, value in dict(p=12, prob_edge=0.3, n=40, sigma=0.1, seed=5).items()
+              if name in bench.SOURCES.get(family, ())}
+    kwargs.update(family=family, alpha=1.0, beta=1.0, out_dir=str(tmp_path / "exp"))
     kwargs.update(overrides)
     return bench.ExperimentSpec(**kwargs)
 
@@ -52,11 +55,16 @@ def test_experiment_spec_validation(tmp_path):
     with pytest.raises(ValueError, match="need seed >= 0, got -1"):
         small_spec(tmp_path, seed=-1)
     # a signals file reads no seed and no generation setting, a graph file
-    # no p and no edge probability, and ER no SBM probability
-    assert small_spec(tmp_path, family="signals-file", signals_path="x.csv", seed=-1).seed == -1
-    small_spec(tmp_path, family="signals-file", signals_path="x.csv", n=0, sigma=-1.0, p=1, prob_edge=2.0)
-    small_spec(tmp_path, family="graph-file", graph_path="g.csv", p=1, prob_edge=2.0, p_out=-1.0)
-    small_spec(tmp_path, p_in=2.0, p_out=-1.0)
+    # no p and no edge probability, and ER no SBM probability: each such
+    # setting is refused, in range or not, naming the first in SOURCES order
+    with pytest.raises(ValueError, match="^seed does not apply to the signals-file source$"):
+        small_spec(tmp_path, family="signals-file", signals_path="x.csv", seed=-1)
+    with pytest.raises(ValueError, match="^p does not apply to the signals-file source$"):
+        small_spec(tmp_path, family="signals-file", signals_path="x.csv", n=0, sigma=-1.0, p=1, prob_edge=2.0)
+    with pytest.raises(ValueError, match="^p does not apply to the graph-file source$"):
+        small_spec(tmp_path, family="graph-file", graph_path="g.csv", p=1, prob_edge=2.0, p_out=-1.0)
+    with pytest.raises(ValueError, match="^p_in does not apply to the er source$"):
+        small_spec(tmp_path, p_in=2.0, p_out=-1.0)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -115,9 +123,9 @@ def test_experiment_spec_refuses_file_settings_its_family_does_not_read(tmp_path
     paths = {"graph-file": dict(graph_path="g.csv"), "signals-file": dict(signals_path="x.csv")}
     spec = small_spec(tmp_path, family=family, **paths.get(family, {}))
     (name, _), = setting.items()
-    with pytest.raises(ValueError, match=f"{name} applies only to a .* spec, not to {family}"):
+    with pytest.raises(ValueError, match=f"{name} does not apply to the {family} source"):
         small_spec(tmp_path, family=family, **{**paths.get(family, {}), **setting})
-    with pytest.raises(ValueError, match=f"{name} applies only to a .* spec, not to {family}"):
+    with pytest.raises(ValueError, match=f"{name} does not apply to the {family} source"):
         dataclasses.replace(spec, **setting)
 
 
@@ -599,12 +607,17 @@ def test_cli_generation_flags_parse_alike():
         assert [getattr(args, k) for k in names] == [100, 0.1, 0.3, 0.05, 1200, 0.1]
         args = parser.parse_args([cmd, "--family", "er", *flags, "--seed", "1", "--out", "o"])
         assert [getattr(args, k) for k in names] == [9, 0.2, 0.4, 0.01, 50, 0.3]
-    # each generation flag reaches its spec field, for gen as for solve and bench
+    # each generation flag reaches its spec field, for gen as for solve and
+    # bench; a family takes only its own edge probabilities
+    own = {"er": (["--prob-edge", "0.2"], [0.2, 0.3, 0.05]),
+           "sbm": (["--p-in", "0.4", "--p-out", "0.01"], [0.1, 0.4, 0.01])}
     for cmd in ("gen", "solve", "bench"):
-        args = parser.parse_args([cmd, "--family", "sbm", *flags, "--seed", "4", "--out", "o"])
-        spec = cli._experiment_spec(args, parser)
-        assert [getattr(spec, k) for k in names] == [9, 0.2, 0.4, 0.01, 50, 0.3]
-        assert (spec.family, spec.seed, spec.out_dir) == ("sbm", 4, "o")
+        for family, (probs, values) in own.items():
+            args = parser.parse_args([cmd, "--family", family, "--p", "9", *probs, "--n", "50", "--sigma", "0.3",
+                                      "--seed", "4", "--out", "o"])
+            spec = cli._experiment_spec(args, parser)
+            assert [getattr(spec, k) for k in names] == [9, *values, 50, 0.3]
+            assert (spec.family, spec.seed, spec.out_dir) == (family, 4, "o")
     # a default solve or bench spec carries the dataclass defaults throughout
     for cmd in ("solve", "bench"):
         args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o"])
@@ -646,6 +659,67 @@ def test_cli_refuses_settings_the_solver_does_not_read(tmp_path, capsys, flags):
     assert excinfo.value.code == 2
     assert f"{flags[-2]} does not apply to --solver" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+# every (source or solver, setting) pair whose setting the run does not read
+UNREAD = [
+    *[("er", name) for name in ("p_in", "p_out", "graph_path", "signals_path", "signals_header")],
+    *[("sbm", name) for name in ("prob_edge", "graph_path", "signals_path", "signals_header")],
+    *[("graph-file", name) for name in ("p", "prob_edge", "p_in", "p_out", "signals_path", "signals_header")],
+    *[("signals-file", name) for name in ("p", "prob_edge", "p_in", "p_out", "graph_path", "n", "sigma", "seed")],
+    ("mm", "tol"), ("newton-oracle", "epsilon"), ("newton-oracle", "elimination_threshold"),
+]
+# a value other than the default of each setting, and the flags that type it
+CHANGED = {
+    "p": (10, ["--p", "10"]), "prob_edge": (0.2, ["--prob-edge", "0.2"]),
+    "p_in": (0.4, ["--p-in", "0.4"]), "p_out": (0.01, ["--p-out", "0.01"]),
+    "graph_path": ("g.csv", ["--graph", "g.csv"]), "signals_path": ("x.csv", ["--signals", "x.csv"]),
+    "signals_header": (True, ["--signals-header"]), "n": (30, ["--n", "30"]),
+    "sigma": (0.3, ["--sigma", "0.3"]), "seed": (1, ["--seed", "1"]),
+    "tol": (1e-3, ["--tol", "1e-3"]), "epsilon": (1e-3, ["--epsilon", "1e-3"]),
+    "elimination_threshold": (0.5, ["--elim-threshold", "0.5"]),
+}
+# the spec fields and the flags of a valid run of each source or solver
+READERS = {
+    "er": (dict(family="er"), ["--family", "er", "--seed", "1"]),
+    "sbm": (dict(family="sbm"), ["--family", "sbm", "--seed", "1"]),
+    "graph-file": (dict(family="graph-file", graph_path="g.csv"), ["--graph", "g.csv", "--seed", "1"]),
+    "signals-file": (dict(family="signals-file", signals_path="x.csv"), ["--signals", "x.csv"]),
+    "mm": (dict(solver="mm"), ["--family", "er", "--seed", "1"]),
+    "newton-oracle": (dict(solver="newton-oracle"), ["--family", "er", "--seed", "1", "--solver", "newton-oracle"]),
+}
+
+
+@pytest.mark.parametrize("reader, name", UNREAD, ids=[f"{reader}-{name}" for reader, name in UNREAD])
+def test_every_setting_the_run_does_not_read_is_refused(tmp_path, monkeypatch, capsys, reader, name):
+    fields, argv = READERS[reader]
+    value, flag = CHANGED[name]
+    solver = reader in bench.SOLVERS
+    changed = dict(solver_config=ms.SolverConfig(**{name: value})) if solver else {name: value}
+    target = f"solver {reader}" if solver else f"the {reader} source"
+    # refused as a spec is built, and as one is derived from a valid spec
+    with pytest.raises(ValueError, match=f"^{name} does not apply to {target}$"):
+        bench.ExperimentSpec(**fields, **changed)
+    with pytest.raises(ValueError, match=f"^{name} does not apply to {target}$"):
+        dataclasses.replace(bench.ExperimentSpec(**fields), **changed)
+    # and at the CLI, by every subcommand that declares the flag, as a usage
+    # error that names the flag typed
+    monkeypatch.chdir(tmp_path)
+    gen = not solver and reader != "signals-file" and name not in ("signals_path", "signals_header")
+    for cmd in ("solve", "bench", *(("gen",) if gen else ())):
+        runs = ["--runs", "1"] if cmd == "bench" else []
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([cmd, *argv, *flag, *runs, "--out", "x"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mmgl {cmd} "), err
+        if name in ("graph_path", "signals_path"):
+            # a second problem source, which argparse refuses first
+            assert f"mmgl {cmd}: error: argument {flag[0]}: not allowed" in err, err
+        else:
+            target = f"--solver {reader}" if solver else f"the {reader} source"
+            assert err.endswith(f"mmgl {cmd}: error: {flag[0]} does not apply to {target}\n"), err
+        assert not (tmp_path / "x").exists()
 
 
 def test_readme_cli_section_names_only_real_flags():
@@ -731,12 +805,66 @@ def test_cli_refuses_signals_header_without_signals(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     Path("g.csv").write_text("i,j,weight\n0,1,1.0\n", encoding="utf-8")
     with pytest.raises(SystemExit) as excinfo:
-        cli.main([command, *source, "--p", "10", "--n", "30", "--seed", "1", "--signals-header", "--out", "x"])
+        cli.main([command, *source, "--n", "30", "--seed", "1", "--signals-header", "--out", "x"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: mmgl {command} "), err
     assert f"mmgl {command}: error: --signals-header " in err, err
     assert not (tmp_path / "x").exists()
+
+
+def test_cli_bench_replaces_the_bundle_in_its_directory(tmp_path, capsys):
+    # a 2-run oracle batch into the directory of a 4-run MM batch leaves no
+    # MM run behind for plotdata to label newton-oracle
+    out = tmp_path / "d"
+    argv = ["bench", "--family", "er", "--p", "12", "--n", "40", "--out", str(out)]
+    assert cli.main([*argv, "--runs", "4", "--seed", "1"]) == cli.EXIT_OK
+    assert cli.main([*argv, "--runs", "2", "--seed", "9", "--solver", "newton-oracle"]) == cli.EXIT_OK
+    assert sorted(q.name for q in out.iterdir()) == [
+        "edges_run0.csv", "edges_run1.csv", "spec.echo", "summary.csv", "timing.csv",
+        "trace_run0.csv", "trace_run1.csv"]
+    capsys.readouterr()
+    plot = tmp_path / "plot.csv"
+    assert cli.main(["plotdata", str(out), "--out", str(plot)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"wrote {plot} (2 traces)\n"
+    assert {line.split(",", 1)[0] for line in plot.read_text(encoding="utf-8").splitlines()[1:]} == {
+        "newton-oracle"}
+
+
+def test_cli_solve_replaces_a_bench_bundle_and_keeps_other_files(tmp_path):
+    d = tmp_path / "d"
+    family = ["--family", "er", "--p", "12", "--n", "40", "--seed", "1"]
+    assert cli.main(["gen", *family, "--out", str(d)]) == cli.EXIT_OK
+    assert cli.main(["bench", *family, "--runs", "3", "--out", str(d)]) == cli.EXIT_OK
+    for name in ("notes.txt", "trace_runX.csv", "edges_run1.csv.bak", "summary.csv.bak"):
+        (d / name).write_text("kept\n", encoding="utf-8")
+    bundle = {q.name: q.read_bytes() for q in d.iterdir()}
+    # a run refused on its inputs touches nothing, here signals whose
+    # distances overflow
+    toy_signals_csv(tmp_path / "huge.csv", [[1e200, 2e200], [3e200, 1e200], [5e200, 7e200]])
+    assert cli.main(["solve", "--signals", str(tmp_path / "huge.csv"), "--out", str(d)]) == cli.EXIT_IO
+    assert {q.name: q.read_bytes() for q in d.iterdir()} == bundle
+    # a solve leaves no summary, timing or later run of the batch beside its echo
+    assert cli.main(["solve", "--signals", str(d / "signals.csv"), "--solver", "newton-oracle",
+                     "--out", str(d)]) == cli.EXIT_OK
+    assert sorted(q.name for q in d.iterdir()) == [
+        "edges_run0.csv", "edges_run1.csv.bak", "edges_true.csv", "notes.txt", "signals.csv", "spec.echo",
+        "summary.csv.bak", "trace_run0.csv", "trace_runX.csv"]
+    assert (d / "signals.csv").read_bytes() == bundle["signals.csv"]
+    assert (d / "edges_true.csv").read_bytes() == bundle["edges_true.csv"]
+    assert "solver=newton-oracle" in (d / "spec.echo").read_text(encoding="utf-8").splitlines()
+
+
+def test_cli_allocation_that_numpy_refuses_is_an_error_not_a_traceback(tmp_path, capsys):
+    # 100 x 1e12 float64 signals would take 728 TiB, more than any address
+    # space: numpy refuses the request before a page is touched
+    out = tmp_path / "big"
+    rc = cli.main(["bench", "--family", "er", "--p", "100", "--n", "1000000000000", "--seed", "1",
+                   "--runs", "1", "--out", str(out)])
+    assert rc == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 728. TiB"), err
+    assert not out.exists()
 
 
 def test_cli_signals_header_skips_one_row(tmp_path):

@@ -464,3 +464,20 @@ def test_callback_sees_full_length_arrays_after_compaction():
 
     ms.solve(prob, ms.SolverConfig(epsilon=1e-12, max_iters=100000), callback=cb)
     assert all(sizes == (m, m) for sizes in lengths)
+
+
+def test_nested_solve_leaves_the_error_state_as_it_found_it():
+    # solve runs under an errstate decorator; with numpy >= 2 its state is
+    # per context, so a solve that a callback starts cannot leave the outer
+    # solve's "ignore" settings behind
+    prob = gapped_problem(14, 10)
+    inner = []
+
+    def callback(k, w, c):
+        if k == 1:
+            inner.append(ms.solve(prob, ms.SolverConfig(max_iters=3)))
+
+    before = np.geterr()
+    ms.solve(prob, ms.SolverConfig(max_iters=5), callback=callback)
+    assert len(inner) == 1
+    assert np.geterr() == before
