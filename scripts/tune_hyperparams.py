@@ -47,13 +47,14 @@ def evaluate(alpha, beta, instances, config):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--family", choices=bench.GENERATED, default="er")
+    # as in mmgl's subcommands, a flag not typed leaves its field at the dataclass default
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], argument_default=argparse.SUPPRESS)
+    parser.add_argument("--family", choices=bench.GENERATED)
     cli._add_generation_args(parser)
     parser.add_argument("--seeds", dest="monte_carlo_runs", metavar="SEEDS", type=int, default=5,
                         help="instances per grid point")
     parser.add_argument("--base-seed", dest="seed", metavar="BASE_SEED", type=int, default=1000)
-    parser.add_argument("--epsilon", type=float, default=ms.SolverConfig.epsilon)
+    cli._add_setting(parser, "--epsilon", "relative-objective stopping tolerance", ms.SolverConfig)
     parser.add_argument("--iter-budget", type=float, default=15.0,
                         help="benchmark bound on mean iterations")
     parser.add_argument("--alphas", type=float, nargs="+",

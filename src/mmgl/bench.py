@@ -1,11 +1,17 @@
 """Experiment harness: single runs, Monte-Carlo batches, bundle files.
 
 Every experiment writes a self-describing bundle into its output directory,
-in place of any bundle already there: spec.echo (the resolved
-configuration), trace_run<k>.csv and edges_run<k>.csv per run, summary.csv
-with the deterministic aggregates, and timing.csv with wall-clock
-statistics. Wall times are kept out of summary.csv so that repeating an
-experiment with the same seed reproduces it byte for byte.
+in place of any bundle already there: spec.echo (the settings the run
+read), trace_run<k>.csv and edges_run<k>.csv per run, summary.csv with the
+deterministic aggregates, and timing.csv with wall-clock statistics. Wall
+times are kept out of summary.csv so that repeating an experiment with the
+same seed reproduces it byte for byte.
+
+SOURCES and SOLVERS are the one statement of what a run reads. unread()
+derives the settings a run does not read from them, and serves three
+rules: ExperimentSpec refuses such a setting unless it keeps its default,
+the CLI refuses such a flag whenever it is typed, and spec.echo leaves
+such a setting out.
 """
 
 import collections
@@ -28,8 +34,6 @@ GENERATED = {"er": ("prob_edge",), "sbm": ("p_in", "p_out")}
 SOURCES = {**{family: ("p", *probs, "n", "sigma", "seed") for family, probs in GENERATED.items()},
            "graph-file": ("graph_path", "n", "sigma", "seed"),
            "signals-file": ("signals_path", "signals_header")}
-# ExperimentSpec fields that only signal generation reads
-SIGNALS_UNREAD = ("seed", "sigma", "prob_edge", "p_in", "p_out", "graph_path")
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,9 @@ class ExperimentSpec:
             raise ValueError(f"need a nonempty {path} for a {self.family} spec")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        # a setting that the run does not read is refused, not echoed, unless it keeps its default
-        for owner, table, key, reader in ((self, SOURCES, self.family, f"the {self.family} source"),
-                                          (self.solver_config, SOLVERS, self.solver, f"solver {self.solver}")):
-            for name in (name for names in table.values() for name in names):
-                if name not in table[key] and getattr(owner, name) != getattr(type(owner), name):
-                    raise ValueError(f"{name} does not apply to {reader}")
+        # a setting that the run does not read must keep its default
+        refuse_unread(self, [name for owner in (self, self.solver_config) for name in vars(owner)
+                             if getattr(owner, name) != getattr(type(owner), name)])
         graph_model.check_integers(monte_carlo_runs=self.monte_carlo_runs, least=1)
         if self.family == "signals-file" and self.monte_carlo_runs > 1:
             raise ValueError("a signals file is one instance, so use --runs 1 or mmgl solve")
@@ -80,6 +81,23 @@ class ExperimentSpec:
         graph_model.check_integers(seed=self.seed, least=0)
         data_gen.SignalModel(sigma=self.sigma, n=self.n)
         graph_model.check_reals(alpha=self.alpha, beta=self.beta, positive=True)
+
+
+def unread(spec):
+    """Map each setting that spec's run does not read to the source or solver
+    that a refusal names: each ExperimentSpec field that SOURCES lists for
+    other sources only, and each SolverConfig field that SOLVERS lists for
+    the other solver only."""
+    return {name: reader for table, key, reader in ((SOURCES, spec.family, f"the {spec.family} source"),
+                                                     (SOLVERS, spec.solver, f"solver {spec.solver}"))
+            for names in table.values() for name in names if name not in table[key]}
+
+
+def refuse_unread(spec, given):
+    """Refuse the first setting named in given that spec's run does not read."""
+    for name, reader in unread(spec).items():
+        if name in given:
+            raise ValueError(f"{name} does not apply to {reader}")
 
 
 @dataclass
@@ -251,14 +269,14 @@ def _write_fields(summary, path, *names):
 
 
 def write_spec_echo(spec, p, n):
-    """Echo the resolved spec, with the p and n of the instance the run
-    built, as sorted key=value lines into out_dir/spec.echo, leaving out
-    the generation settings that a signals file does not read."""
-    unread = SIGNALS_UNREAD if spec.family == "signals-file" else ()
+    """Echo the settings that the run reads, with the p and n of the
+    instance it built, as sorted key=value lines into out_dir/spec.echo; a
+    setting that unread(spec) names is left out."""
+    skip = unread(spec).keys() - {"p", "n"}
     flat = {**dataclasses.asdict(spec), "p": p, "n": n}
     flat.update((f"solver_config.{name}", value) for name, value in flat.pop("solver_config").items())
-    graph_model._write_text(Path(spec.out_dir) / "spec.echo",
-                            ["".join(f"{key}={flat[key]}\n" for key in sorted(flat) if key not in unread)])
+    graph_model._write_text(Path(spec.out_dir) / "spec.echo", ["".join(
+        f"{key}={flat[key]}\n" for key in sorted(flat) if key.removeprefix("solver_config.") not in skip)])
 
 
 def _echoed_solver(path):

@@ -1,5 +1,12 @@
 """Command line front end: gen / solve / bench / plotdata subcommands.
 
+A subcommand keeps no flag defaults of its own, except bench's --runs 100:
+each setting flag takes its type and the default that --help states from
+its ExperimentSpec or SolverConfig field, and a flag not typed leaves that
+field at its default. So the CLI sees exactly the flags typed, and refuses
+one that the run does not read (bench.SOURCES, bench.SOLVERS) even at its
+default value.
+
 Exit codes: 0 success (and solver converged), 3 stopped without converging
 (iteration cap, f became non-finite, or the Newton oracle's line search
 found no acceptable step, or its Newton system was singular, before its
@@ -32,8 +39,8 @@ _STOP_MESSAGES = {
 
 def _add_source_args(sub, signals=True):
     """Declare the problem source, the generation flags, --seed and --out;
-    signals adds --signals and --signals-header. Each default is read from
-    the dataclass that owns the setting, and each dest is its field name."""
+    signals adds --signals and --signals-header. Each dest is the name of
+    the field that the flag sets."""
     src = sub.add_argument_group("problem source")
     one = src.add_mutually_exclusive_group(required=True)
     one.add_argument("--family", choices=bench.GENERATED, help="synthetic ground-truth family")
@@ -48,62 +55,63 @@ def _add_source_args(sub, signals=True):
     sub.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
 
 
+def _add_setting(group, flag, text, owner=bench.ExperimentSpec, **kwargs):
+    """Declare flag for the field of owner that its dest names, by default
+    the flag's own name: the field's default gives the flag its type and
+    the default that --help states."""
+    default = getattr(owner, kwargs.setdefault("dest", flag[2:].replace("-", "_")))
+    group.add_argument(flag, type=type(default), help=f"{text} (default {default})", **kwargs)
+
+
 def _add_run_args(sub):
     """Declare what `solve` and `bench` share: the source flags, the model
     weights and the solver settings."""
-    spec = bench.ExperimentSpec
     _add_source_args(sub)
-    sub.add_argument("--alpha", type=float, default=spec.alpha, help="log-barrier weight (default %(default)s)")
-    sub.add_argument("--beta", type=float, default=spec.beta, help="squared-norm weight (default %(default)s)")
+    _add_setting(sub, "--alpha", "log-barrier weight")
+    _add_setting(sub, "--beta", "squared-norm weight")
     sol = sub.add_argument_group("solver")
-    sol.add_argument("--solver", choices=bench.SOLVERS, default=spec.solver,
-                     help="MM, or the projected Newton reference (default %(default)s)")
-    sol.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
-                     help="relative-objective stopping tolerance (default %(default)s)")
-    sol.add_argument("--max-iters", type=int, default=SolverConfig.max_iters,
-                     help="iteration cap of either solver (default %(default)s)")
-    sol.add_argument("--elim-threshold", dest="elimination_threshold", metavar="ELIM_THRESHOLD",
-                     type=float, default=SolverConfig.elimination_threshold,
-                     help="weight elimination threshold, 0 turns it off (default %(default)s)")
-    sol.add_argument("--tol", type=float, default=SolverConfig.tol,
-                     help="newton-oracle: stopping bound on the relative KKT residual (default %(default)s)")
+    _add_setting(sol, "--solver", "MM, or the projected Newton reference", choices=bench.SOLVERS)
+    _add_setting(sol, "--epsilon", "relative-objective stopping tolerance", SolverConfig)
+    _add_setting(sol, "--max-iters", "iteration cap of either solver", SolverConfig)
+    _add_setting(sol, "--elim-threshold", "weight elimination threshold, 0 turns it off", SolverConfig,
+                 dest="elimination_threshold", metavar="ELIM_THRESHOLD")
+    _add_setting(sol, "--tol", "newton-oracle: stopping bound on the relative KKT residual", SolverConfig)
 
 
 def _add_generation_args(sub):
-    spec = bench.ExperimentSpec
     gen = sub.add_argument_group("generation parameters")
-    gen.add_argument("--p", type=int, default=spec.p, help="node count (default %(default)s)")
-    gen.add_argument("--prob-edge", type=float, default=spec.prob_edge,
-                     help="ER edge probability (default %(default)s)")
-    gen.add_argument("--p-in", type=float, default=spec.p_in,
-                     help="SBM intra-block probability (default %(default)s)")
-    gen.add_argument("--p-out", type=float, default=spec.p_out,
-                     help="SBM inter-block probability (default %(default)s)")
-    gen.add_argument("--n", type=int, default=spec.n, help="signal samples per node (default %(default)s)")
-    gen.add_argument("--sigma", type=float, default=spec.sigma, help="signal noise level (default %(default)s)")
+    _add_setting(gen, "--p", "node count")
+    _add_setting(gen, "--prob-edge", "ER edge probability")
+    _add_setting(gen, "--p-in", "SBM intra-block probability")
+    _add_setting(gen, "--p-out", "SBM inter-block probability")
+    _add_setting(gen, "--n", "signal samples per node")
+    _add_setting(gen, "--sigma", "signal noise level")
 
 
 def _experiment_spec(args, parser):
-    """The ExperimentSpec that parsed flags describe. Each flag's dest names
-    the ExperimentSpec or SolverConfig field it sets; None means not given,
-    so the field keeps its default. parser is the one that declared the
-    flags, a subcommand's own: a value a dataclass refuses is a usage error
+    """The ExperimentSpec that parsed flags describe. args holds exactly the
+    flags typed, each under the name of the ExperimentSpec or SolverConfig
+    field it sets; every other field keeps its default. parser is the one
+    that declared the flags, a subcommand's own: a typed flag that the run
+    does not read, or a value that a dataclass refuses, is a usage error
     reported through it, naming the flag, not the field."""
-    given = {k: v for k, v in vars(args).items() if v is not None}
+    given = vars(args).copy()
     if "signals_path" in given:
         given["family"] = "signals-file"
     elif "graph_path" in given:
         given["family"] = "graph-file"
-    if "seed" in bench.SOURCES[given["family"]] and "seed" not in given:
-        parser.error("--seed is required when signals are generated")
     try:
         config = SolverConfig(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
                                  if f.name in given})
-        return bench.ExperimentSpec(solver_config=config, **{
+        spec = bench.ExperimentSpec(solver_config=config, **{
             f.name: given[f.name] for f in dataclasses.fields(bench.ExperimentSpec) if f.name in given})
+        bench.refuse_unread(spec, given)
     except ValueError as exc:
         flags = {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings}
         parser.error(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
+    if "seed" in bench.SOURCES[spec.family] and "seed" not in given:
+        parser.error("--seed is required when signals are generated")
+    return spec
 
 
 def _cmd_gen(args, parser):
@@ -149,22 +157,24 @@ def build_parser():
         description="Learn a sparse weighted graph from signals that vary smoothly over its nodes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a subcommand keeps no default of its own, so its namespace holds exactly the flags typed
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p_gen = sub.add_parser("gen", help="generate a ground-truth graph and smooth signals")
+    p_gen = command("gen", help="generate a ground-truth graph and smooth signals")
     _add_source_args(p_gen, signals=False)
     p_gen.set_defaults(func=functools.partial(_cmd_gen, parser=p_gen))
 
-    p_solve = sub.add_parser("solve", help="solve one instance and write its trace and edge list")
+    p_solve = command("solve", help="solve one instance and write its trace and edge list")
     _add_run_args(p_solve)
     p_solve.set_defaults(func=functools.partial(_cmd_solve, parser=p_solve))
 
-    p_bench = sub.add_parser("bench", help="Monte-Carlo batch over seeded instances")
+    p_bench = command("bench", help="Monte-Carlo batch over seeded instances")
     _add_run_args(p_bench)
     p_bench.add_argument("--runs", dest="monte_carlo_runs", metavar="RUNS", type=int, default=100,
                          help="Monte-Carlo run count (default %(default)s)")
     p_bench.set_defaults(func=functools.partial(_cmd_bench, parser=p_bench))
 
-    p_plot = sub.add_parser("plotdata", help="merge experiment traces into one tidy CSV")
+    p_plot = command("plotdata", help="merge experiment traces into one tidy CSV")
     p_plot.add_argument("experiment_dirs", nargs="+", metavar="DIR")
     p_plot.add_argument("--out", required=True, metavar="FILE")
     p_plot.set_defaults(func=_cmd_plotdata)

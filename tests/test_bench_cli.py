@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -421,7 +422,7 @@ PINNED_BUNDLE = {
     "graph/edges_run0.csv": "f413bda02d6f996023926abafe93cba2f9751e69e585f69a9d2b3d503467b7e6",
     "graph/edges_run1.csv": "d2dca679acc439eb2042c2c1c968486e530a1485c1328e5dcd8e5b6c58b56af2",
     "graph/edges_run2.csv": "a53a85c47d1d93ffb333e8fc078cd36795f9ba8ad5fb07841c9b76788b67e419",
-    "graph/spec.echo": "d5657347aa90022525548291967a8db62dfda5d18da2f834bbc89783f095856e",
+    "graph/spec.echo": "bb58aa6a799bb09614d8c6307cf9d7cdffb196f7f3fc8a4a079bfae385fc995b",
     "graph/summary.csv": "19fc2e4402029546ee3bdf4315efb71901d7934d2605ff0c74d4204844b2aa5b",
     "graph/trace_run0.csv": "fc4f0acbfa2c2a15139ed85e4936650880697c5149b242c28b1a3b8816c45f1d",
     "graph/trace_run1.csv": "67b62dd2057f51e8cf45077ac40f3a94e366f5b21acee2905a35d4a4d4fa6dad",
@@ -429,7 +430,7 @@ PINNED_BUNDLE = {
     "mc/edges_run0.csv": "f413bda02d6f996023926abafe93cba2f9751e69e585f69a9d2b3d503467b7e6",
     "mc/edges_run1.csv": "e258e6fc3b470927af45cfc63aadbac4b77fb98807079e0c85853dcf55fcea69",
     "mc/edges_run2.csv": "591b38cb938c3a05df7d2844bbde55ba4c74dde1027e64b22a8a5d6a132abacb",
-    "mc/spec.echo": "5ed9a79df63046fa14ce18ac1f7408930b06727862f154343099f84a0ec322d3",
+    "mc/spec.echo": "705375ac7efa3b47c25eee70b804c043a0a58825e87cecca57c4398979657fcb",
     "mc/summary.csv": "e4a46cace83d4f835eea42e806db380cbf7f8704d8deb5e5034ba929cdf1973b",
     "mc/trace_run0.csv": "fc4f0acbfa2c2a15139ed85e4936650880697c5149b242c28b1a3b8816c45f1d",
     "mc/trace_run1.csv": "799975897405d22455055ca5aeb1f81df6f35c7dbb46f16ec1a5791c8c1b4149",
@@ -535,7 +536,7 @@ def test_cli_bench_when_every_run_stops_at_iteration_0(tmp_path):
     toy_signals_csv(sig, [[0.0], [1.0]])
     out = tmp_path / "newton0"
     rc = cli.main(["bench", "--signals", str(sig), "--solver", "newton-oracle", "--alpha", "2",
-                   "--beta", "1", "--runs", "1", "--seed", "0", "--out", str(out)])
+                   "--beta", "1", "--runs", "1", "--out", str(out)])
     assert rc == cli.EXIT_OK
     assert (out / "summary.csv").read_text().splitlines()[1] == "newton-oracle,1,1,1.0,0.0,0.0"
     assert (out / "timing.csv").read_text().splitlines()[1].endswith(",0.0")
@@ -602,11 +603,17 @@ def test_cli_generation_flags_parse_alike():
              "--n", "50", "--sigma", "0.3"]
     defaults = bench.ExperimentSpec()
     for cmd in ("gen", "solve", "bench"):
+        # a flag not typed is absent from the namespace, and its field keeps
+        # the dataclass default
         args = parser.parse_args([cmd, "--family", "er", "--seed", "1", "--out", "o"])
-        assert [getattr(args, k) for k in names] == [getattr(defaults, k) for k in names]
-        assert [getattr(args, k) for k in names] == [100, 0.1, 0.3, 0.05, 1200, 0.1]
+        assert not [k for k in names if hasattr(args, k)]
+        spec = cli._experiment_spec(args, parser)
+        assert [getattr(spec, k) for k in names] == [getattr(defaults, k) for k in names]
+        assert [getattr(spec, k) for k in names] == [100, 0.1, 0.3, 0.05, 1200, 0.1]
         args = parser.parse_args([cmd, "--family", "er", *flags, "--seed", "1", "--out", "o"])
         assert [getattr(args, k) for k in names] == [9, 0.2, 0.4, 0.01, 50, 0.3]
+        # each flag parses to the type of its field's default
+        assert [type(getattr(args, k)) for k in names] == [int, float, float, float, int, float]
     # each generation flag reaches its spec field, for gen as for solve and
     # bench; a family takes only its own edge probabilities
     own = {"er": (["--prob-edge", "0.2"], [0.2, 0.3, 0.05]),
@@ -703,13 +710,18 @@ def test_every_setting_the_run_does_not_read_is_refused(tmp_path, monkeypatch, c
     with pytest.raises(ValueError, match=f"^{name} does not apply to {target}$"):
         dataclasses.replace(bench.ExperimentSpec(**fields), **changed)
     # and at the CLI, by every subcommand that declares the flag, as a usage
-    # error that names the flag typed
+    # error that names the flag typed; a flag that takes a value is refused
+    # at its dataclass default too, since typing it says the run reads it
     monkeypatch.chdir(tmp_path)
     gen = not solver and reader != "signals-file" and name not in ("signals_path", "signals_header")
-    for cmd in ("solve", "bench", *(("gen",) if gen else ())):
+    default = getattr(ms.SolverConfig if solver else bench.ExperimentSpec, name)
+    typings = [flag, [flag[0], str(default)]]
+    if name in ("graph_path", "signals_path", "signals_header"):
+        typings = [flag]  # no value to type, or a second source
+    for cmd, typed in itertools.product(("solve", "bench", *(("gen",) if gen else ())), typings):
         runs = ["--runs", "1"] if cmd == "bench" else []
         with pytest.raises(SystemExit) as excinfo:
-            cli.main([cmd, *argv, *flag, *runs, "--out", "x"])
+            cli.main([cmd, *argv, *typed, *runs, "--out", "x"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: mmgl {cmd} "), err
@@ -939,19 +951,24 @@ def test_cli_echoes_the_instance_it_built_from_one_read(tmp_path, monkeypatch):
 
 
 def test_cli_signals_echo_leaves_out_generation_settings(tmp_path):
-    # a --signals run reads no seed, noise level, edge probability or graph
+    # spec.echo holds exactly the settings that the run read, with the p and
+    # n it built: a --signals run reads no seed, noise level, edge
+    # probability or graph, and mm reads no tol
     sig = tmp_path / "signals.csv"
     gm.save_signals_csv(np.random.default_rng(0).standard_normal((6, 20)), sig)
     assert cli.main(["solve", "--signals", str(sig), "--out", str(tmp_path / "s")]) == cli.EXIT_OK
     keys = [line.split("=", 1)[0] for line in (tmp_path / "s" / "spec.echo").read_text().splitlines()]
     assert keys == ["alpha", "beta", "family", "monte_carlo_runs", "n", "out_dir", "p",
                     "signals_header", "signals_path", "solver", "solver_config.elimination_threshold",
-                    "solver_config.epsilon", "solver_config.max_iters", "solver_config.tol"]
-    # a --graph run keeps them
+                    "solver_config.epsilon", "solver_config.max_iters"]
+    # a --graph run reads the seed and the noise level, but no edge probability
     assert cli.main(["solve", "--graph", str(tmp_path / "s" / "edges_run0.csv"), "--seed", "1",
                      "--out", str(tmp_path / "g")]) == cli.EXIT_OK
     echo = (tmp_path / "g" / "spec.echo").read_text().splitlines()
-    assert {"seed=1", "sigma=0.1", "prob_edge=0.1", "p_in=0.3", "p_out=0.05"} <= set(echo)
+    assert [line.split("=", 1)[0] for line in echo] == [
+        "alpha", "beta", "family", "graph_path", "monte_carlo_runs", "n", "out_dir", "p", "seed", "sigma",
+        "solver", "solver_config.elimination_threshold", "solver_config.epsilon", "solver_config.max_iters"]
+    assert {"seed=1", "sigma=0.1"} <= set(echo)
 
 
 def test_cli_io_error_reports_path(tmp_path, capsys):
