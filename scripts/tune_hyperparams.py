@@ -50,11 +50,11 @@ def main():
     # as in mmgl's subcommands, a flag not typed leaves its field at the dataclass default
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], argument_default=argparse.SUPPRESS)
     parser.add_argument("--family", choices=bench.GENERATED)
-    cli._add_generation_args(parser)
+    cli.add_generation_args(parser)
     parser.add_argument("--seeds", dest="monte_carlo_runs", metavar="SEEDS", type=int, default=5,
                         help="instances per grid point")
     parser.add_argument("--base-seed", dest="seed", metavar="BASE_SEED", type=int, default=1000)
-    cli._add_setting(parser, "--epsilon", "relative-objective stopping tolerance", ms.SolverConfig)
+    cli.add_setting(parser, "--epsilon", "relative-objective stopping tolerance", ms.SolverConfig)
     parser.add_argument("--iter-budget", type=float, default=15.0,
                         help="benchmark bound on mean iterations")
     parser.add_argument("--alphas", type=float, nargs="+",
@@ -62,7 +62,7 @@ def main():
     parser.add_argument("--betas", type=float, nargs="+",
                         default=[1.0, 10.0, 100.0, 1000.0, 3000.0, 10000.0, 30000.0])
     args = parser.parse_args()
-    spec = cli._experiment_spec(args, parser)
+    spec = cli.experiment_spec(args, parser)
     # every grid value and the budget pass check_reals before the first row prints
     for flag, key, values, positive in (("--alphas", "alpha", args.alphas, True),
                                         ("--betas", "beta", args.betas, True),

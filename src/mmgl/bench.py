@@ -245,6 +245,8 @@ def plot_data(exp_dirs, path):
                     text.append(f"{solver},{run},{int(k)},{float(f)!r}\n")
                 except ValueError:
                     raise ValueError(f"{q}:{lineno}: malformed trace row") from None
+            if not text:  # every trace mmgl writes has row 0, the start
+                raise ValueError(f"{q}: no trace rows")
             chunks.append("".join(text))
     graph_model._write_text(path, chunks)
     return len(chunks) - 1

@@ -49,13 +49,13 @@ def _add_source_args(sub, signals=True):
     if signals:
         one.add_argument("--signals", dest="signals_path", metavar="FILE", help="data matrix CSV, one node per row")
         src.add_argument("--signals-header", action="store_true", help="skip one header row in --signals")
-    _add_generation_args(sub)
+    add_generation_args(sub)
     sub.add_argument("--seed", type=int,
                      help="generation seed, required when signals are generated; bench run k uses seed + k")
     sub.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
 
 
-def _add_setting(group, flag, text, owner=bench.ExperimentSpec, **kwargs):
+def add_setting(group, flag, text, owner=bench.ExperimentSpec, **kwargs):
     """Declare flag for the field of owner that its dest names, by default
     the flag's own name: the field's default gives the flag its type and
     the default that --help states."""
@@ -67,28 +67,29 @@ def _add_run_args(sub):
     """Declare what `solve` and `bench` share: the source flags, the model
     weights and the solver settings."""
     _add_source_args(sub)
-    _add_setting(sub, "--alpha", "log-barrier weight")
-    _add_setting(sub, "--beta", "squared-norm weight")
+    add_setting(sub, "--alpha", "log-barrier weight")
+    add_setting(sub, "--beta", "squared-norm weight")
     sol = sub.add_argument_group("solver")
-    _add_setting(sol, "--solver", "MM, or the projected Newton reference", choices=bench.SOLVERS)
-    _add_setting(sol, "--epsilon", "relative-objective stopping tolerance", SolverConfig)
-    _add_setting(sol, "--max-iters", "iteration cap of either solver", SolverConfig)
-    _add_setting(sol, "--elim-threshold", "weight elimination threshold, 0 turns it off", SolverConfig,
-                 dest="elimination_threshold", metavar="ELIM_THRESHOLD")
-    _add_setting(sol, "--tol", "newton-oracle: stopping bound on the relative KKT residual", SolverConfig)
+    add_setting(sol, "--solver", "MM, or the projected Newton reference", choices=bench.SOLVERS)
+    add_setting(sol, "--epsilon", "relative-objective stopping tolerance", SolverConfig)
+    add_setting(sol, "--max-iters", "iteration cap of either solver", SolverConfig)
+    add_setting(sol, "--elim-threshold", "weight elimination threshold, 0 turns it off", SolverConfig,
+                dest="elimination_threshold", metavar="ELIM_THRESHOLD")
+    add_setting(sol, "--tol", "newton-oracle: stopping bound on the relative KKT residual", SolverConfig)
 
 
-def _add_generation_args(sub):
+def add_generation_args(sub):
+    """Declare the generation flags, each by add_setting."""
     gen = sub.add_argument_group("generation parameters")
-    _add_setting(gen, "--p", "node count")
-    _add_setting(gen, "--prob-edge", "ER edge probability")
-    _add_setting(gen, "--p-in", "SBM intra-block probability")
-    _add_setting(gen, "--p-out", "SBM inter-block probability")
-    _add_setting(gen, "--n", "signal samples per node")
-    _add_setting(gen, "--sigma", "signal noise level")
+    add_setting(gen, "--p", "node count")
+    add_setting(gen, "--prob-edge", "ER edge probability")
+    add_setting(gen, "--p-in", "SBM intra-block probability")
+    add_setting(gen, "--p-out", "SBM inter-block probability")
+    add_setting(gen, "--n", "signal samples per node")
+    add_setting(gen, "--sigma", "signal noise level")
 
 
-def _experiment_spec(args, parser):
+def experiment_spec(args, parser):
     """The ExperimentSpec that parsed flags describe. args holds exactly the
     flags typed, each under the name of the ExperimentSpec or SolverConfig
     field it sets; every other field keeps its default. parser is the one
@@ -115,7 +116,7 @@ def _experiment_spec(args, parser):
 
 
 def _cmd_gen(args, parser):
-    spec = _experiment_spec(args, parser)
+    spec = experiment_spec(args, parser)
     out = Path(spec.out_dir)
     g, X = next(bench.run_data(spec))
     graph_model.save_edges_csv(g.w_true, g.p, out / "edges_true.csv")
@@ -125,7 +126,7 @@ def _cmd_gen(args, parser):
 
 
 def _cmd_solve(args, parser):
-    spec = _experiment_spec(args, parser)
+    spec = experiment_spec(args, parser)
     result, wall = bench.run_single(spec, 0, next(bench.run_data(spec))[1])
     print(f"{spec.solver}: {_STOP_MESSAGES[result.reason]} after {result.iters} iterations, "
           f"f = {result.f_star:.10g}, solve time {wall:.3f}s")
@@ -134,7 +135,7 @@ def _cmd_solve(args, parser):
 
 
 def _cmd_bench(args, parser):
-    spec = _experiment_spec(args, parser)
+    spec = experiment_spec(args, parser)
     summary = bench.run_montecarlo(spec)
     print(f"{summary.solver}: {summary.runs} runs, mean iterations "
           f"{summary.mean_iterations:.2f}, median {summary.median_iterations:.1f}, "

@@ -39,13 +39,13 @@ _GRAM_GUARD = 1e-2
 _WRITE_BLOCK = 1 << 15
 
 
-def check_integers(*, least=None, **counts):
+def check_integers(*, least, **counts):
     """ValueError naming the first count in counts that is not a Python or
-    numpy integer (a bool is not a count) or, given least, is below least."""
+    numpy integer (a bool is not a count) or is below least."""
     for name, count in counts.items():
         if not isinstance(count, numbers.Integral) or isinstance(count, bool):
             raise ValueError(f"need an integer {name}, got {count!r}")
-        if least is not None and count < least:
+        if count < least:
             raise ValueError(f"need {name} >= {least}, got {count}")
 
 

@@ -2,6 +2,8 @@
 
 brute_force is a grid search plus cyclic coordinate bisection for tiny
 instances, used to certify the global optimum reached by the MM iterations.
+p2_root is the closed-form optimum of the two-node problem, and
+make_problem builds a ProblemInstance from a plain list of distances.
 surrogate_value is the Jensen surrogate the MM step minimizes, used to check
 that it majorizes f.
 
@@ -19,15 +21,23 @@ import itertools
 import numpy as np
 
 from mmgl.data_gen import laplacian
-from mmgl.graph_model import checked_weights, edge_pairs, node_degrees, objective
+from mmgl.graph_model import ProblemInstance, checked_weights, edge_pairs, node_degrees, objective
+
+
+def make_problem(p, d, alpha=1.0, beta=1.0):
+    return ProblemInstance(p=p, d=np.asarray(d, dtype=float), alpha=alpha, beta=beta)
+
+
+def p2_root(d, alpha, beta):
+    """Closed-form optimum of the two-node problem: the stationary point of
+    2 d w - 2 alpha log(w) + beta w^2, elementwise over an array of d."""
+    return (-d + np.sqrt(d * d + 4 * alpha * beta)) / (2 * beta)
 
 
 def default_box_upper(prob):
     """Box guaranteed to contain separable-dominant optima: twice the largest
     two-node closed-form root over the edges."""
-    d = np.asarray(prob.d)
-    roots = (-d + np.sqrt(d * d + 4.0 * prob.alpha * prob.beta)) / (2.0 * prob.beta)
-    return 2.0 * float(np.max(roots))
+    return 2.0 * float(np.max(p2_root(np.asarray(prob.d), prob.alpha, prob.beta)))
 
 
 def _coordinate_derivative(t, j, w, prob, rest_a, rest_b):

@@ -13,11 +13,6 @@ from oracles import laplacian_pinv
 
 # ---------------------------------------------------------------- generators
 
-def test_gen_er_degenerate_probabilities():
-    assert dg.gen_er(10, 0.0, 1).w_true.sum() == 0
-    assert np.all(dg.gen_er(10, 1.0, 1).w_true == 1.0)
-
-
 def test_gen_er_rejects_bad_arguments():
     # each message names the argument refused
     with pytest.raises(ValueError, match=re.escape("need prob_edge in [0, 1], got 1.5")):

@@ -9,25 +9,7 @@ from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
-from oracles import brute_force, default_box_upper, objective_gradient
-
-
-def p2_closed_form(d, alpha, beta):
-    # stationary point of the scalar objective 2dw - 2 alpha log(w) + beta w^2
-    return (-d + np.sqrt(d * d + 4 * alpha * beta)) / (2 * beta)
-
-
-def make_problem(p, d, alpha=1.0, beta=1.0):
-    return gm.ProblemInstance(p=p, d=np.asarray(d, dtype=float), alpha=alpha, beta=beta)
-
-
-def test_oracle_config_validation():
-    # the oracle reads tol and max_iters from the shared SolverConfig
-    for tol in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            ms.SolverConfig(tol=tol)
-    with pytest.raises(ValueError):
-        ms.SolverConfig(max_iters=0)
+from oracles import brute_force, default_box_upper, make_problem, objective_gradient, p2_root
 
 
 def kkt(w, prob):
@@ -38,7 +20,7 @@ def test_kkt_residual():
     # 0 at the p = 2 closed form, where w > 0 needs g = 0
     assert kkt(np.ones(1), make_problem(2, [0.0])) == 0.0
     for d, alpha, beta in [(1.0, 1.0, 1.0), (2.5, 0.7, 1.9), (0.3, 20.0, 0.01)]:
-        assert kkt(np.array([p2_closed_form(d, alpha, beta)]), make_problem(2, [d], alpha, beta)) <= 1e-15
+        assert kkt(np.array([p2_root(d, alpha, beta)]), make_problem(2, [d], alpha, beta)) <= 1e-15
     # an edge at w = 0 counts when g < 0 and not when g > 0; a positive one
     # counts either way; the scale is 2 max d + alpha / min deg = 2 + 3 / 1.5
     d, deg = np.array([1.0, 0.5]), np.array([1.5, 2.0])
@@ -54,7 +36,7 @@ def test_newton_solve_p2_closed_forms():
 
     res = ms.newton_solve(make_problem(2, [1.0]))
     assert res.w_star[0] == pytest.approx(0.618034, abs=1e-6)
-    assert res.w_star[0] == pytest.approx(p2_closed_form(1.0, 1.0, 1.0), abs=1e-6)
+    assert res.w_star[0] == pytest.approx(p2_root(1.0, 1.0, 1.0), abs=1e-6)
 
 
 def test_newton_solve_converged_on_its_last_allowed_step():
@@ -168,17 +150,6 @@ def test_brute_force_p2():
     assert w[0] == pytest.approx(0.6180, abs=1e-4)
 
 
-def test_brute_force_agrees_with_pg_on_p3():
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        prob = make_problem(3, rng.uniform(0, 3, 3),
-                            alpha=float(rng.uniform(0.3, 3)), beta=float(rng.uniform(0.3, 3)))
-        w_bf = brute_force(prob)
-        res_oracle = ms.newton_solve(prob)
-        f_bf = gm.objective(w_bf, prob)
-        assert abs(f_bf - res_oracle.f_star) <= 1e-6 * max(1.0, abs(res_oracle.f_star))
-
-
 def test_brute_force_rejects_large_problems():
     with pytest.raises(ValueError):
         brute_force(make_problem(4, np.zeros(6)))  # m=6 > 4
@@ -194,8 +165,10 @@ def test_all_three_solvers_agree():
         f_bf = gm.objective(brute_force(prob), prob)
         assert f_mm == pytest.approx(f_oracle, rel=1e-5)
         assert f_bf == pytest.approx(f_oracle, rel=1e-5)
+        assert abs(f_bf - f_oracle) <= 1e-6 * max(1.0, abs(f_oracle))
 
 
 def test_default_box_upper_contains_p2_optimum():
+    # against the oracle's optimum, not the root that the box is built from
     prob = make_problem(2, [2.5], alpha=0.7, beta=1.9)
-    assert default_box_upper(prob) >= p2_closed_form(2.5, 0.7, 1.9)
+    assert default_box_upper(prob) >= ms.newton_solve(prob).w_star[0]
