@@ -119,7 +119,8 @@ def assemble(X, alpha, beta):
     return ProblemInstance(p=X.shape[0], d=pairwise_distances(X), alpha=alpha, beta=beta)
 
 
-def load_graph(path, p=None):
-    """Read an edge-list CSV back into a GroundTruthGraph."""
-    w, p_loaded = load_edges_csv(path, p=p)
-    return GroundTruthGraph(p=p_loaded, w_true=w)
+def load_graph(path):
+    """Read an edge-list CSV back into a GroundTruthGraph, whose p is 1 + the
+    largest node id in the file."""
+    w, p = load_edges_csv(path)
+    return GroundTruthGraph(p=p, w_true=w)

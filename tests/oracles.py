@@ -1,7 +1,8 @@
 """Test-only oracles for the MM solver.
 
-brute_force is a grid search plus cyclic coordinate bisection for tiny
-instances, used to certify the global optimum reached by the MM iterations.
+brute_force is exact cyclic coordinate descent, each coordinate minimized
+by bisection, that certifies the global optimum reached by the MM
+iterations at any small p and any scale of alpha and beta.
 p2_root is the closed-form optimum of the two-node problem, and
 make_problem builds a ProblemInstance from a plain list of distances.
 surrogate_value is the Jensen surrogate the MM step minimizes, used to check
@@ -16,12 +17,10 @@ ground-truth Laplacian. None of them runs in the package; tests import them
 from here.
 """
 
-import itertools
-
 import numpy as np
 
 from mmgl.data_gen import laplacian
-from mmgl.graph_model import ProblemInstance, checked_weights, edge_pairs, node_degrees, objective
+from mmgl.graph_model import ProblemInstance, checked_weights, edge_pairs, node_degrees
 
 
 def make_problem(p, d, alpha=1.0, beta=1.0):
@@ -34,79 +33,56 @@ def p2_root(d, alpha, beta):
     return (-d + np.sqrt(d * d + 4 * alpha * beta)) / (2 * beta)
 
 
-def default_box_upper(prob):
-    """Box guaranteed to contain separable-dominant optima: twice the largest
-    two-node closed-form root over the edges."""
-    return 2.0 * float(np.max(p2_root(np.asarray(prob.d), prob.alpha, prob.beta)))
-
-
-def _coordinate_derivative(t, j, w, prob, rest_a, rest_b):
+def _coordinate_derivative(t, j, prob, rest_a, rest_b):
     # d f / d w_j with the other coordinates held fixed; strictly increasing
     # in t, and -> -inf as t -> 0 if an endpoint has no other support.
     return (2.0 * prob.d[j] + 2.0 * prob.beta * t
             - prob.alpha * (1.0 / (rest_a + t) + 1.0 / (rest_b + t)))
 
 
-def _minimize_coordinate(j, w, prob, box_upper):
+def _minimize_coordinate(j, w, prob):
     I, J = edge_pairs(prob.p)
     deg = node_degrees(w, I, J, prob.p)
     rest_a = deg[I[j]] - w[j]
     rest_b = deg[J[j]] - w[j]
     # Minimizer is 0 exactly when the one-sided derivative there is already
     # nonnegative; with an unsupported endpoint the barrier forces t > 0.
-    if rest_a > 0 and rest_b > 0 and _coordinate_derivative(0.0, j, w, prob, rest_a, rest_b) >= 0:
+    if rest_a > 0 and rest_b > 0 and _coordinate_derivative(0.0, j, prob, rest_a, rest_b) >= 0:
         return 0.0
     lo = 0.0
-    hi = max(box_upper, w[j], 1.0)
-    while _coordinate_derivative(hi, j, w, prob, rest_a, rest_b) < 0:
+    hi = max(w[j], 1.0)
+    while _coordinate_derivative(hi, j, prob, rest_a, rest_b) < 0:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _coordinate_derivative(mid, j, w, prob, rest_a, rest_b) < 0:
+        if _coordinate_derivative(mid, j, prob, rest_a, rest_b) < 0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def brute_force(prob, grid_resolution=15, box_upper=None):
-    """Exhaustive grid search plus cyclic coordinate bisection refinement.
+def brute_force(prob):
+    """The exact minimizer of f, by cyclic exact coordinate minimization
+    from all ones, for small instances at any scale.
 
-    Only for tiny problems (m <= 4); the grid covers [0, box_upper]^m and
-    the refinement then polishes each coordinate to machine precision.
+    f is strictly convex and the constraint w >= 0 is separable, so exact
+    coordinate sweeps reach the unique minimizer from any finite start
+    (Tseng, JOTA 2001). The sweeps stop once none moves a weight by more
+    than 1e-14 * max(w); RuntimeError if that takes more than 2000.
     """
-    m = prob.m
-    if m > 4:
-        raise ValueError(f"brute force supports m <= 4 edges, got m={m}")
-    if grid_resolution < 2:
-        raise ValueError(f"need grid_resolution >= 2, got {grid_resolution}")
-    if box_upper is None:
-        box_upper = default_box_upper(prob)
-    levels = np.linspace(0.0, box_upper, grid_resolution)
-    best_w = None
-    best_f = np.inf
-    for combo in itertools.product(levels, repeat=m):
-        cand = np.array(combo)
-        f = objective(cand, prob)
-        if f < best_f:
-            best_f = f
-            best_w = cand
-    if best_w is None or not np.isfinite(best_f):
-        # Fall back to the interior all-ones point (grid may be all-barrier
-        # for adversarial boxes); refinement recovers from anywhere finite.
-        best_w = np.ones(m)
-    w = best_w.copy()
-    for _ in range(500):
+    w = np.ones(prob.m)
+    for _ in range(2000):
         max_move = 0.0
-        for j in range(m):
-            t = _minimize_coordinate(j, w, prob, box_upper)
+        for j in range(prob.m):
+            t = _minimize_coordinate(j, w, prob)
             max_move = max(max_move, abs(t - w[j]))
             w[j] = t
-        if max_move <= 1e-14 * (1.0 + float(np.max(w))):
-            break
-    return w
+        if max_move <= 1e-14 * np.max(w):
+            return w
+    raise RuntimeError("coordinate descent did not settle in 2000 sweeps")
 
 
 def surrogate_value(w, w_k, prob):

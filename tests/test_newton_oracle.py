@@ -9,7 +9,7 @@ from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
-from oracles import brute_force, default_box_upper, make_problem, objective_gradient, p2_root
+from oracles import brute_force, make_problem, objective_gradient, p2_root
 
 
 def kkt(w, prob):
@@ -150,25 +150,18 @@ def test_brute_force_p2():
     assert w[0] == pytest.approx(0.6180, abs=1e-4)
 
 
-def test_brute_force_rejects_large_problems():
-    with pytest.raises(ValueError):
-        brute_force(make_problem(4, np.zeros(6)))  # m=6 > 4
-
-
-def test_all_three_solvers_agree():
-    rng = np.random.default_rng(33)
-    for _ in range(5):
-        prob = make_problem(3, rng.uniform(0, 4, 3),
-                            alpha=float(rng.uniform(0.3, 2)), beta=float(rng.uniform(0.3, 2)))
-        f_mm = ms.solve(prob, ms.SolverConfig(epsilon=1e-12, max_iters=100000)).f_star
-        f_oracle = ms.newton_solve(prob).f_star
-        f_bf = gm.objective(brute_force(prob), prob)
-        assert f_mm == pytest.approx(f_oracle, rel=1e-5)
-        assert f_bf == pytest.approx(f_oracle, rel=1e-5)
-        assert abs(f_bf - f_oracle) <= 1e-6 * max(1.0, abs(f_oracle))
-
-
-def test_default_box_upper_contains_p2_optimum():
-    # against the oracle's optimum, not the root that the box is built from
-    prob = make_problem(2, [2.5], alpha=0.7, beta=1.9)
-    assert default_box_upper(prob) >= ms.newton_solve(prob).w_star[0]
+def test_brute_force_is_exact_at_any_scale():
+    # weights near 1e-13: a stop rule absolute in w, not relative to max(w),
+    # stops 9.5e-6 (relative) above the optimum here
+    prob = make_problem(3, [1.95, 2.09, 0.88], alpha=1e-12, beta=2e11)
+    oracle = ms.newton_solve(prob)
+    assert oracle.converged
+    assert abs(gm.objective(brute_force(prob), prob) - oracle.f_star) <= 1e-12 * abs(oracle.f_star)
+    rng = np.random.default_rng(32)
+    cfg = ms.SolverConfig(epsilon=1e-15, elimination_threshold=0.0)
+    for _ in range(50):
+        p = int(rng.integers(3, 6))
+        prob = make_problem(p, rng.uniform(0, 3, gm.num_edges(p)),
+                            alpha=float(10 ** rng.uniform(-12, 12)), beta=float(10 ** rng.uniform(-12, 12)))
+        f_mm = ms.solve(prob, cfg).f_star
+        assert gm.objective(brute_force(prob), prob) - f_mm <= 1e-12 * abs(f_mm)
