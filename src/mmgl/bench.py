@@ -16,6 +16,7 @@ such a setting out.
 
 import collections
 import dataclasses
+import itertools
 import re
 import time
 from dataclasses import dataclass
@@ -185,7 +186,7 @@ def run_montecarlo(spec):
     one run at a time.
     """
     out = Path(spec.out_dir)
-    iters = []
+    iters = []  # ints, so sum() and the sorted middle pair give numpy's mean and median
     reasons = collections.Counter()
     wall_sum = iter_time_sum = 0.0
     runs = run_data(spec)
@@ -197,13 +198,14 @@ def run_montecarlo(spec):
         wall_sum += wall
         iter_time_sum += float(result.trace.wall_time[1:].sum())
         del result  # now, not when run k + 1 rebinds it after its draw and solve
+    iters.sort()
     summary = BenchSummary(
         solver=spec.solver,
         runs=spec.monte_carlo_runs,
         converged_runs=reasons["converged"],
         convergence_rate=reasons["converged"] / spec.monte_carlo_runs,
-        mean_iterations=float(np.mean(iters)),
-        median_iterations=float(np.median(iters)),
+        mean_iterations=sum(iters) / len(iters),
+        median_iterations=(iters[(len(iters) - 1) // 2] + iters[len(iters) // 2]) / 2,
         mean_wall_time_s=wall_sum / spec.monte_carlo_runs,
         mean_iter_time_s=iter_time_sum / sum(iters) if sum(iters) else 0.0,
         stop_reasons=dict(sorted(reasons.items())),
@@ -214,9 +216,13 @@ def run_montecarlo(spec):
 
 
 def write_trace_csv(trace, path):
-    rows = [f"{k},{f!r},{a}\n" for k, f, a in zip(
-        trace.iterations.tolist(), trace.f.tolist(), trace.active_count.tolist())]
-    graph_model._write_text(path, ["iter,f,active_count\n" + "".join(rows)])
+    """Write a trace as CSV rows `iter,f,active_count`, one write per
+    graph_model._WRITE_BLOCK rows."""
+    block = graph_model._WRITE_BLOCK
+    graph_model._write_text(path, itertools.chain(["iter,f,active_count\n"], (
+        "".join([f"{k},{f!r},{a}\n" for k, f, a in zip(
+            range(s, s + block), trace.f[s:s + block].tolist(), trace.active_count[s:s + block].tolist())])
+        for s in range(0, len(trace), block))))
 
 
 def plot_data(exp_dirs, path):
@@ -242,6 +248,7 @@ def plot_data(exp_dirs, path):
             text = []
             for lineno, (k, f, _) in rows:
                 try:
+                    graph_model._check_plain_numbers((k, f))
                     text.append(f"{solver},{run},{int(k)},{float(f)!r}\n")
                 except ValueError:
                     raise ValueError(f"{q}:{lineno}: malformed trace row") from None

@@ -16,7 +16,8 @@ and objective validate their inputs and then call the same kernels.
 
 Every file mmgl writes goes through _write_text (UTF-8, LF line ends) and
 every CSV file it reads through _csv_rows (UTF-8 with or without a
-byte-order mark; errors name `path:line`).
+byte-order mark; errors name `path:line`), and each number cell it reads
+through _check_plain_numbers.
 """
 
 import itertools
@@ -34,9 +35,10 @@ import numpy as np
 _GRAM_GUARD = 1e-2
 
 # save_edges_csv formats and writes the positive weights of this many
-# consecutive edges at a time, so its transient rows stay bounded however
-# many edges the graph has.
-_WRITE_BLOCK = 1 << 15
+# consecutive edges at a time, and bench.write_trace_csv this many trace rows,
+# so their transient rows (about 0.3 MB of strings) stay bounded however many
+# edges the graph or rows the trace has.
+_WRITE_BLOCK = 1 << 11
 
 
 def check_integers(*, least, **counts):
@@ -98,12 +100,13 @@ def edge_pairs(p):
 
 
 def checked_weights(w, m):
-    """w as a float vector of length m; ValueError on another shape or a
-    negative or non-finite entry."""
+    """w as a float vector of length m >= 1; ValueError on another shape or
+    a negative or non-finite entry. A NaN makes min() NaN, so two reductions
+    decide with no m-sized temporary."""
     w = np.asarray(w, dtype=float)
     if w.shape != (m,):
         raise ValueError(f"vector has length {w.shape}, expected ({m},)")
-    if not np.all((w >= 0) & (w < np.inf)):
+    if not (w.min() >= 0 and w.max() < np.inf):
         raise ValueError("entries must be finite and nonnegative")
     return w
 
@@ -262,6 +265,15 @@ def _csv_rows(path, ncols=None, header=False):
             yield lineno, cells
 
 
+def _check_plain_numbers(cells):
+    """ValueError on a cell that holds `_` or a non-ASCII character: float()
+    and int() read the one as digit grouping and the other as a digit (as in
+    "1_0" or "\u0661\u0662"), where a number in a CSV file has neither."""
+    for cell in cells:
+        if "_" in cell or not cell.isascii():
+            raise ValueError(f"{cell!r} is not a plain ASCII number")
+
+
 def _write_text(path, chunks):
     """Write each string of chunks to path, creating its directory; one
     chunk is live at a time, since writelines drops each before the next."""
@@ -278,6 +290,7 @@ def load_signals_csv(path, skip_header=False):
     rows = []
     for lineno, cells in _csv_rows(path, header=skip_header):
         try:
+            _check_plain_numbers(cells)
             row = np.array([float(c) for c in cells])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
@@ -317,6 +330,7 @@ def load_edges_csv(path, p=None):
         if row == 0 and cells[0].strip().lower() == "i":
             continue
         try:
+            _check_plain_numbers(cells)
             i, j, wt = int(cells[0]), int(cells[1]), float(cells[2])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed edge row") from None

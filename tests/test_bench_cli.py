@@ -258,6 +258,21 @@ def test_montecarlo_memory_does_not_grow_with_runs(tmp_path, traced_peak):
     assert peaks[20] <= 1.2 * peaks[2]
 
 
+def test_trace_writer_peak_memory_grows_with_block_not_trace(tmp_path, traced_peak):
+    # 2.5 and 10 write blocks of rows: each file is the one-chunk text across
+    # the block boundaries, and the writer's peak is one block of rows
+    peaks = {}
+    for rows in (5 * gm._WRITE_BLOCK // 2, 10 * gm._WRITE_BLOCK):
+        f = np.random.default_rng(8).uniform(0.0, 1e3, rows)
+        active = np.arange(rows, 0, -1)
+        trace = ms.ConvergenceTrace(f=f, active_count=active, wall_time=np.zeros(rows))
+        path = tmp_path / "trace.csv"
+        peaks[rows] = traced_peak(lambda: bench.write_trace_csv(trace, path))
+        assert path.read_text(encoding="utf-8") == "iter,f,active_count\n" + "".join(
+            f"{k},{x!r},{a}\n" for k, x, a in zip(range(rows), f.tolist(), active.tolist()))
+    assert peaks[10 * gm._WRITE_BLOCK] <= 1.5 * peaks[5 * gm._WRITE_BLOCK // 2]
+
+
 def test_montecarlo_timing_csv_means_over_runs(tmp_path, monkeypatch):
     # a mix of run lengths, so a mean of per-run means would differ
     runs = []
@@ -364,6 +379,11 @@ def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
     bad_row = tmp_path / "bad-row"
     bad_row.mkdir()
     (bad_row / "trace_run0.csv").write_text("iter,f,active_count\n0,1.0,3\n1,oops,3\n", encoding="utf-8")
+    # rows that int() and float() read, as digit grouping and a non-ASCII digit
+    grouped, arabic = tmp_path / "grouped", tmp_path / "arabic"
+    for bundle, row in [(grouped, "1,2_0.0,3"), (arabic, "\u0661,1.0,3")]:
+        bundle.mkdir()
+        (bundle / "trace_run0.csv").write_text(f"iter,f,active_count\n0,1.0,3\n{row}\n", encoding="utf-8")
     bad_header = tmp_path / "bad-header"
     bad_header.mkdir()
     (bad_header / "trace_run0.csv").write_text("k,f,active\n0,1.0,3\n", encoding="utf-8")
@@ -376,6 +396,8 @@ def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
     for bundle, named in [(empty, f"no trace_run*.csv files in {empty}"),
                           (stray, f"{stray / 'trace_runX.csv'}: run number"),
                           (bad_row, f"{bad_row / 'trace_run0.csv'}:3: malformed trace row"),
+                          (grouped, f"{grouped / 'trace_run0.csv'}:3: malformed trace row"),
+                          (arabic, f"{arabic / 'trace_run0.csv'}:3: malformed trace row"),
                           (bad_header, f"{bad_header / 'trace_run0.csv'}:1: unexpected trace header"),
                           (low_header, f"{low_header / 'trace_run0.csv'}:2: unexpected trace header"),
                           (no_rows, f"{no_rows / 'trace_run0.csv'}: no trace rows")]:

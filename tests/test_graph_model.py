@@ -217,10 +217,14 @@ PROB3 = gm.ProblemInstance(p=3, d=np.array([1.0, 2, 3]), alpha=1.0, beta=1.0)
     lambda w, tmp: gm.save_edges_csv(w, 3, tmp / "edges.csv"),
 ], ids=["degrees", "weights_to_matrix", "objective", "objective_gradient", "save_edges_csv"])
 def test_public_kernels_reject_non_finite_weights(entry, tmp_path):
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, -1e-300):
         with pytest.raises(ValueError, match="finite"):
             entry(np.array([bad, 1.0, 1.0]), tmp_path)
     assert not (tmp_path / "edges.csv").exists()
+    # -0.0 is a zero weight: accepted, and no edge of the edge list
+    entry(np.array([-0.0, 1.0, 1.0]), tmp_path)
+    if (tmp_path / "edges.csv").exists():
+        assert (tmp_path / "edges.csv").read_text(encoding="utf-8") == "i,j,weight\n0,2,1.0\n1,2,1.0\n"
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -345,6 +349,12 @@ def test_signals_csv_reports_line_numbers(tmp_path):
         path.write_text(f"1.0,2.0\n3.0,{bad}\n4.0,5.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"x\.csv:2: non-finite entry"):
             gm.load_signals_csv(path)
+    # float() reads digit-group underscores and non-ASCII digits; a CSV number has neither
+    for rows, line in [("1_0,2.0,3.0\n4.0,5.0,6.0\n", 1), ("4.0,5.0,6.0\n7.0,8.0,9_0\n", 2),
+                       ("4.0,5.0,6.0\n\u0661\u0662,8.0,9.0\n", 2)]:
+        path.write_text(rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"x\.csv:{line}: non-numeric entry"):
+            gm.load_signals_csv(path)
     # an error of the whole file names the file alone
     path.write_text("1.0,2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: need at least 2 node rows, found 1")):
@@ -426,6 +436,8 @@ def test_edges_csv_rejects_duplicates_and_bad_rows(tmp_path):
     for text, p, message in [
         ("i,j,weight\n0,1,1.0\n1,two,1.0\n", None, ":3: malformed edge row"),
         ("0,1,1.0\n1,2,heavy\n", None, ":2: malformed edge row"),
+        ("0,1_0,1.0\n", None, ":1: malformed edge row"),
+        ("0,1,1.0\n0,\u0662,1.0\n", None, ":2: malformed edge row"),
         ("i,j,weight\n", None, ": no edges found"),
         ("i,j,weight\n0,1,1.0\n2,5,1.0\n", 4, ": node id 5 out of range for p=4"),
     ]:
