@@ -226,37 +226,40 @@ def write_trace_csv(trace, path):
 
 
 def plot_data(exp_dirs, path):
-    """Merge bundle traces into one CSV `solver,run,iter,f`, one write per
-    trace, labelled with the solver each spec.echo names and in numeric run
-    order; repr(float(f)) reproduces the trace's text. Returns the count."""
-    chunks = ["solver,run,iter,f\n"]
-    for exp_dir in exp_dirs:
-        solver = _echoed_solver(Path(exp_dir) / "spec.echo")
-        runs = []
-        for q in Path(exp_dir).glob("trace_run*.csv"):
-            run = q.stem.removeprefix("trace_run")
-            if not run.isdecimal():
-                raise ValueError(f"{q}: run number {run!r} is not an integer")
-            runs.append((int(run), q))
-        if not runs:
-            raise FileNotFoundError(f"no trace_run*.csv files in {exp_dir}")
-        for run, q in sorted(runs):
-            rows = graph_model._csv_rows(q, ncols=3)
-            lineno, header = next(rows, (1, None))
-            if header != ["iter", "f", "active_count"]:
-                raise ValueError(f"{q}:{lineno}: unexpected trace header")
-            text = []
-            for lineno, (k, f, _) in rows:
-                try:
-                    graph_model._check_plain_numbers((k, f))
-                    text.append(f"{solver},{run},{int(k)},{float(f)!r}\n")
-                except ValueError:
-                    raise ValueError(f"{q}:{lineno}: malformed trace row") from None
-            if not text:  # every trace mmgl writes has row 0, the start
-                raise ValueError(f"{q}: no trace rows")
-            chunks.append("".join(text))
-    graph_model._write_text(path, chunks)
-    return len(chunks) - 1
+    """Merge bundle traces into one CSV `solver,run,iter,f`, labelled with
+    the solver each spec.echo names and in numeric run order;
+    repr(float(f)) reproduces the trace's text. Every trace is read and
+    checked before path is opened, so a failure writes nothing, and read
+    again as it is written; either pass holds one trace at a time. Returns
+    the count."""
+
+    def traces():
+        for exp_dir in exp_dirs:
+            solver = _echoed_solver(Path(exp_dir) / "spec.echo")
+            runs = []
+            for q in Path(exp_dir).glob("trace_run*.csv"):
+                run = q.stem.removeprefix("trace_run")
+                if not (run.isascii() and run.isdecimal()):
+                    raise ValueError(f"{q}: run number {run!r} is not an integer")
+                runs.append((int(run), q))
+            if not runs:
+                raise FileNotFoundError(f"no trace_run*.csv files in {exp_dir}")
+            for run, q in sorted(runs):
+                rows = graph_model._csv_rows(q, ncols=3)
+                lineno, header = next(rows, (1, None))
+                if header != ["iter", "f", "active_count"]:
+                    raise ValueError(f"{q}:{lineno}: unexpected trace header")
+                text = []
+                for lineno, cells in rows:
+                    k, f, _ = graph_model._numbers(f"{q}:{lineno}", cells, (int, float, int), "malformed trace row")
+                    text.append(f"{solver},{run},{k},{f!r}\n")
+                if not text:  # every trace mmgl writes has row 0, the start
+                    raise ValueError(f"{q}: no trace rows")
+                yield "".join(text)
+
+    count = sum(1 for _ in traces())
+    graph_model._write_text(path, itertools.chain(["solver,run,iter,f\n"], traces()))
+    return count
 
 
 def write_summary_csv(summary, path):
@@ -290,7 +293,11 @@ def write_spec_echo(spec, p, n):
 
 def _echoed_solver(path):
     """The last `solver=` line of a spec.echo, read as plain lines since a
-    path value may hold a comma; the default solver when there is none."""
+    path value may hold a comma; the default solver when there is none.
+    ValueError on a label with a comma, which would add a cell to its rows."""
     lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
     solvers = [line.split("=", 1)[1] for line in lines if line.startswith("solver=")]
-    return solvers[-1] if solvers else ExperimentSpec.solver
+    solver = solvers[-1] if solvers else ExperimentSpec.solver
+    if "," in solver:
+        raise ValueError(f"{path}: solver label {solver!r} holds a comma")
+    return solver

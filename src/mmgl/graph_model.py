@@ -17,7 +17,7 @@ and objective validate their inputs and then call the same kernels.
 Every file mmgl writes goes through _write_text (UTF-8, LF line ends) and
 every CSV file it reads through _csv_rows (UTF-8 with or without a
 byte-order mark; errors name `path:line`), and each number cell it reads
-through _check_plain_numbers.
+through _numbers.
 """
 
 import itertools
@@ -265,13 +265,19 @@ def _csv_rows(path, ncols=None, header=False):
             yield lineno, cells
 
 
-def _check_plain_numbers(cells):
-    """ValueError on a cell that holds `_` or a non-ASCII character: float()
-    and int() read the one as digit grouping and the other as a digit (as in
-    "1_0" or "\u0661\u0662"), where a number in a CSV file has neither."""
-    for cell in cells:
-        if "_" in cell or not cell.isascii():
-            raise ValueError(f"{cell!r} is not a plain ASCII number")
+def _numbers(where, cells, types, what):
+    """Each cell converted by its column's type in types; ValueError
+    `where: what` on a cell that does not convert, or that holds `_` or a
+    non-ASCII character: float() and int() read the one as digit grouping
+    and the other as a digit (as in "1_0" or "\u0661\u0662"), where a
+    number in a CSV file has neither."""
+    text = "".join(cells)
+    if "_" not in text and text.isascii():
+        try:
+            return [convert(cell) for convert, cell in zip(types, cells)]
+        except ValueError:
+            pass
+    raise ValueError(f"{where}: {what}")
 
 
 def _write_text(path, chunks):
@@ -289,11 +295,7 @@ def load_signals_csv(path, skip_header=False):
     """
     rows = []
     for lineno, cells in _csv_rows(path, header=skip_header):
-        try:
-            _check_plain_numbers(cells)
-            row = np.array([float(c) for c in cells])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
+        row = np.array(_numbers(f"{path}:{lineno}", cells, [float] * len(cells), "non-numeric entry"))
         if not np.all(np.isfinite(row)):
             raise ValueError(f"{path}:{lineno}: non-finite entry")
         rows.append(row)
@@ -329,11 +331,7 @@ def load_edges_csv(path, p=None):
     for row, (lineno, cells) in enumerate(_csv_rows(path, ncols=3)):
         if row == 0 and cells[0].strip().lower() == "i":
             continue
-        try:
-            _check_plain_numbers(cells)
-            i, j, wt = int(cells[0]), int(cells[1]), float(cells[2])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed edge row") from None
+        i, j, wt = _numbers(f"{path}:{lineno}", cells, (int, int, float), "malformed edge row")
         if not (0 <= i < j) or not (np.isfinite(wt) and wt >= 0):
             raise ValueError(f"{path}:{lineno}: invalid edge ({i},{j}) weight {wt}")
         if (i, j) in entries:

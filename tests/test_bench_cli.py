@@ -393,6 +393,19 @@ def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
     no_rows = tmp_path / "no-rows"
     no_rows.mkdir()
     write_trace(no_rows / "trace_run0.csv", [])
+    # an active_count that int() refuses, a run number in non-ASCII digits
+    # beside its ASCII twin, and a solver label that would add a cell
+    bad_count, twin, comma = tmp_path / "bad-count", tmp_path / "twin", tmp_path / "comma"
+    bad_count.mkdir()
+    (bad_count / "trace_run0.csv").write_text("iter,f,active_count\n0,2.0,abc\n", encoding="utf-8")
+    twin.mkdir()
+    write_trace(twin / "trace_run12.csv", [1.0])
+    twin_run = twin / "trace_run\u0661\u0662.csv"
+    write_trace(twin_run, [2.0])
+    comma.mkdir()
+    (comma / "spec.echo").write_text("solver=a,b\n", encoding="utf-8")
+    write_trace(comma / "trace_run0.csv", [1.0])
+    plot = out.read_bytes()
     for bundle, named in [(empty, f"no trace_run*.csv files in {empty}"),
                           (stray, f"{stray / 'trace_runX.csv'}: run number"),
                           (bad_row, f"{bad_row / 'trace_run0.csv'}:3: malformed trace row"),
@@ -400,9 +413,27 @@ def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
                           (arabic, f"{arabic / 'trace_run0.csv'}:3: malformed trace row"),
                           (bad_header, f"{bad_header / 'trace_run0.csv'}:1: unexpected trace header"),
                           (low_header, f"{low_header / 'trace_run0.csv'}:2: unexpected trace header"),
-                          (no_rows, f"{no_rows / 'trace_run0.csv'}: no trace rows")]:
+                          (no_rows, f"{no_rows / 'trace_run0.csv'}: no trace rows"),
+                          (bad_count, f"{bad_count / 'trace_run0.csv'}:2: malformed trace row"),
+                          (twin, f"{twin_run}: run number '\u0661\u0662'"),
+                          (comma, f"{comma / 'spec.echo'}: solver label 'a,b'")]:
         assert cli.main(["plotdata", str(mm), str(bundle), "--out", str(out)]) == cli.EXIT_IO
         assert named in capsys.readouterr().err
+        assert out.read_bytes() == plot  # every trace is checked before --out is opened
+
+
+def test_plotdata_peak_memory_holds_one_trace(tmp_path, traced_peak):
+    # 2 and 8 traces of 3,500 rows, about a converged sbm200-tight run each
+    fs = np.random.default_rng(9).uniform(0.0, 1e3, 3500).tolist()
+    peaks = {}
+    for traces in (2, 8):
+        bundle = tmp_path / f"traces{traces}"
+        bundle.mkdir()
+        for k in range(traces):
+            write_trace(bundle / f"trace_run{k}.csv", fs)
+        bench.plot_data([bundle], tmp_path / "plot.csv")  # warm caches outside the trace
+        peaks[traces] = traced_peak(lambda: bench.plot_data([bundle], tmp_path / "plot.csv"))
+    assert peaks[8] <= 1.25 * peaks[2]
 
 
 # sha256 of each file that a small `mmgl gen`, `mmgl bench`, `mmgl bench
