@@ -7,6 +7,11 @@ deterministic aggregates, and timing.csv with wall-clock statistics. Wall
 times are kept out of summary.csv so that repeating an experiment with the
 same seed reproduces it byte for byte.
 
+BUNDLE_FILE is the one statement of which file names a bundle owns: those
+five, with run number k written as ASCII digits and no leading zero, which
+is exactly what run_single writes. Run 0 deletes only names that it
+matches, and plot_data reads a run number only from a name that it matches.
+
 SOURCES and SOLVERS are the one statement of what a run reads. unread()
 derives the settings a run does not read from them, and serves three
 rules: ExperimentSpec refuses such a setting unless it keeps its default,
@@ -35,6 +40,8 @@ GENERATED = {"er": ("prob_edge",), "sbm": ("p_in", "p_out")}
 SOURCES = {**{family: ("p", *probs, "n", "sigma", "seed") for family, probs in GENERATED.items()},
            "graph-file": ("graph_path", "n", "sigma", "seed"),
            "signals-file": ("signals_path", "signals_header")}
+# the names of the files a bundle owns, matched whole (fullmatch)
+BUNDLE_FILE = re.compile(r"spec\.echo|summary\.csv|timing\.csv|(trace|edges)_run(0|[1-9][0-9]*)\.csv")
 
 
 @dataclass(frozen=True)
@@ -150,9 +157,9 @@ def run_single(spec, run_index, X):
 
     Returns (SolveResult, wall_time_of_solve). The trace CSV and the learned
     edge list land in spec.out_dir as trace_run<k>.csv / edges_run<k>.csv;
-    run 0 first deletes the bundle files already there (spec.echo,
-    summary.csv, timing.csv and every run's trace and edge list), and then
-    writes spec.echo with the p and n of the instance it built.
+    run 0 first deletes the bundle files already there (each name that
+    BUNDLE_FILE matches), and then writes spec.echo with the p and n of the
+    instance it built.
     X is let go once its distances are formed, so it is not live during
     the solve and the writes.
     """
@@ -163,7 +170,7 @@ def run_single(spec, run_index, X):
     if run_index == 0:
         # the bundle replaces any bundle in out; other files, gen's included, stay
         for q in out.glob("*"):
-            if re.fullmatch(r"spec\.echo|summary\.csv|timing\.csv|(trace|edges)_run\d+\.csv", q.name):
+            if BUNDLE_FILE.fullmatch(q.name):
                 q.unlink()
         write_spec_echo(spec, prob.p, n)
     t0 = time.perf_counter()
@@ -227,11 +234,12 @@ def write_trace_csv(trace, path):
 
 def plot_data(exp_dirs, path):
     """Merge bundle traces into one CSV `solver,run,iter,f`, labelled with
-    the solver each spec.echo names and in numeric run order;
-    repr(float(f)) reproduces the trace's text. Every trace is read and
-    checked before path is opened, so a failure writes nothing, and read
-    again as it is written; either pass holds one trace at a time. Returns
-    the count."""
+    the solver each spec.echo names and in numeric run order; a
+    trace_run*.csv name that BUNDLE_FILE does not match is refused, so no
+    two traces read as one run. repr(float(f)) reproduces the trace's
+    text. Every trace is read and checked before path is opened, so a
+    failure writes nothing, and read again as it is written; either pass
+    holds one trace at a time. Returns the count."""
 
     def traces():
         for exp_dir in exp_dirs:
@@ -239,7 +247,7 @@ def plot_data(exp_dirs, path):
             runs = []
             for q in Path(exp_dir).glob("trace_run*.csv"):
                 run = q.stem.removeprefix("trace_run")
-                if not (run.isascii() and run.isdecimal()):
+                if not BUNDLE_FILE.fullmatch(q.name):
                     raise ValueError(f"{q}: run number {run!r} is not an integer")
                 runs.append((int(run), q))
             if not runs:

@@ -102,7 +102,6 @@ def test_criterion_4_closed_form_spot_checks():
     rng = np.random.default_rng(20260104)
     worst = 0.0
     converged = 0
-    # ranges where the textbook formula itself is accurate well below 1e-10
     for _ in range(100):
         d = float(rng.uniform(0, 10))
         alpha = float(rng.uniform(0.1, 10))

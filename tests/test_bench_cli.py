@@ -394,14 +394,18 @@ def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
     no_rows.mkdir()
     write_trace(no_rows / "trace_run0.csv", [])
     # an active_count that int() refuses, a run number in non-ASCII digits
-    # beside its ASCII twin, and a solver label that would add a cell
-    bad_count, twin, comma = tmp_path / "bad-count", tmp_path / "twin", tmp_path / "comma"
+    # or with a leading zero beside its plain twin, and a solver label that
+    # would add a cell
+    bad_count, twin, zero, comma = (tmp_path / name for name in ("bad-count", "twin", "leading-zero", "comma"))
     bad_count.mkdir()
     (bad_count / "trace_run0.csv").write_text("iter,f,active_count\n0,2.0,abc\n", encoding="utf-8")
     twin.mkdir()
     write_trace(twin / "trace_run12.csv", [1.0])
     twin_run = twin / "trace_run\u0661\u0662.csv"
     write_trace(twin_run, [2.0])
+    zero.mkdir()
+    write_trace(zero / "trace_run1.csv", [1.0])
+    write_trace(zero / "trace_run01.csv", [2.0])
     comma.mkdir()
     (comma / "spec.echo").write_text("solver=a,b\n", encoding="utf-8")
     write_trace(comma / "trace_run0.csv", [1.0])
@@ -416,6 +420,7 @@ def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
                           (no_rows, f"{no_rows / 'trace_run0.csv'}: no trace rows"),
                           (bad_count, f"{bad_count / 'trace_run0.csv'}:2: malformed trace row"),
                           (twin, f"{twin_run}: run number '\u0661\u0662'"),
+                          (zero, f"{zero / 'trace_run01.csv'}: run number '01'"),
                           (comma, f"{comma / 'spec.echo'}: solver label 'a,b'")]:
         assert cli.main(["plotdata", str(mm), str(bundle), "--out", str(out)]) == cli.EXIT_IO
         assert named in capsys.readouterr().err
@@ -817,7 +822,10 @@ def test_cli_solve_replaces_a_bench_bundle_and_keeps_other_files(tmp_path):
     family = ["--family", "er", "--p", "12", "--n", "40", "--seed", "1"]
     assert cli.main(["gen", *family, "--out", str(d)]) == cli.EXIT_OK
     assert cli.main(["bench", *family, "--runs", "3", "--out", str(d)]) == cli.EXIT_OK
-    for name in ("notes.txt", "trace_runX.csv", "edges_run1.csv.bak", "summary.csv.bak"):
+    # run numbers in non-ASCII digits or with a leading zero are not names
+    # that mmgl writes, so they stay too
+    for name in ("notes.txt", "trace_runX.csv", "edges_run1.csv.bak", "summary.csv.bak",
+                 "trace_run\u0661\u0662.csv", "edges_run\u0663.csv", "trace_run01.csv"):
         (d / name).write_text("kept\n", encoding="utf-8")
     bundle = {q.name: q.read_bytes() for q in d.iterdir()}
     # a run refused on its inputs touches nothing, here signals whose
@@ -829,8 +837,9 @@ def test_cli_solve_replaces_a_bench_bundle_and_keeps_other_files(tmp_path):
     assert cli.main(["solve", "--signals", str(d / "signals.csv"), "--solver", "newton-oracle",
                      "--out", str(d)]) == cli.EXIT_OK
     assert sorted(q.name for q in d.iterdir()) == [
-        "edges_run0.csv", "edges_run1.csv.bak", "edges_true.csv", "notes.txt", "signals.csv", "spec.echo",
-        "summary.csv.bak", "trace_run0.csv", "trace_runX.csv"]
+        "edges_run0.csv", "edges_run1.csv.bak", "edges_run\u0663.csv", "edges_true.csv", "notes.txt",
+        "signals.csv", "spec.echo", "summary.csv.bak", "trace_run0.csv", "trace_run01.csv", "trace_runX.csv",
+        "trace_run\u0661\u0662.csv"]
     assert (d / "signals.csv").read_bytes() == bundle["signals.csv"]
     assert (d / "edges_true.csv").read_bytes() == bundle["edges_true.csv"]
     assert "solver=newton-oracle" in (d / "spec.echo").read_text(encoding="utf-8").splitlines()

@@ -9,7 +9,7 @@ from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
-from oracles import brute_force, make_problem, objective_gradient, p2_root
+from oracles import box_gap, brute_force, make_problem, objective_gradient, p2_root
 
 
 def kkt(w, prob):
@@ -19,7 +19,10 @@ def kkt(w, prob):
 def test_kkt_residual():
     # 0 at the p = 2 closed form, where w > 0 needs g = 0
     assert kkt(np.ones(1), make_problem(2, [0.0])) == 0.0
-    for d, alpha, beta in [(1.0, 1.0, 1.0), (2.5, 0.7, 1.9), (0.3, 20.0, 0.01)]:
+    # the last two have d^2 >> alpha beta, where a subtracted form of the
+    # root loses its digits
+    for d, alpha, beta in [(1.0, 1.0, 1.0), (2.5, 0.7, 1.9), (0.3, 20.0, 0.01), (1e9, 1.0, 1.0),
+                           (1e6, 1e-6, 1e6)]:
         assert kkt(np.array([p2_root(d, alpha, beta)]), make_problem(2, [d], alpha, beta)) <= 1e-15
     # an edge at w = 0 counts when g < 0 and not when g > 0; a positive one
     # counts either way; the scale is 2 max d + alpha / min deg = 2 + 3 / 1.5
@@ -123,6 +126,16 @@ def test_newton_solve_reports_converged_only_within_tol():
 def test_newton_solve_converges_on_er30_seed5_at_1e_minus_5():
     # equilibrating the Woodbury system was measured not to mend it
     assert ms.newton_solve(er_or_sbm("er", 30, 5, 1e-5, 1e-5)).converged
+
+
+def test_mm_brackets_the_optimum_the_oracle_misses():
+    # the instance of the strict xfail above: MM with elimination off
+    # reaches f*, and the box gap certifies it without an oracle
+    prob = er_or_sbm("er", 30, 5, 1e-5, 1e-5)
+    res = ms.solve(prob, ms.SolverConfig(epsilon=1e-15, elimination_threshold=0.0))
+    assert res.converged
+    gap = box_gap(res.w_star, objective_gradient(res.w_star, prob), prob.d, prob.alpha, prob.beta)
+    assert 0.0 <= gap <= 1e-11 * res.f_star
 
 
 def test_newton_solve_p3_symmetric():
