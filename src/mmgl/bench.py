@@ -248,7 +248,7 @@ def plot_data(exp_dirs, path):
             for q in Path(exp_dir).glob("trace_run*.csv"):
                 run = q.stem.removeprefix("trace_run")
                 if not BUNDLE_FILE.fullmatch(q.name):
-                    raise ValueError(f"{q}: run number {run!r} is not an integer")
+                    raise ValueError(f"{q}: run number {run!r} is not one mmgl writes (ASCII digits, no leading zero)")
                 runs.append((int(run), q))
             if not runs:
                 raise FileNotFoundError(f"no trace_run*.csv files in {exp_dir}")

@@ -12,7 +12,11 @@ vectorized form; the adjacency matrix is only materialized on demand.
 The edge kernels (node_degrees, objective_value, gradient_value,
 kkt_residual) take explicit edge arrays (w, d, I, J) and check nothing, so
 the solvers can run them on any edge subset. The public functions degrees
-and objective validate their inputs and then call the same kernels.
+and objective validate their inputs and then call the same kernels. The
+certificate kernels p2_root (the two-node optimum, which bounds every
+optimal weight) and box_gap (the Frank-Wolfe gap over that box, a bound on
+f(w) - f*), and edge_f1, the exact best-cut F1 of edge recovery, also
+check nothing; none of them is in mmgl.__all__.
 
 Every file mmgl writes goes through _write_text (UTF-8, LF line ends) and
 every CSV file it reads through _csv_rows (UTF-8 with or without a
@@ -145,6 +149,37 @@ def kkt_residual(w, g, d, deg, alpha):
     compares across alpha, beta and p; every degree must be positive."""
     res = np.where(w > 0, g, np.minimum(g, 0.0))
     return float(np.abs(res).max() / (2.0 * d.max() + alpha / deg.min()))
+
+
+def p2_root(d, alpha, beta):
+    """Closed-form optimum of the two-node problem: the stationary point of
+    2 d w - 2 alpha log(w) + beta w^2, elementwise over an array of d. The
+    rationalized form has no cancellation, so it keeps its digits where
+    d^2 >> alpha beta, as (-d + sqrt(d^2 + 4 alpha beta)) / (2 beta) does not.
+    It also bounds every optimal weight: w*_j <= p2_root(d_j, alpha, beta)."""
+    return 2 * alpha / (d + np.sqrt(d * d + 4 * alpha * beta))
+
+
+def box_gap(w, g, d, alpha, beta):
+    """Frank-Wolfe gap g.w + u.max(-g, 0) of w >= 0 with gradient g over
+    the box [0, u], u = p2_root(d, alpha, beta), which holds the optimum.
+    f is convex, so f(w) - box_gap <= f* <= f(w)."""
+    return g @ w + p2_root(d, alpha, beta) @ np.maximum(-g, 0)
+
+
+def edge_f1(w, w_true):
+    """Best F1 of the edges w > c against the edges w_true > 0 over every
+    cut c; 0.0 when w has no positive weight or w_true no edge. A cut can
+    only fall between distinct weights, so tied edges are kept together."""
+    truth = w_true > 0
+    live = np.flatnonzero(w > 0)
+    if live.size == 0 or not truth.any():
+        return 0.0
+    order = live[np.argsort(-w[live], kind="stable")]  # by weight, descending
+    ws = w[order]
+    cut = np.flatnonzero(np.append(ws[1:] != ws[:-1], True))  # last edge of each tie
+    # 2 tp / (kept + true edges) at each cut
+    return float(np.max(2.0 * np.cumsum(truth[order])[cut] / (cut + 1 + np.count_nonzero(truth))))
 
 
 def degrees(w, p):

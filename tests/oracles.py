@@ -3,10 +3,7 @@
 brute_force is exact cyclic coordinate descent, each coordinate minimized
 by bisection, that certifies the global optimum reached by the MM
 iterations at any small p and any scale of alpha and beta.
-p2_root is the closed-form optimum of the two-node problem, and
 make_problem builds a ProblemInstance from a plain list of distances.
-box_gap is the Frank-Wolfe gap over the box [0, p2_root], an upper bound
-on f(w) - f* that needs no oracle.
 surrogate_value is the Jensen surrogate the MM step minimizes, used to check
 that it majorizes f.
 
@@ -16,7 +13,8 @@ closed-form minimizer. They keep the association of the solver loop, so
 tests compare solve's iterates with them bit for bit. objective_gradient is
 the gradient of f, and laplacian_pinv is numpy's SVD pseudo-inverse of the
 ground-truth Laplacian. None of them runs in the package; tests import them
-from here.
+from here. The certificate kernels (kkt_residual, p2_root, box_gap) live in
+mmgl.graph_model.
 """
 
 import numpy as np
@@ -27,22 +25,6 @@ from mmgl.graph_model import ProblemInstance, checked_weights, edge_pairs, node_
 
 def make_problem(p, d, alpha=1.0, beta=1.0):
     return ProblemInstance(p=p, d=np.asarray(d, dtype=float), alpha=alpha, beta=beta)
-
-
-def p2_root(d, alpha, beta):
-    """Closed-form optimum of the two-node problem: the stationary point of
-    2 d w - 2 alpha log(w) + beta w^2, elementwise over an array of d. The
-    rationalized form has no cancellation, so it keeps its digits where
-    d^2 >> alpha beta, as (-d + sqrt(d^2 + 4 alpha beta)) / (2 beta) does not.
-    It also bounds every optimal weight: w*_j <= p2_root(d_j, alpha, beta)."""
-    return 2 * alpha / (d + np.sqrt(d * d + 4 * alpha * beta))
-
-
-def box_gap(w, g, d, alpha, beta):
-    """Frank-Wolfe gap g.w + u.max(-g, 0) of w >= 0 with gradient g over
-    the box [0, u], u = p2_root(d, alpha, beta), which holds the optimum.
-    f is convex, so f(w) - box_gap <= f* <= f(w)."""
-    return g @ w + p2_root(d, alpha, beta) @ np.maximum(-g, 0)
 
 
 def _coordinate_derivative(t, j, prob, rest_a, rest_b):

@@ -13,7 +13,7 @@ from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
-from oracles import brute_force, p2_root, surrogate_value
+from oracles import brute_force, surrogate_value
 
 # Pinned by the tuning script: best edge recovery on the frontier that keeps
 # the ER p=100 benchmark within the iteration bound below.
@@ -108,7 +108,7 @@ def test_criterion_4_closed_form_spot_checks():
         beta = float(rng.uniform(0.1, 10))
         prob = gm.ProblemInstance(p=2, d=np.array([d]), alpha=alpha, beta=beta)
         res = ms.solve(prob)
-        worst = max(worst, abs(res.w_star[0] - p2_root(d, alpha, beta)))
+        worst = max(worst, abs(res.w_star[0] - gm.p2_root(d, alpha, beta)))
         converged += res.converged
     tri = ms.solve(gm.ProblemInstance(p=3, d=np.zeros(3), alpha=1.0, beta=1.0))
     tri_err = float(np.max(np.abs(tri.w_star - 1 / np.sqrt(2))))

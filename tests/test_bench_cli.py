@@ -420,7 +420,8 @@ def test_cli_plotdata_from_hand_written_traces(tmp_path, capsys):
                           (no_rows, f"{no_rows / 'trace_run0.csv'}: no trace rows"),
                           (bad_count, f"{bad_count / 'trace_run0.csv'}:2: malformed trace row"),
                           (twin, f"{twin_run}: run number '\u0661\u0662'"),
-                          (zero, f"{zero / 'trace_run01.csv'}: run number '01'"),
+                          (zero, f"{zero / 'trace_run01.csv'}: run number '01' is not one mmgl writes "
+                                  "(ASCII digits, no leading zero)"),
                           (comma, f"{comma / 'spec.echo'}: solver label 'a,b'")]:
         assert cli.main(["plotdata", str(mm), str(bundle), "--out", str(out)]) == cli.EXIT_IO
         assert named in capsys.readouterr().err

@@ -264,6 +264,16 @@ def test_gradient_value_matches_the_oracle_gradient(seed):
     np.testing.assert_array_equal(grad, objective_gradient(w, prob))
 
 
+def test_edge_f1_scores_the_best_cut():
+    # the cut between 0.5 and 1e-300 keeps both true edges, which a grid of
+    # 60 geometric cuts over [1e-300, 1] misses (it read 0.8); no positive
+    # weight scores 0; a cut cannot split a tie, so three tied edges are
+    # kept together (1 of 3 kept is true: F1 2 / (3 + 1))
+    assert gm.edge_f1(np.array([1.0, 0.9, 1e-300, 0.5]), np.array([1.0, 1.0, 0.0, 0.0])) == 1.0
+    assert gm.edge_f1(np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0])) == 0.0
+    assert gm.edge_f1(np.ones(3), np.array([1.0, 0.0, 0.0])) == 0.5
+
+
 # ------------------------------------------------------- matrix round trips
 
 def test_weights_to_matrix_is_symmetric_zero_diagonal():

@@ -2,14 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
-from oracles import box_gap, brute_force, make_problem, objective_gradient, p2_root
+from oracles import brute_force, make_problem, objective_gradient
 
 
 def kkt(w, prob):
@@ -23,7 +23,7 @@ def test_kkt_residual():
     # root loses its digits
     for d, alpha, beta in [(1.0, 1.0, 1.0), (2.5, 0.7, 1.9), (0.3, 20.0, 0.01), (1e9, 1.0, 1.0),
                            (1e6, 1e-6, 1e6)]:
-        assert kkt(np.array([p2_root(d, alpha, beta)]), make_problem(2, [d], alpha, beta)) <= 1e-15
+        assert kkt(np.array([gm.p2_root(d, alpha, beta)]), make_problem(2, [d], alpha, beta)) <= 1e-15
     # an edge at w = 0 counts when g < 0 and not when g > 0; a positive one
     # counts either way; the scale is 2 max d + alpha / min deg = 2 + 3 / 1.5
     d, deg = np.array([1.0, 0.5]), np.array([1.5, 2.0])
@@ -39,7 +39,7 @@ def test_newton_solve_p2_closed_forms():
 
     res = ms.newton_solve(make_problem(2, [1.0]))
     assert res.w_star[0] == pytest.approx(0.618034, abs=1e-6)
-    assert res.w_star[0] == pytest.approx(p2_root(1.0, 1.0, 1.0), abs=1e-6)
+    assert res.w_star[0] == pytest.approx(gm.p2_root(1.0, 1.0, 1.0), abs=1e-6)
 
 
 def test_newton_solve_converged_on_its_last_allowed_step():
@@ -134,8 +134,39 @@ def test_mm_brackets_the_optimum_the_oracle_misses():
     prob = er_or_sbm("er", 30, 5, 1e-5, 1e-5)
     res = ms.solve(prob, ms.SolverConfig(epsilon=1e-15, elimination_threshold=0.0))
     assert res.converged
-    gap = box_gap(res.w_star, objective_gradient(res.w_star, prob), prob.d, prob.alpha, prob.beta)
+    gap = gm.box_gap(res.w_star, objective_gradient(res.w_star, prob), prob.d, prob.alpha, prob.beta)
     assert 0.0 <= gap <= 1e-11 * res.f_star
+
+
+@given(st.integers(2, 5), st.floats(-12, 12), st.floats(-12, 12), st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]),
+       st.integers(0, 2**32 - 1))
+def test_box_gap_is_a_lower_bound_on_f_star(p, log_alpha, log_beta, delta, seed):
+    # weak duality: f(w) - box_gap(w) <= f* at and near the optimum, at any
+    # scale; d scales with sqrt(alpha beta), so every draw is a rescaled
+    # alpha = beta = 1 instance, where neither d nor the barrier dominates
+    alpha, beta = 10.0 ** log_alpha, 10.0 ** log_beta
+    rng = np.random.default_rng(seed)
+    prob = make_problem(p, rng.uniform(0, 3, gm.num_edges(p)) * np.sqrt(alpha * beta), alpha, beta)
+    w_star = brute_force(prob)
+    f_star = gm.objective(w_star, prob)
+    w = np.maximum(w_star + delta * w_star.max() * rng.uniform(-1, 1, prob.m), 0.0)
+    assume(gm.degrees(w, p).min() > 0)
+    gap = gm.box_gap(w, objective_gradient(w, prob), prob.d, alpha, beta)
+    assert gm.objective(w, prob) - gap <= f_star + 1e-14 * abs(f_star)
+
+
+def test_box_gap_scales_with_alpha():
+    # d times sqrt(alpha beta) and w times sqrt(alpha / beta) scale the
+    # gradient by sqrt(alpha beta) and the box by sqrt(alpha / beta), so
+    # the gap by alpha
+    rng = np.random.default_rng(37)
+    d, w = rng.uniform(0, 3, gm.num_edges(5)), rng.uniform(0, 1, gm.num_edges(5))
+    gaps = []
+    for alpha, beta in [(1.0, 1.0), (1e3, 1e-3), (1e-3, 1e3), (1e-20, 1.0), (1e6, 1e6)]:
+        prob = make_problem(5, d * np.sqrt(alpha * beta), alpha, beta)
+        w_ab = w * np.sqrt(alpha / beta)
+        gaps.append(gm.box_gap(w_ab, objective_gradient(w_ab, prob), prob.d, alpha, beta) / alpha)
+    np.testing.assert_allclose(gaps, gaps[0], rtol=1e-13, atol=0)
 
 
 def test_newton_solve_p3_symmetric():

@@ -34,6 +34,15 @@ def test_tune_hyperparams_smoke():
     assert len(lines) == 53
 
 
+def test_tune_hyperparams_budget_pick_needs_converged_runs():
+    # at alpha 1e-20 the run stops non_finite after 1 iteration: cheap, but
+    # no pick; the other point takes 23 iterations, over the budget
+    lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "1",
+                       "--alphas", "1e-20", "10", "--betas", "1")
+    assert lines[1].split() == ["1e-20", "1", "0.000", "1.0"]
+    assert lines[-1] == "no grid point meets the 15-iteration budget"
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_tune_hyperparams_refuses_no_seeds(seeds):
     # no instance to score would print a grid of nan; the spec refuses it,
