@@ -73,8 +73,8 @@ def _add_run_args(sub):
     add_setting(sol, "--solver", "MM, or the projected Newton reference", choices=bench.SOLVERS)
     add_setting(sol, "--epsilon", "relative-objective stopping tolerance", SolverConfig)
     add_setting(sol, "--max-iters", "iteration cap of either solver", SolverConfig)
-    add_setting(sol, "--elim-threshold", "weight elimination threshold, 0 turns it off", SolverConfig,
-                dest="elimination_threshold", metavar="ELIM_THRESHOLD")
+    add_setting(sol, "--elim-threshold", "retire a weight at or below this times its edge's bound, "
+                "0 turns it off", SolverConfig, dest="elimination_threshold", metavar="ELIM_THRESHOLD")
     add_setting(sol, "--tol", "newton-oracle: stopping bound on the relative KKT residual", SolverConfig)
 
 

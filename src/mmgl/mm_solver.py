@@ -19,11 +19,15 @@ entries (i, s - i) and (i + 1, s - i - 1) touch different nodes, so the
 two degree scatters carry no chain of adds into one bin; in row-major
 order the sorted I side does.
 
-The loop evaluates the root unmasked, with d * d computed once and carried
-with the working arrays. A retired edge with d = 0 gets 0/0 = nan there;
-the one live mask per iteration (w >= threshold) clamps it back to 0 along
-with every other retired edge, and the same mask counts the active edges
-and selects the survivors at compaction.
+An edge retires when its weight is at most the threshold times its own
+bound u_j = min(p2_root(d_j, alpha, beta), sqrt(alpha / beta)), which
+holds every optimal weight (graph_model.p2_root). So the rule scales with
+(alpha, beta, d) and a threshold of 0 turns it off. The loop evaluates the
+root unmasked, with d * d and the per-edge floors computed once and
+carried with the working arrays. A retired edge with d = 0 gets 0/0 = nan
+there; the one live mask per iteration (w > floor) clamps it back to 0
+along with every other retired edge, and the same mask counts the active
+edges and selects the survivors at compaction.
 
 newton_solve is projected Newton, an independent oracle that certifies the
 optimum MM reaches, not a published competitor. Each of its steps solves a
@@ -37,17 +41,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_model import (check_integers, check_reals, edge_pairs, gradient_value, kkt_residual,
-                          node_degrees, objective_value, weights_to_matrix)
+                          node_degrees, objective_value, p2_root, weights_to_matrix)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of both solvers.
 
-    epsilon is MM's relative-objective stopping tolerance; weights below
-    elimination_threshold are clamped to exact zero and retired permanently.
-    A threshold of 0 turns elimination off. tol bounds the relative KKT
-    residual (graph_model.kkt_residual) at which the Newton oracle stops.
+    epsilon is MM's relative-objective stopping tolerance; a weight at or
+    below elimination_threshold times its edge's bound u_j (see solve) is
+    clamped to exact zero and retired permanently. The threshold is
+    relative, so one value fits every scale of (alpha, beta, d); 0 turns
+    elimination off. tol bounds the relative KKT residual
+    (graph_model.kkt_residual) at which the Newton oracle stops.
     max_iters caps whichever solver runs. Frozen, so a setting cannot
     change after it is checked.
     """
@@ -161,7 +167,7 @@ def _stop_test(f_prev, f_new, epsilon):
     return abs((f_prev - f_new) / (f_prev or 1.0)) <= epsilon
 
 
-@np.errstate(invalid="ignore", over="ignore")
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def solve(prob, cfg=SolverConfig(), callback=None):
     """Run the MM algorithm from the all-ones start until the relative
     objective change drops to cfg.epsilon or max_iters is hit.
@@ -174,17 +180,23 @@ def solve(prob, cfg=SolverConfig(), callback=None):
     arrays (a testing hook).
 
     All reads come from the iteration-k arrays and all writes go to the k+1
-    buffer; there are no cross-edge dependencies. One live mask per
-    iteration, w >= max(threshold, smallest positive float), clamps the
-    retired edges to 0 (the clamp runs only when some edge is dead) and
-    counts the active ones. It also clears the nan that the unmasked root
-    gives a retired edge with d = 0, since nan >= floor is false. All of
-    solve, the start and the callback included, runs under
-    np.errstate(invalid="ignore", over="ignore"), so that this 0/0 stays
-    silent and so does an f that overflows, which stops the run as
-    "non_finite" like a node that lost its last edge. When that mask leaves
-    1% or more of the working edges dead, the next iteration opens by
-    keeping only its survivors in w, d, the cached d * d, I, J and `orig`,
+    buffer; there are no cross-edge dependencies. Each edge's floor is
+    cfg.elimination_threshold times u_j = min(p2_root(d_j, alpha, beta),
+    sqrt(alpha / beta)), computed once per solve. p2_root is inf where
+    d_j = 0 and 4 alpha beta underflows; there the clamp, taken as
+    sqrt(alpha) / sqrt(beta) so that it stays finite where alpha / beta
+    overflows, keeps the floor finite, so a threshold of 0 still gives a
+    floor of exactly 0. One live mask per iteration, w > floor,
+    clamps the retired edges to 0 (the clamp runs only when some edge is
+    dead) and counts the active ones. It also clears the nan that the
+    unmasked root gives a retired edge with d = 0, since nan > floor is
+    false. All of solve, the start and the callback included, runs under
+    np.errstate(invalid="ignore", over="ignore", divide="ignore"), so that
+    this 0/0 stays silent, and so do a root that divides by an underflowed
+    zero and an f that overflows; either stops the run as "non_finite" like
+    a node that lost its last edge. When that mask leaves 1% or more of the
+    working edges dead, the next iteration opens by keeping only its
+    survivors in w, d, the cached d * d, the floors, I, J and `orig`,
     which maps array positions back to input edge ids; one scatter helper
     through it gives the callback its w and c and the result its w_star. So
     the callback sees the clamped arrays before any compaction, and a run
@@ -203,7 +215,7 @@ def solve(prob, cfg=SolverConfig(), callback=None):
     orig = np.argsort(I + J, kind="stable")
     I, J, d = I[orig], J[orig], d[orig]
     dd = d * d
-    floor = max(cfg.elimination_threshold, np.nextafter(0.0, 1.0))
+    floor = cfg.elimination_threshold * np.minimum(p2_root(d, alpha, beta), math.sqrt(alpha) / math.sqrt(beta))
     w, deg, f_prev, rows = _all_ones_start(p, I, J, d, alpha, beta)
     nnz = m  # row 0's active count: iteration 1 has nothing to compact
     reason = "max_iters"
@@ -211,10 +223,10 @@ def solve(prob, cfg=SolverConfig(), callback=None):
     for k in range(1, cfg.max_iters + 1):
         t_start = time.perf_counter()
         if nnz < 0.99 * w.size:
-            w, d, dd, I, J, orig = w[live], d[live], dd[live], I[live], J[live], orig[live]
+            w, d, dd, floor, I, J, orig = w[live], d[live], dd[live], floor[live], I[live], J[live], orig[live]
         c = _coefficients(w, 1.0 / deg, I, J, alpha)
         w = _root_update(d, dd, c, two_beta)
-        live = w >= floor
+        live = w > floor
         nnz = int(np.count_nonzero(live))
         if nnz < w.size:
             w[~live] = 0.0

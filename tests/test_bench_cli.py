@@ -451,23 +451,23 @@ def test_plotdata_peak_memory_holds_one_trace(tmp_path, traced_peak):
 PINNED_BUNDLE = {
     "gen/edges_true.csv": "8a2b57837f2a23fd7d7e024b9fece2212b79f5f8ead8804285af9bf251b3e22a",
     "gen/signals.csv": "0ec172575ec3279e722f62d930015a7e31d386502d03b88f05affd8c33ffa148",
-    "graph/edges_run0.csv": "f413bda02d6f996023926abafe93cba2f9751e69e585f69a9d2b3d503467b7e6",
-    "graph/edges_run1.csv": "d2dca679acc439eb2042c2c1c968486e530a1485c1328e5dcd8e5b6c58b56af2",
-    "graph/edges_run2.csv": "a53a85c47d1d93ffb333e8fc078cd36795f9ba8ad5fb07841c9b76788b67e419",
+    "graph/edges_run0.csv": "1c721c031c53c7183876acd3392a3d9bfaf17a4383ed0ae3acfe8c53d2588960",
+    "graph/edges_run1.csv": "d1b4f13284e7a24b5e1921b105f13e818f04bb3dfd3bf17d357163f88fa66836",
+    "graph/edges_run2.csv": "6dbf8c5d353ca52b6a9483dfa57189b8aea94738b89fdd2dc96bdb277c477285",
     "graph/spec.echo": "bb58aa6a799bb09614d8c6307cf9d7cdffb196f7f3fc8a4a079bfae385fc995b",
     "graph/summary.csv": "19fc2e4402029546ee3bdf4315efb71901d7934d2605ff0c74d4204844b2aa5b",
-    "graph/trace_run0.csv": "fc4f0acbfa2c2a15139ed85e4936650880697c5149b242c28b1a3b8816c45f1d",
-    "graph/trace_run1.csv": "67b62dd2057f51e8cf45077ac40f3a94e366f5b21acee2905a35d4a4d4fa6dad",
-    "graph/trace_run2.csv": "9e3502d62d22bee3b78c1145a34518a668c5958914fc42d756210991ee1a0536",
-    "mc/edges_run0.csv": "f413bda02d6f996023926abafe93cba2f9751e69e585f69a9d2b3d503467b7e6",
-    "mc/edges_run1.csv": "e258e6fc3b470927af45cfc63aadbac4b77fb98807079e0c85853dcf55fcea69",
-    "mc/edges_run2.csv": "591b38cb938c3a05df7d2844bbde55ba4c74dde1027e64b22a8a5d6a132abacb",
+    "graph/trace_run0.csv": "aff6177b288ed7fef40624648f59e8d64fa639dc8719e88252e8727fc64775d4",
+    "graph/trace_run1.csv": "8994bee45d498a2f110f118f14973801576562b685dee3d1e70fc41536e3710d",
+    "graph/trace_run2.csv": "bec16da1613c8935312e2a8fc5d2c810a2b2074ead0faaf1b1d1a0b8eadd70ed",
+    "mc/edges_run0.csv": "1c721c031c53c7183876acd3392a3d9bfaf17a4383ed0ae3acfe8c53d2588960",
+    "mc/edges_run1.csv": "03fd8a771ed2263d5cf9dc0bc1bccdb887d5831a613a613415aa689110d451da",
+    "mc/edges_run2.csv": "547c3b7b4dc701b2479404595b3732a4d8a4a2180c83e24cc0d24bf5725ad478",
     "mc/spec.echo": "705375ac7efa3b47c25eee70b804c043a0a58825e87cecca57c4398979657fcb",
     "mc/summary.csv": "e4a46cace83d4f835eea42e806db380cbf7f8704d8deb5e5034ba929cdf1973b",
-    "mc/trace_run0.csv": "fc4f0acbfa2c2a15139ed85e4936650880697c5149b242c28b1a3b8816c45f1d",
-    "mc/trace_run1.csv": "799975897405d22455055ca5aeb1f81df6f35c7dbb46f16ec1a5791c8c1b4149",
-    "mc/trace_run2.csv": "629de9ad470956006955221cafc720c3ba629899d570e9f8b21efd4a8e9b52d3",
-    "plot.csv": "4fea1c0c0cc409d54d23c52140d19f3e2fd66944a2f1faa8487891619f6d55c5",
+    "mc/trace_run0.csv": "aff6177b288ed7fef40624648f59e8d64fa639dc8719e88252e8727fc64775d4",
+    "mc/trace_run1.csv": "b2f8cd25db146e54c0ed70121e20f93ae5d7e607969cdf44f0fb9bb7f928695d",
+    "mc/trace_run2.csv": "8c09cf858e404b2be4dbf60ddc56bdfcf3d672fa4b2f35a9302b4e0ff336661e",
+    "plot.csv": "46c4bff0466b1fa7eae38eada036851c3c61cc00f4efcb5b492e3b4cd44febe0",
 }
 
 
@@ -495,9 +495,9 @@ def test_bundle_matches_pinned_bytes(tmp_path, monkeypatch):
     ("converged", ["--p", "8", "--prob-edge", "0.5", "--n", "20", "--seed", "2"]),
     ("max_iters", ["--p", "10", "--prob-edge", "0.4", "--n", "30", "--seed", "3",
                    "--max-iters", "1", "--epsilon", "1e-14"]),
-    # sqrt(alpha/beta) far below the elimination threshold: every edge
-    # retires in iteration 1 and f becomes +inf
-    ("non_finite", ["--p", "20", "--seed", "3", "--alpha", "1e-20", "--beta", "1"]),
+    # sqrt(alpha/beta) far below the default threshold of 1e-8: each edge
+    # retires relative to its own bound, so none does in iteration 1
+    ("converged", ["--p", "20", "--seed", "3", "--alpha", "1e-20", "--beta", "1"]),
     # a tolerance below round-off: no step halves the residual after 37
     ("stationary", ["--solver", "newton-oracle", "--p", "30", "--seed", "6",
                     "--alpha", "10", "--beta", "10", "--tol", "1e-300"]),

@@ -224,17 +224,18 @@ def test_elimination_disabled_keeps_all_edges_positive():
 
 
 def test_solve_stops_on_non_finite_objective():
-    # one node far from the rest: all of its edges retire in iteration 1
+    # one node far from the rest: its edges' first weights are near 1e-11,
+    # so a threshold absolute in w (1e-8) would isolate it in iteration 1;
+    # each edge's own bound u_j is as small, so its edges stay live
     X = np.random.default_rng(0).normal(size=(6, 5))
     X[5] += 1e5
     prob = make_problem(6, gm.pairwise_distances(X))
     res = ms.solve(prob)
-    assert not res.converged
-    assert res.iters == 1
-    assert res.f_star == np.inf
+    assert res.converged
+    assert gm.degrees(res.w_star, prob.p).min() > 0
     # alpha 1e300 and beta 1e-300: w . w overflows in iteration 1 while
-    # every degree stays above 1e290; that stops the run the same way, and
-    # no overflow warning escapes solve
+    # every degree stays above 1e290; that stops the run, and no overflow
+    # warning escapes solve
     g = dg.gen_er(20, 0.1, 3)
     prob = dg.assemble(dg.gen_signals(g, dg.SignalModel(), 3), 1e300, 1e-300)
     with warnings.catch_warnings():
@@ -244,6 +245,33 @@ def test_solve_stops_on_non_finite_objective():
     assert res.iters == 1
     assert res.f_star == np.inf
     assert gm.degrees(res.w_star, prob.p).min() > 1e290
+    # a d = 0 edge where 2 beta c underflows to 0, so the root divides by
+    # zero: that weight is inf, f is not finite, and no divide-by-zero
+    # warning escapes solve. At (1e-10, 1e-320), 4 alpha beta underflows
+    # too, so p2_root is inf there, and alpha / beta overflows; the edge's
+    # floor must stay finite, or even a threshold of 0 would retire it
+    for alpha, beta in ((1e-300, 1e-300), (1e-10, 1e-320)):
+        prob = make_problem(3, [0.0, 1.0, 1.0], alpha=alpha, beta=beta)
+        for threshold in (0.0, 1e-8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = ms.solve(prob, ms.SolverConfig(elimination_threshold=threshold))
+            assert res.reason == "non_finite"
+            assert res.iters == 1
+            assert res.w_star[0] == np.inf
+
+
+@given(st.integers(3, 30), st.floats(-12, 12), st.floats(-12, 12), st.integers(0, 2**32 - 1))
+def test_default_threshold_never_isolates_a_node(p, log_alpha, log_beta, seed):
+    # the default threshold is relative to each edge's bound u_j, so it
+    # fits any scale: a threshold absolute in w (1e-8) isolates a node in
+    # about a third of these draws. Only an overflowed f, with every
+    # degree positive, may stop the run as non_finite
+    g = dg.gen_er(p, 0.1, seed)
+    prob = dg.assemble(dg.gen_signals(g, dg.SignalModel(), seed), 10.0 ** log_alpha, 10.0 ** log_beta)
+    res = ms.solve(prob)
+    assert res.reason in ("converged", "non_finite")
+    assert gm.degrees(res.w_star, p).min() > 0
 
 
 # ------------------------------------------------------------ active compact
@@ -263,11 +291,14 @@ def solve_against_full_length_reference(prob, cfg):
     seen = []
     res = ms.solve(prob, cfg, callback=lambda k, w, c: seen.append(w))
     assert len(seen) == res.iters
+    # each edge retires at or below the threshold times its bound u_j,
+    # which never exceeds sqrt(alpha / beta)
+    u = np.minimum(gm.p2_root(prob.d, prob.alpha, prob.beta), np.sqrt(prob.alpha) / np.sqrt(prob.beta))
     w = np.ones(prob.m)
     fs = [gm.objective(w, prob)]
     for w_solve in seen:
         w = mm_update(compute_c(w, prob), prob)
-        w[w < cfg.elimination_threshold] = 0.0
+        w[w <= cfg.elimination_threshold * u] = 0.0
         assert np.array_equal(w_solve, w)
         fs.append(gm.objective(w, prob))
     assert np.array_equal(res.w_star, w)
@@ -335,18 +366,18 @@ def test_repeated_compaction_matches_uncompacted_run():
 # their anti-diagonal order (by i + j, then i) and where compaction drops
 # edges. newton_solve keeps row-major order.
 PINNED_RUNS = {
-    "gapped-14": ("a16abb3c4a71d013bad5c78707b9583bdf2402a908dacfcea82182a8c5b16893",
-                  "9d65abe266102cc6d49f499ff9cf05cf219b64918812e7e6806385e062443e1b",
+    "gapped-14": ("dae98c6b60300562e41bbe53c9e3c49c33d7f12cf940ebe1344dfefe96d33fcf",
+                  "53e6871900b89c92fa58d713cfbe71c1d70cda16f211b156ef229ad564854b59",
                   "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
-                  "971201d594de41be023e769d8f2dca2813a6a8f014dc7419086959eb7966ca6b"),
-    "uniform-3": ("e82586959efe0aa4c5eeaec0bcb2d52ae3c384233d5ceef8305df088b3866201",
-                  "1d4d16f224d65cedf45ee3f8ac47747b40a2df1125513542dc13f9e885791d1c",
+                  "58e47f189ee8ab213ec772d0f096477c5386ca70cf7954ae4d0e80aea3476ff4"),
+    "uniform-3": ("8e0d8673f1bb0c9696c0e07d17a34b6f4d2cf5762e12949a00285077636289c4",
+                  "02aaedc4527261471ece9f0a832e689db453b02731d87c60d5c178e4ac3225c0",
                   "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
-                  "5f60e63cd10f55fab3f0f226f9525999acc8d03c485bce5f0188ad812e540542"),
-    "uniform-7": ("66dbbdf296f481fe3eda5e4bc595955077b52c43ab3cfe94f8cc17d801a3c229",
-                  "2647120303f4fb4232b4bfa545e32ef8925bac514db19ab70092c6be9cc93ef4",
+                  "88308d7cb253a5b957f24e198ccef25e028d26c53a577a3e29c82a21bd1b877c"),
+    "uniform-7": ("a566d16ac1ad35192b2889f644a4410edd3139b22217516b9a787f27c026151c",
+                  "9449b1fa745e88599fe1ef4170487aac69bf6a1f73b106a728317008cc7695ea",
                   "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
-                  "64cba8c22e5b989a8905db41753dad955e48f758c65477e983c7e12627bb1298"),
+                  "d948a1e461929cefbb7bce3617721db7e298a94eff8b8e9f356274026dbe4883"),
     "newton-uniform-3": ("e87eca39421b33939407728b5ab127c1bb278869da40308343fa9c3b8d0f1130",
                          "b8d8de2c2182e3dfeb8cd98b5318ad3ec3c3de413f22e189beb6eabef52b84f6",
                          "81845a01dafa45c9b26e10a7af52a92e8604d5d8ef690f1e3ccdcfe3b5c6ae98",
@@ -383,9 +414,9 @@ def test_iterates_match_pinned_bytes():
 # sha256 of (w_star, trace.iterations, trace.active_count) after exactly 60
 # MM iterations at p=150: its 11,175 edges start above OpenBLAS's threaded
 # dot threshold, so f is left out (see PINNED_RUNS).
-PINNED_WIDE_RUN = ("117a58919791db67830fc4667334a8fdd4fd07f83ec020376b7524b58b602f64",
+PINNED_WIDE_RUN = ("103cca9250674ce5d25c996d1abf74940387583eb63b6c97a062658d26c39b92",
                    "cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
-                   "ea4ba5ec8ac0764985c14d9d7268285252e90b11cd03b31ffa18df29d61b99f2")
+                   "2b589a1cbc6cb5d6244aef65e2adc8ebe3dfb1705e351cda774819285105ecc9")
 
 
 def test_iterates_above_the_blas_thread_threshold_match_pinned_bytes():

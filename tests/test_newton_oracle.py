@@ -138,6 +138,22 @@ def test_mm_brackets_the_optimum_the_oracle_misses():
     assert 0.0 <= gap <= 1e-11 * res.f_star
 
 
+@pytest.mark.parametrize("p, seed, alpha, beta", [
+    (30, 5, 1e-5, 1e-5), (100, 7, 1e-4, 1e-4), (100, 7, 1e-5, 1e-5), (20, 3, 1e-20, 1.0),
+])
+def test_mm_converges_where_every_first_weight_is_below_the_threshold(p, seed, alpha, beta):
+    # every first MM weight is below 1e-8 here, so a threshold absolute in
+    # w (1e-8) would retire every edge in iteration 1 and stop the run
+    # non_finite. Relative to each edge's own bound u_j, MM converges and,
+    # at a tight tolerance, the box gap certifies it
+    prob = er_or_sbm("er", p, seed, alpha, beta)
+    assert ms.solve(prob).converged
+    res = ms.solve(prob, ms.SolverConfig(epsilon=1e-10))
+    assert res.converged
+    gap = gm.box_gap(res.w_star, objective_gradient(res.w_star, prob), prob.d, prob.alpha, prob.beta)
+    assert 0.0 <= gap <= 2e-6 * abs(res.f_star)
+
+
 @given(st.integers(2, 5), st.floats(-12, 12), st.floats(-12, 12), st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]),
        st.integers(0, 2**32 - 1))
 def test_box_gap_is_a_lower_bound_on_f_star(p, log_alpha, log_beta, delta, seed):

@@ -35,11 +35,13 @@ def test_tune_hyperparams_smoke():
 
 
 def test_tune_hyperparams_budget_pick_needs_converged_runs():
-    # at alpha 1e-20 the run stops non_finite after 1 iteration: cheap, but
-    # no pick; the other point takes 23 iterations, over the budget
+    # at alpha 1e300 and beta 1e-300, f overflows and the run stops
+    # non_finite after 1 iteration: cheap, but no pick; every point that
+    # converges takes more than 15 iterations
     lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "1",
-                       "--alphas", "1e-20", "10", "--betas", "1")
-    assert lines[1].split() == ["1e-20", "1", "0.000", "1.0"]
+                       "--alphas", "1e300", "10", "--betas", "1e-300", "1")
+    row = lines[1].split()
+    assert (row[0], row[1], row[3]) == ("1e+300", "1e-300", "1.0")
     assert lines[-1] == "no grid point meets the 15-iteration budget"
 
 
