@@ -20,6 +20,9 @@ such a setting out.
 """
 
 import collections
+import concurrent.futures
+import contextlib
+import ctypes
 import dataclasses
 import itertools
 import re
@@ -128,27 +131,85 @@ class BenchSummary:
         return "stop reasons: " + ", ".join(f"{r} {n}" for r, n in self.stop_reasons.items())
 
 
+def _blas_threads():
+    """(get, set) of the thread count of the BLAS that numpy loaded, or
+    None when neither numpy's bundled scipy-openblas nor a plain OpenBLAS
+    is found. numpy's core module links that BLAS, so looking a symbol up
+    through its handle finds it."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads", "openblas_set_num_threads")):
+        if hasattr(lib, get) and hasattr(lib, set_):
+            return getattr(lib, get), getattr(lib, set_)
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with one BLAS thread, and put the previous count back
+    afterwards, also when the block raises. Some BLAS products round
+    differently with more threads (the signal root at ER p=100, say), so
+    this makes a batch's bytes those of one thread wherever the count can
+    be set; where no setter is found, it does nothing."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def run_data(spec):
     """Yield (ground-truth graph, p x n signals) for each run of the batch.
     Run k samples its signals, and a generated graph, with seed + k; a
     --graph file is read and factored once; a signals file is the one run,
-    with graph None. Every run draws its noise into one p x n scratch
-    buffer that the batch keeps, while each yielded X is a fresh array.
-    Calls go through data_gen's and graph_model's attributes, which a
-    tracer may wrap; a generated graph comes from data_gen.gen_<family>,
-    looked up at each call, with the probabilities GENERATED lists."""
+    with graph None. A one-run batch lets gen_signals draw its noise. A
+    batch of two or more runs keeps one (2, p, n) noise buffer and one
+    worker thread: run 0's noise is drawn into the buffer on the caller's
+    thread, and once run k's gen_signals has returned, the worker draws
+    run k + 1's noise into it (data_gen.draw_noise) while the caller
+    solves and writes run k. So a one-run batch starts no thread, a batch
+    never holds a second noise array (one freed after run 0 would stay in
+    the heap), every BLAS call stays on the caller's thread, and each
+    yielded X is a fresh array. Closing the generator waits for the worker
+    and ends it. Calls go through data_gen's
+    and graph_model's attributes, which a tracer may wrap; a generated
+    graph comes from data_gen.gen_<family>, looked up at each call, with
+    the probabilities GENERATED lists."""
     if spec.family == "signals-file":
         yield None, graph_model.load_signals_csv(spec.signals_path, skip_header=spec.signals_header)
         return
     model = data_gen.SignalModel(sigma=spec.sigma, n=spec.n)
     if spec.family == "graph-file":
         g = data_gen.load_graph(spec.graph_path)
-    scratch = np.empty((g.p if spec.family == "graph-file" else spec.p, model.n))
-    for seed in range(spec.seed, spec.seed + spec.monte_carlo_runs):
-        if spec.family in GENERATED:
-            g = getattr(data_gen, f"gen_{spec.family}")(
-                spec.p, *(getattr(spec, name) for name in GENERATED[spec.family]), seed)
-        yield g, data_gen.gen_signals(g, model, seed, scratch)
+    seeds = range(spec.seed, spec.seed + spec.monte_carlo_runs)
+    noise = np.empty((2, g.p if spec.family == "graph-file" else spec.p, model.n)) if len(seeds) > 1 else None
+    drawn = None  # the worker's draw of the next run's noise
+
+    def signals(g, seed):
+        # X is returned, not held in run_data's frame, so it is not live
+        # once its consumer lets go of it
+        nonlocal drawn
+        if noise is None:  # one run: gen_signals draws its own noise
+            return data_gen.gen_signals(g, model, seed, None)
+        X = data_gen.gen_signals(g, model, seed, drawn.result() if drawn else data_gen.draw_noise(seed, noise))
+        drawn = pool.submit(data_gen.draw_noise, seed + 1, noise) if seed + 1 in seeds else None
+        return X
+
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        for seed in seeds:
+            if spec.family in GENERATED:
+                g = getattr(data_gen, f"gen_{spec.family}")(
+                    spec.p, *(getattr(spec, name) for name in GENERATED[spec.family]), seed)
+            yield g, signals(g, seed)
 
 
 def run_single(spec, run_index, X):
@@ -161,7 +222,9 @@ def run_single(spec, run_index, X):
     BUNDLE_FILE matches), and then writes spec.echo with the p and n of the
     instance it built.
     X is let go once its distances are formed, so it is not live during
-    the solve and the writes.
+    the solve and the writes. A run whose weights are not all finite (a
+    non_finite stop can leave an inf weight) writes an edge list with its
+    header only.
     """
     out = Path(spec.out_dir)
     n = X.shape[1]
@@ -178,7 +241,9 @@ def run_single(spec, run_index, X):
     result = solve(prob, spec.solver_config)
     wall = time.perf_counter() - t0
     write_trace_csv(result.trace, out / f"trace_run{run_index}.csv")
-    graph_model.save_edges_csv(result.w_star, prob.p, out / f"edges_run{run_index}.csv")
+    # a non_finite stop can leave an inf weight, which no edge list holds
+    w = result.w_star if np.isfinite(result.w_star).all() else np.zeros_like(result.w_star)
+    graph_model.save_edges_csv(w, prob.p, out / f"edges_run{run_index}.csv")
     return result, wall
 
 
@@ -190,21 +255,23 @@ def run_montecarlo(spec):
     recorded, not fatal: the summary flags it through convergence_rate < 1
     and counts it by reason in stop_reasons. Each run is folded into
     running totals and dropped before the next is drawn, so the batch holds
-    one run at a time.
+    one run at a time. The batch runs under one_blas_thread(), and it
+    closes run_data's generator however it ends, so no worker thread
+    outlives it.
     """
     out = Path(spec.out_dir)
     iters = []  # ints, so sum() and the sorted middle pair give numpy's mean and median
     reasons = collections.Counter()
     wall_sum = iter_time_sum = 0.0
-    runs = run_data(spec)
-    for k in range(spec.monte_carlo_runs):
-        # run k's X goes straight into run_single, which lets go of it
-        result, wall = run_single(spec, k, next(runs)[1])
-        iters.append(result.iters)
-        reasons[result.reason] += 1
-        wall_sum += wall
-        iter_time_sum += float(result.trace.wall_time[1:].sum())
-        del result  # now, not when run k + 1 rebinds it after its draw and solve
+    with one_blas_thread(), contextlib.closing(run_data(spec)) as runs:
+        for k in range(spec.monte_carlo_runs):
+            # run k's X goes straight into run_single, which lets go of it
+            result, wall = run_single(spec, k, next(runs)[1])
+            iters.append(result.iters)
+            reasons[result.reason] += 1
+            wall_sum += wall
+            iter_time_sum += float(result.trace.wall_time[1:].sum())
+            del result  # now, not when run k + 1 rebinds it after its draw and solve
     iters.sort()
     summary = BenchSummary(
         solver=spec.solver,

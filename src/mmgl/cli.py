@@ -7,6 +7,9 @@ field at its default. So the CLI sees exactly the flags typed, and refuses
 one that the run does not read (bench.SOURCES, bench.SOLVERS) even at its
 default value.
 
+Every subcommand runs under bench.one_blas_thread(), so its files are
+the same bytes at any BLAS thread count wherever the count can be set.
+
 Exit codes: 0 success (and solver converged), 3 stopped without converging
 (iteration cap, f became non-finite, or the Newton oracle's line search
 found no acceptable step, or its Newton system was singular, before its
@@ -186,7 +189,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with bench.one_blas_thread():
+            return args.func(args)
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -92,22 +92,37 @@ def laplacian(g):
     return np.diag(W.sum(axis=1)) - W
 
 
-def gen_signals(g, model, seed, scratch=None):
+def draw_noise(seed, out):
+    """Fill out, a C-ordered float64 (2, p, n) array, with the noise that
+    gen_signals draws at seed, Z in out[0] and E in out[1], in one call;
+    returns out. PCG64 draws the same stream whatever the shape it fills,
+    so these are the bits of the two p x n draws made one after the other."""
+    return np.random.default_rng(seed).standard_normal(out.shape, out=out)
+
+
+def gen_signals(g, model, seed, noise=None):
     """Sample a p x n data matrix with i.i.d. columns from
     N(0, L_pinv + sigma^2 I).
 
     Realized as L_pinv^(1/2) Z + sigma E with Z drawn before E, so a seed
     pins the output exactly. E is drawn into Z's buffer once the product
-    is formed, so at most two p x n arrays are live. scratch, a C-ordered
-    float64 p x n array, is that buffer if given: a batch passes one for
-    all its runs, so the draws reuse its pages. Its contents are
-    overwritten and the bytes returned are the same either way; the result
-    is always a fresh array that shares no memory with scratch.
+    is formed, so at most two p x n arrays are live. noise, if given, is
+    a (2, p, n) array that draw_noise(seed, noise) filled: Z and E are
+    read from it and the draws are skipped, so a batch can draw the next
+    run's noise while this run is solved. E is scaled in place, so noise
+    is spent; the bytes returned are the same either way, and the result
+    is always a fresh array that shares no memory with noise.
     """
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((g.p, model.n), out=scratch)
-    X = g.signal_root @ Z
-    E = rng.standard_normal(Z.shape, out=Z)
+    if noise is None:
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((g.p, model.n))
+        X = g.signal_root @ Z
+        E = rng.standard_normal(Z.shape, out=Z)
+    else:
+        if noise.shape != (2, g.p, model.n):
+            raise ValueError(f"noise has shape {noise.shape}, expected {(2, g.p, model.n)}")
+        Z, E = noise
+        X = g.signal_root @ Z
     E *= model.sigma
     X += E
     return X

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -216,14 +217,76 @@ def test_montecarlo_seeds_differ(tmp_path):
 
 
 def test_run_data_yields_signals_that_share_no_memory(tmp_path):
-    spec = small_spec(tmp_path, monte_carlo_runs=3)
-    runs = bench.run_data(spec)
-    (g0, X0), (g1, X1) = next(runs), next(runs)
-    assert not np.shares_memory(X0, X1)
+    # runs 1 to 3 take the noise that the worker drew while the run before
+    # them was consumed; each is the serial draw's bytes
+    spec = small_spec(tmp_path, monte_carlo_runs=4)
+    runs = list(bench.run_data(spec))
+    for (_, Xa), (_, Xb) in itertools.combinations(runs, 2):
+        assert not np.shares_memory(Xa, Xb)
     model = dg.SignalModel(sigma=spec.sigma, n=spec.n)
-    # drawing run 1 left run 0's signals as they were
-    assert X0.tobytes() == dg.gen_signals(g0, model, spec.seed).tobytes()
-    assert X1.tobytes() == dg.gen_signals(g1, model, spec.seed + 1).tobytes()
+    # drawing the later runs left each run's signals as they were
+    for k, (g, X) in enumerate(runs):
+        assert X.tobytes() == dg.gen_signals(g, model, spec.seed + k).tobytes(), k
+
+
+@pytest.mark.parametrize("runs, fail_run", [(1, None), (3, None), (3, 1)])
+def test_montecarlo_leaves_no_worker_thread(tmp_path, monkeypatch, runs, fail_run):
+    # a batch of two or more runs draws the next run's noise on one worker
+    # thread, which ends with the batch, also when a run raises; a one-run
+    # batch starts none
+    before = threading.active_count()
+    counts = []
+    run_single = bench.run_single
+
+    def counted(spec, k, X):
+        counts.append(threading.active_count())
+        if k == fail_run:
+            raise RuntimeError(f"run {k} fails")
+        return run_single(spec, k, X)
+
+    monkeypatch.setattr(bench, "run_single", counted)
+    spec = small_spec(tmp_path, monte_carlo_runs=runs)
+    if fail_run is None:
+        bench.run_montecarlo(spec)
+    else:
+        # the caught exception keeps run_montecarlo's frame, and so its
+        # generator, alive: only closing the generator ends the worker
+        with pytest.raises(RuntimeError, match="run 1 fails") as caught:
+            bench.run_montecarlo(spec)
+        assert caught.tb is not None
+    assert set(counts) == {before + (runs > 1)}
+    assert threading.active_count() == before
+
+
+def test_one_blas_thread_pins_one_thread_and_restores_the_count(tmp_path, monkeypatch):
+    blas = bench._blas_threads()
+    assert blas is not None, "no thread setter found in the BLAS that numpy loaded"
+    get, set_ = blas
+    start = get()
+    try:
+        set_(2)
+        assert get() == 2
+        with bench.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError), bench.one_blas_thread():
+            assert get() == 1
+            raise RuntimeError
+        assert get() == 2
+        # every command, and a library caller's batch, runs under the pin
+        counts = []
+        run_single = bench.run_single
+
+        def counted(*args):
+            counts.append(get())
+            return run_single(*args)
+
+        monkeypatch.setattr(bench, "run_single", counted)
+        bench.run_montecarlo(small_spec(tmp_path, monte_carlo_runs=2))
+        assert cli.main(["solve", "--family", "er", "--p", "8", "--seed", "2", "--out", str(tmp_path / "solo")]) == 0
+        assert counts == [1, 1, 1] and get() == 2
+    finally:
+        set_(start)
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -444,8 +507,9 @@ def test_plotdata_peak_memory_holds_one_trace(tmp_path, traced_peak):
 
 # sha256 of each file that a small `mmgl gen`, `mmgl bench`, `mmgl bench
 # --graph` on gen's edge list and `mmgl plotdata` write, with timing.csv and
-# spec.echo's out_dir line left out. At p = 20 the signals, and so every
-# file, are the same bits at 1, 2 and 4 BLAS threads. The --graph batch's
+# spec.echo's out_dir line left out. Every command runs at one BLAS thread,
+# and at p = 20 the signals, and so every file, are the same bits at 1, 2
+# and 4 BLAS threads even without that pin. The --graph batch's
 # run 0 has the graph and seed of the generated batch's run 0, so their
 # files agree.
 PINNED_BUNDLE = {
@@ -480,15 +544,36 @@ def test_bundle_matches_pinned_bytes(tmp_path, monkeypatch):
     assert cli.main(["bench", "--graph", "gen/edges_true.csv", "--n", "100", "--seed", "3", "--runs", "3",
                      "--out", str(tmp_path / "graph")]) == cli.EXIT_OK
     assert cli.main(["plotdata", str(tmp_path / "mc"), "--out", str(tmp_path / "plot.csv")]) == cli.EXIT_OK
+    assert bundle_digests(tmp_path) == PINNED_BUNDLE
+
+
+def bundle_digests(root):
+    """sha256 of each file under root, by relative path, with timing.csv
+    and spec.echo's out_dir line left out."""
     digests = {}
-    for path in sorted(tmp_path.rglob("*")):
+    for path in sorted(root.rglob("*")):
         if path.is_file() and path.name != "timing.csv":
             data = path.read_bytes()
             if path.name == "spec.echo":
                 data = b"".join(line for line in data.splitlines(keepends=True)
                                 if not line.startswith(b"out_dir="))
-            digests[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(data).hexdigest()
-    assert digests == PINNED_BUNDLE
+            digests[path.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_bench_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at ER p=100, n=1200 the signal root rounds differently at two OpenBLAS
+    # threads; every command runs at one, so both children write its bytes
+    argv = ["bench", "--family", "er", "--p", "100", "--alpha", "100", "--beta", "1e4", "--runs", "3",
+            "--seed", "10000"]
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "mmgl.cli", *argv, "--out", str(out)], env=dict(
+            os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(mmgl.__file__).parents[1])),
+            capture_output=True, check=True, timeout=120)
+        digests.append(bundle_digests(out))
+    assert len(digests[0]) == 8 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("reason, args", [
@@ -553,6 +638,22 @@ def test_cli_bench_when_every_run_stops_at_iteration_0(tmp_path):
     assert rc == cli.EXIT_OK
     assert (out / "summary.csv").read_text().splitlines()[1] == "newton-oracle,1,1,1.0,0.0,0.0"
     assert (out / "timing.csv").read_text().splitlines()[1].endswith(",0.0")
+
+
+def test_cli_run_that_stops_with_an_inf_weight_writes_its_bundle(tmp_path, capsys):
+    # two identical rows give a d = 0 edge, whose root divides by an
+    # underflowed zero at alpha = beta = 1e-300: that weight is inf and f
+    # nan after iteration 1; no edge list holds an inf, so it holds none
+    sig = tmp_path / "x.csv"
+    toy_signals_csv(sig, [[0, 0], [0, 0], [1, 0]])
+    flags = ["--signals", str(sig), "--alpha", "1e-300", "--beta", "1e-300"]
+    assert cli.main(["solve", *flags, "--out", str(tmp_path / "solve")]) == cli.EXIT_MAX_ITERS
+    assert f"mm: {cli._STOP_MESSAGES['non_finite']} after 1 iterations, f = nan" in capsys.readouterr().out
+    assert cli.main(["bench", "--runs", "1", *flags, "--out", str(tmp_path / "bench")]) == cli.EXIT_MAX_ITERS
+    assert capsys.readouterr().out.splitlines()[1] == "stop reasons: non_finite 1"
+    assert (tmp_path / "bench" / "summary.csv").read_text().splitlines()[1] == "mm,1,0,0.0,1.0,1.0"
+    for out in ("solve", "bench"):
+        assert (tmp_path / out / "edges_run0.csv").read_text() == "i,j,weight\n"
 
 
 def test_cli_newton_oracle_stops_stationary_on_a_singular_system(tmp_path, capsys):

@@ -242,16 +242,17 @@ def test_gen_signals_holds_two_signal_buffers(traced_peak):
     assert peak <= 2.5 * p * n * 8
 
 
-def test_gen_signals_into_scratch_keeps_bytes_and_returns_a_fresh_array():
+def test_gen_signals_from_drawn_noise_keeps_bytes_and_returns_a_fresh_array():
     g = dg.gen_sbm(30, 0.3, 0.05, 5)
     model = dg.SignalModel(sigma=0.1, n=500)
-    buf = np.full((30, 500), np.nan)
-    for seed in (6, 7):  # a reused buffer holds the last run's noise
-        X = dg.gen_signals(g, model, seed, scratch=buf)
+    noise = np.full((2, 30, 500), np.nan)
+    for seed in (6, 7):  # a reused buffer holds the last run's spent noise
+        assert dg.draw_noise(seed, noise) is noise
+        X = dg.gen_signals(g, model, seed, noise)
         assert X.tobytes() == dg.gen_signals(g, model, seed).tobytes()
-        assert not np.shares_memory(X, buf)
-    with pytest.raises(ValueError):
-        dg.gen_signals(g, model, 6, scratch=np.empty((30, 499)))
+        assert not np.shares_memory(X, noise)
+    with pytest.raises(ValueError, match=r"noise has shape \(2, 30, 499\), expected \(2, 30, 500\)"):
+        dg.gen_signals(g, model, 6, dg.draw_noise(6, np.empty((2, 30, 499))))
 
 
 # ------------------------------------------------------------------- assemble
