@@ -20,7 +20,6 @@ such a setting out.
 """
 
 import collections
-import concurrent.futures
 import contextlib
 import ctypes
 import dataclasses
@@ -176,14 +175,14 @@ def run_data(spec):
     worker thread: run 0's noise is drawn into the buffer on the caller's
     thread, and once run k's gen_signals has returned, the worker draws
     run k + 1's noise into it (data_gen.draw_noise) while the caller
-    solves and writes run k. So a one-run batch starts no thread, a batch
-    never holds a second noise array (one freed after run 0 would stay in
-    the heap), every BLAS call stays on the caller's thread, and each
-    yielded X is a fresh array. Closing the generator waits for the worker
-    and ends it. Calls go through data_gen's
-    and graph_model's attributes, which a tracer may wrap; a generated
-    graph comes from data_gen.gen_<family>, looked up at each call, with
-    the probabilities GENERATED lists."""
+    solves and writes run k. So a one-run batch starts no thread, and
+    imports no concurrent.futures, a batch never holds a second noise array
+    (one freed after run 0 would stay in the heap), every BLAS call stays
+    on the caller's thread, and each yielded X is a fresh array. Closing
+    the generator waits for the worker and ends it. Calls go through
+    data_gen's and graph_model's attributes, which a tracer may wrap; a
+    generated graph comes from data_gen.gen_<family>, looked up at each
+    call, with the probabilities GENERATED lists."""
     if spec.family == "signals-file":
         yield None, graph_model.load_signals_csv(spec.signals_path, skip_header=spec.signals_header)
         return
@@ -204,7 +203,12 @@ def run_data(spec):
         drawn = pool.submit(data_gen.draw_noise, seed + 1, noise) if seed + 1 in seeds else None
         return X
 
-    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+    pool = contextlib.nullcontext()
+    if noise is not None:
+        import concurrent.futures  # here, so that importing mmgl does not pay for it
+
+        pool = concurrent.futures.ThreadPoolExecutor(1)
+    with pool:
         for seed in seeds:
             if spec.family in GENERATED:
                 g = getattr(data_gen, f"gen_{spec.family}")(

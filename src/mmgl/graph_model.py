@@ -22,6 +22,13 @@ Every file mmgl writes goes through _write_text (UTF-8, LF line ends) and
 every CSV file it reads through _csv_rows (UTF-8 with or without a
 byte-order mark; errors name `path:line`), and each number cell it reads
 through _numbers.
+
+save_edges_csv writes each weight with repr's digits, _EDGE_BLOCK (8192)
+edges at a time, without calling repr per weight: _shortest_digits finds
+repr's shortest round-trip digits for the whole block with float64 and
+int64 arithmetic, and _edge_rows lays the rows out as uint8 text. A weight
+the arithmetic cannot certify, such as one outside about [1e-6, 1e16), is
+printed by repr itself.
 """
 
 import itertools
@@ -38,11 +45,19 @@ import numpy as np
 # an exact 0 on identical rows).
 _GRAM_GUARD = 1e-2
 
-# save_edges_csv formats and writes the positive weights of this many
-# consecutive edges at a time, and bench.write_trace_csv this many trace rows,
-# so their transient rows (about 0.3 MB of strings) stay bounded however many
-# edges the graph or rows the trace has.
+# bench.write_trace_csv formats and writes this many trace rows at a time, so
+# its transient rows (about 0.3 MB of strings) stay bounded however many rows
+# the trace has.
 _WRITE_BLOCK = 1 << 11
+
+# save_edges_csv formats and writes the positive weights of this many
+# consecutive edges at a time, so its transient arrays (about 0.5 kB a row,
+# 3.9 MB for a full block) stay bounded however many edges the graph has;
+# the 4950 edges of a graph on 100 nodes are one block.
+_EDGE_BLOCK = 1 << 13
+
+# 10**q for q in [0, 22], each an exact double
+_TEN = 10.0 ** np.arange(23)
 
 
 def check_integers(*, least, **counts):
@@ -346,13 +361,155 @@ def save_signals_csv(X, path):
 
 def save_edges_csv(w, p, path):
     """Write strictly positive edge weights as CSV rows `i,j,weight` (i < j),
-    one write per _WRITE_BLOCK edges."""
+    one write per _EDGE_BLOCK edges. Each row is f"{i},{j},{w!r}": _edge_rows
+    gives repr's bytes from numpy arithmetic, and calls repr itself for the
+    weights that arithmetic cannot certify."""
     I, J = edge_pairs(p)
     w = checked_weights(w, I.size)
-    blocks = (s + np.flatnonzero(w[s:s + _WRITE_BLOCK] > 0) for s in range(0, w.size, _WRITE_BLOCK))
-    _write_text(path, itertools.chain(["i,j,weight\n"], (
-        "".join([f"{i},{j},{x!r}\n" for i, j, x in zip(I[k].tolist(), J[k].tolist(), w[k].tolist())])
-        for k in blocks)))
+    blocks = (s + np.flatnonzero(w[s:s + _EDGE_BLOCK] > 0) for s in range(0, w.size, _EDGE_BLOCK))
+    _write_text(path, itertools.chain(["i,j,weight\n"], (_edge_rows(I[k], J[k], w[k]) for k in blocks if k.size)))
+
+
+def _split(a):
+    """Dekker's split a = hi + lo, each part of at most 26 significant bits,
+    so the product of two parts is exact in float64."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_TEN_HI, _TEN_LO = _split(_TEN)
+_HALF_ULP = _TEN * 2.0**-53  # half an ulp of 1.0, times 10**q
+_LAST_DIGIT = np.arange(100.0) % 10
+_ODD_TENS = np.arange(100) // 10 % 2 == 1
+# the constant words of _text_tables, after its 2 * 10^4 number words
+_SPACED = 10**4
+_K0, _K1, _COMMA, _BLANK = range(2 * _SPACED, 2 * _SPACED + 4)
+
+
+def _weight_layout(e, n):
+    """The 24 bytes of repr's text of a weight, its "\\n" and then spaces, as
+    offsets into the 28-byte row of _edge_rows that holds the weight's 17
+    digits D at bytes 3-19 ("000" before them) and ".e-56\\n  " after them,
+    for n significant digits and a leading digit at 10**e, e in [-6, 15]."""
+    byte = {"0": 0, ".": 20, "e": 21, "-": 22, "5": 23, "6": 24, "\n": 25, " ": 26}
+    digits = list(range(3, 3 + max(n, e + 2)))  # past n, D's zeros give "x.0"
+    if e < -4:  # repr's exponent form
+        text = digits[:1] + ([byte["."]] + digits[1:n] if n > 1 else []) + [byte[c] for c in f"e{e:03d}"]
+    elif e < 0:
+        text = [byte["0"], byte["."]] + [byte["0"]] * (-e - 1) + digits[:n]
+    else:
+        text = digits[:e + 1] + [byte["."]] + digits[e + 1:]
+    return text + [byte["\n"]] + [byte[" "]] * (23 - len(text))
+
+
+@lru_cache(maxsize=None)
+def _text_tables():
+    """(words, layouts) for _edge_rows, built once from uint8 temporaries.
+
+    words holds uint32 words of four ASCII bytes: each k < 10^4 zero-padded
+    ("0042") at k and space-padded ("  42", "   0") at _SPACED + k, then
+    _K0 ".e-5", _K1 "6\\n  ", _COMMA ",   " and _BLANK "    ". Row
+    (q - 1) * 17 + n - 1 of layouts is _weight_layout(16 - q, n)."""
+    digits = np.arange(48, 58, dtype=np.uint8)
+    text = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    for k in range(4):
+        text[..., k] = digits.reshape((10,) + (1,) * (3 - k))
+    text[1, 0, :, :, :, 0] = text[1, 0, 0, :, :, 1] = text[1, 0, 0, 0, :, 2] = ord(" ")
+    words = np.concatenate([text.ravel(), np.frombuffer(b".e-56\n  ,       ", np.uint8)]).view(np.uint32)
+    layouts = np.array([_weight_layout(16 - q, n) for q in range(1, 23) for n in range(1, 18)], np.intp)
+    return read_only(words), read_only(layouts)
+
+
+def _shortest_digits(x):
+    """(D, q, n, ok) for positive finite weights x: where ok is set, repr(x)
+    prints D * 10**-q, with D an integer in [10^16, 10^17) whose first n digits
+    are significant, the rest 0.
+
+    repr prints the shortest decimal that reads back as x, the one nearest x
+    among those (Gay 1990); that is the nearest multiple of 10^k to
+    X = x * 10**q for the largest k that reads back, and here k < 2 or the
+    nearest multiple of 100 does. X is exact as N + f, N an integer and
+    |f| <= 1/2, from Dekker's product (1971). A candidate N + a reads back
+    when |a - f| < H, half an ulp of x times 10**q, and the rounded a - f
+    decides that exactly: X = m * 2H for an integer m and H = 5**q * 2**t,
+    so a candidate is never H from X, and for t < 0 each distance is a
+    multiple of 2**t, more than half an ulp of H from it. A power of two
+    reads back from only H / 2 below it, but in this range its X is a
+    multiple of 10 that is a multiple of 100 or 20 or more from one, and
+    H < 12, so X itself is the only candidate within H. ok is clear where
+    repr has to print x: outside [1.0000001e-6, 9.9e15], where 10**q is not
+    an exact double, and where log10 misjudged q by a digit.
+    """
+    xs = x.clip(1.0000001e-6, 9.9e15)
+    q = np.subtract(16, np.floor(np.log10(xs))).astype(np.intp)  # in [1, 22]
+    ten_hi, ten_lo = _TEN_HI.take(q), _TEN_LO.take(q)
+    hi = xs * _TEN.take(q)
+    x_hi, x_lo = _split(xs)
+    lo = ((x_hi * ten_hi - hi) + x_hi * ten_lo + x_lo * ten_hi) + x_lo * ten_lo
+    H = (xs.view(np.int64) & 0x7FF0000000000000).view(np.float64) * _HALF_ULP.take(q)
+    rl = np.rint(lo)
+    f = lo - rl
+    N = hi.astype(np.int64) + rl.astype(np.int64)
+    # the nearest multiples of 10 and 100 to X are N + a1 and N + a2, a tie
+    # between two multiples of 10 going to the even one, as repr's does; with
+    # r1 and r2 integers and |f| <= 1/2, the signs of r1 - 5 + f and
+    # r2 - 50 + f are exact
+    r2 = N % 100
+    r1 = _LAST_DIGIT.take(r2)
+    s1 = (r1 - 5) + f
+    a1 = ((s1 > 0) | (s1 == 0) & _ODD_TENS.take(r2)) * 10.0 - r1
+    r2 = r2.astype(np.float64)
+    a2 = ((r2 - 50) + f > 0) * 100.0 - r2
+    in1, in2 = np.abs(a1 - f) < H, np.abs(a2 - f) < H  # in2 only where in1
+    D = N + np.where(in2, a2, np.where(in1, a1, 0.0)).astype(np.int64)
+    # a multiple of 100 that reads back is the only one, so its zeros all count
+    n = 17 - in1
+    short = np.flatnonzero(in2)
+    if short.size:
+        t = (D.take(short) // 100).astype(np.float64)[:, None] / _TEN[1:15]
+        n[short] = 15 - (np.floor(t) == t).sum(axis=1)
+    return D, q, n, (x == xs) & (D >= 10**16) & (D < 10**17)
+
+
+def _id_words(words, v):
+    """Two words for each node id v below 10^8, space-padded on the left."""
+    hi, lo = np.divmod(v, 10**4)
+    return words.take(np.stack([np.where(hi > 0, hi + _SPACED, _BLANK), lo + _SPACED * (hi == 0)], axis=1))
+
+
+def _edge_rows(I, J, x):
+    """The text of f"{i},{j},{x!r}\\n" for each edge, for node ids I and J
+    below 10^8 and positive finite weights x.
+
+    Each row is laid out in a uint8 matrix: the id words, a comma word each,
+    and 24 bytes that the weight's layout gathers from its digit row; a mask
+    of the non-space bytes compresses the matrix into the text. A weight
+    that _shortest_digits leaves to repr gets repr's text."""
+    words, layouts = _text_tables()
+    D, q, n, ok = _shortest_digits(x)
+    rows = x.size
+    # D's digit words "000d", then 4 digits each, then _K0 and _K1
+    digit_words = np.empty((rows, 7), np.intp)
+    digit_words[:, 5:] = _K0, _K1
+    top, bottom = np.divmod(D, 10**8)
+    np.divmod(top, 10**4, out=(top, digit_words[:, 2]))
+    np.divmod(top, 10**4, out=(digit_words[:, 0], digit_words[:, 1]))
+    np.divmod(bottom, 10**4, out=(digit_words[:, 3], digit_words[:, 4]))
+    source = words.take(digit_words).view(np.uint8)
+    at = layouts.take((q - 1) * 17 + (n - 1), axis=0)
+    at += np.arange(0, source.size, source.shape[1])[:, None]
+    text = np.empty((rows, 48), np.uint8)
+    text32 = text.view(np.uint32)
+    text32[:, :2] = _id_words(words, I)
+    text32[:, 3:5] = _id_words(words, J)
+    text32[:, [2, 5]] = words[_COMMA]
+    text[:, -24:] = source.ravel().take(at)
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        text[redo, -24:] = np.frombuffer(
+            "".join([f"{v!r}\n".ljust(24) for v in x[redo].tolist()]).encode(), np.uint8).reshape(-1, 24)
+    return text[text != ord(" ")].tobytes().decode()
 
 
 def load_edges_csv(path, p=None):

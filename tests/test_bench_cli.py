@@ -1115,3 +1115,12 @@ def test_import_does_not_load_scipy():
     code = "import sys, mmgl, mmgl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_does_not_load_the_thread_pool():
+    # only a batch of two or more runs needs concurrent.futures, so it is
+    # imported there and not with mmgl
+    env = dict(os.environ, PYTHONPATH=str(Path(mmgl.__file__).parents[1]))
+    code = "import sys, mmgl, mmgl.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -113,7 +113,8 @@ def test_pairwise_distances_matches_direct_sum():
 def test_pairwise_distances_rejects_bad_input():
     with pytest.raises(ValueError):
         gm.pairwise_distances(np.array([[1.0, np.nan], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
+    # a one-row X is refused by the shape rule, with the shape it was given
+    with pytest.raises(ValueError, match=re.escape("with p >= 2, n >= 1, got shape (1, 2)")):
         gm.pairwise_distances(np.array([[1.0, 2.0]]))
     # a distance that overflows is refused by name, with no numpy warning
     for X in ([[1e200, 2e200], [3e200, 1e200], [5e200, 7e200]], [[1e308], [-1e308]]):
@@ -396,12 +397,12 @@ def test_edges_csv_round_trip(tmp_path):
 
 
 def test_edges_csv_block_boundary(tmp_path):
-    # p = 300 has 44,850 edges, more than one write block
+    # p = 300 has 44,850 edges, more than one edge block
     p = 300
-    assert gm.num_edges(p) > gm._WRITE_BLOCK
+    assert gm.num_edges(p) > gm._EDGE_BLOCK
     w = np.random.default_rng(4).uniform(0.5, 2.0, gm.num_edges(p))
     path = tmp_path / "edges.csv"
-    for zeros in (None, slice(gm._WRITE_BLOCK - 2, gm._WRITE_BLOCK + 3)):
+    for zeros in (None, slice(gm._EDGE_BLOCK - 2, gm._EDGE_BLOCK + 3)):
         if zeros is not None:
             w[zeros] = 0.0  # dead edges on both sides of the block boundary
         gm.save_edges_csv(w, p, path)
@@ -410,6 +411,34 @@ def test_edges_csv_block_boundary(tmp_path):
         w2, p2 = gm.load_edges_csv(path, p=p)
         assert p2 == p
         np.testing.assert_array_equal(w2, w)
+
+
+def test_edge_rows_give_repr_bytes():
+    # _edge_rows writes f"{i},{j},{x!r}\n" byte for byte, from numpy for the
+    # weights that _shortest_digits certifies and from repr for the rest
+    rng = np.random.default_rng(9)
+    bits = rng.integers(0, 1 << 63, 1_000_000, dtype=np.int64).view(np.float64)  # every exponent
+    powers = np.array([2.0**k for k in range(-1074, 1024)] + [10.0**k for k in range(-323, 309)])
+    digits = [float(f"{m}e{e}") for n in range(1, 18) for m, e in zip(
+        rng.integers(10 ** (n - 1), 10**n, 3000).tolist(), rng.integers(-11 - n, 18 - n, 3000).tolist())]
+    x = np.concatenate([
+        bits[np.isfinite(bits) & (bits > 0)],
+        [5e-324, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-05, 0.0001, 1e16, 9999999999999998.0],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.arange(1.0, 10**5), rng.integers(1, 2**53, 10**5, endpoint=True).astype(float), [2.0**53 - 1],
+        digits, 10 ** rng.uniform(-7, 17, 10**5)])
+    x = x[(x > 0) & (x < np.inf)]  # nextafter steps past both ends
+    assert x.size > 10**6
+    for s in range(0, x.size, gm._EDGE_BLOCK):
+        w = x[s:s + gm._EDGE_BLOCK]
+        # node ids of 1 to 4 digits or, every other block, 1 to 6
+        width = rng.integers(1, 5 + s // gm._EDGE_BLOCK % 2 * 2, (2, w.size))
+        I, J = rng.integers(10 ** (width - 1) - (width == 1), 10**width)
+        assert gm._edge_rows(I, J, w) == "".join(
+            [f"{i},{j},{v!r}\n" for i, j, v in zip(I.tolist(), J.tolist(), w.tolist())]), s
+    # numpy certifies every weight of its working range, powers of two too
+    w = np.concatenate([10 ** rng.uniform(-5.9, 15.9, 10**5), 2.0 ** np.arange(-19, 54)])
+    assert gm._shortest_digits(w)[3].all()
 
 
 def test_signals_csv_reader_peak_memory(tmp_path, traced_peak):
@@ -448,6 +477,7 @@ def test_edges_csv_rejects_duplicates_and_bad_rows(tmp_path):
         ("0,1,1.0\n1,2,heavy\n", None, ":2: malformed edge row"),
         ("0,1_0,1.0\n", None, ":1: malformed edge row"),
         ("0,1,1.0\n0,\u0662,1.0\n", None, ":2: malformed edge row"),
+        ("i,j,weight\n0,1,1.0\n0,0,1.0\n", None, ":3: invalid edge (0,0) weight 1.0"),
         ("i,j,weight\n", None, ": no edges found"),
         ("i,j,weight\n0,1,1.0\n2,5,1.0\n", 4, ": node id 5 out of range for p=4"),
     ]:

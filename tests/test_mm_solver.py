@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import time
 import warnings
 
 import numpy as np
@@ -221,6 +222,22 @@ def test_elimination_disabled_keeps_all_edges_positive():
     res = ms.solve(prob, cfg)
     assert np.all(res.w_star > 0)
     assert np.all(res.trace.active_count == prob.m)
+
+
+@pytest.mark.parametrize("solve", [ms.solve, ms.newton_solve])
+def test_trace_wall_times_are_durations_within_the_callers_timing(solve):
+    # each row's wall_time is the duration of its own iteration (0 for row 0,
+    # the start): nonnegative, so their running total never decreases, and
+    # their sum fits inside the caller's own timing of the solve
+    rng = np.random.default_rng(8)
+    prob = make_problem(12, rng.uniform(0, 3, gm.num_edges(12)), alpha=1.0, beta=1.0)
+    t0 = time.perf_counter()
+    result = solve(prob, ms.SolverConfig())
+    elapsed = time.perf_counter() - t0
+    wall = result.trace.wall_time
+    assert result.iters >= 3 and wall[0] == 0.0
+    assert wall.min() >= 0
+    assert wall.sum() <= elapsed
 
 
 def test_solve_stops_on_non_finite_objective():
