@@ -294,13 +294,11 @@ def run_montecarlo(spec):
 
 
 def write_trace_csv(trace, path):
-    """Write a trace as CSV rows `iter,f,active_count`, one write per
-    graph_model._WRITE_BLOCK rows."""
-    block = graph_model._WRITE_BLOCK
+    """Write a trace as CSV rows `iter,f,active_count`, one row per write.
+    A memoryview yields each value as a Python float or int, so each row has
+    repr's digits with no numpy scalar and no whole-trace list."""
     graph_model._write_text(path, itertools.chain(["iter,f,active_count\n"], (
-        "".join([f"{k},{f!r},{a}\n" for k, f, a in zip(
-            range(s, s + block), trace.f[s:s + block].tolist(), trace.active_count[s:s + block].tolist())])
-        for s in range(0, len(trace), block))))
+        f"{k},{f!r},{a}\n" for k, (f, a) in enumerate(zip(memoryview(trace.f), memoryview(trace.active_count))))))
 
 
 def plot_data(exp_dirs, path):

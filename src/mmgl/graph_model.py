@@ -45,11 +45,6 @@ import numpy as np
 # an exact 0 on identical rows).
 _GRAM_GUARD = 1e-2
 
-# bench.write_trace_csv formats and writes this many trace rows at a time, so
-# its transient rows (about 0.3 MB of strings) stay bounded however many rows
-# the trace has.
-_WRITE_BLOCK = 1 << 11
-
 # save_edges_csv formats and writes the positive weights of this many
 # consecutive edges at a time, so its transient arrays (about 0.5 kB a row,
 # 3.9 MB for a full block) stay bounded however many edges the graph has;

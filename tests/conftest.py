@@ -1,12 +1,41 @@
+import ctypes
 import tracemalloc
 
 import hypothesis
+import numpy as np
 import pytest
 
 # Deterministic, CI-friendly hypothesis runs: numeric tolerances in these
 # tests are calibrated, not statistical, so derandomization loses nothing.
 hypothesis.settings.register_profile("mmgl", derandomize=True, deadline=None, max_examples=50)
 hypothesis.settings.load_profile("mmgl")
+
+# the OpenBLAS core (kernel set) under which the pinned digests were
+# recorded; another core rounds eigh, the signal products and f's dot
+# products differently, so a pinned-bytes failure names both
+PINNED_CORE = "SkylakeX"
+
+
+def blas_core():
+    """Name of the OpenBLAS core that numpy's BLAS runs, looked up through
+    the library handle that bench._blas_threads opens, or "unknown" when
+    neither numpy's bundled scipy-openblas nor a plain OpenBLAS is found."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except OSError:
+        return "unknown"
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        if hasattr(lib, name):
+            get = getattr(lib, name)
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return "unknown"
+
+
+def pin_note(*case):
+    """Message of a failing pinned-bytes assertion: the case, the OpenBLAS
+    core this host runs and the core the pins were recorded under."""
+    return " ".join(map(str, (*case, f"(OpenBLAS core {blas_core()}; pins recorded under {PINNED_CORE})")))
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@
 
 Run `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The Monte-Carlo benchmark (criterion 7) pins alpha=100, beta=10000, the
-values selected by scripts/tune_hyperparams.py on held-out seeds.
+paper's iteration benchmark: the pair that an earlier 7x7 tuning grid
+picked as its best recovery within 15 mean iterations. The tuning script
+now picks alpha = beta by the Kalofolias-Perraudin rule; this pair stays.
 """
 
 import numpy as np
@@ -15,8 +17,9 @@ from mmgl import mm_solver as ms
 
 from oracles import brute_force, surrogate_value
 
-# Pinned by the tuning script: best edge recovery on the frontier that keeps
-# the ER p=100 benchmark within the iteration bound below.
+# The paper's iteration benchmark: once the tuning grid's best edge recovery
+# within the iteration bound below; kept as is now that the script picks
+# alpha = beta by a rule.
 BENCH_ALPHA = 100.0
 BENCH_BETA = 1e4
 

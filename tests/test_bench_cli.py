@@ -19,6 +19,8 @@ from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
+from conftest import pin_note
+
 
 def toy_signals_csv(path, rows):
     path.write_text("\n".join(",".join(str(v) for v in row) for row in rows) + "\n",
@@ -322,10 +324,10 @@ def test_montecarlo_memory_does_not_grow_with_runs(tmp_path, traced_peak):
 
 
 def test_trace_writer_peak_memory_grows_with_block_not_trace(tmp_path, traced_peak):
-    # 2.5 and 10 write blocks of rows: each file is the one-chunk text across
-    # the block boundaries, and the writer's peak is one block of rows
+    # each file is the one-chunk text, and the writer holds one row at a
+    # time, so its peak does not grow with the trace's rows
     peaks = {}
-    for rows in (5 * gm._WRITE_BLOCK // 2, 10 * gm._WRITE_BLOCK):
+    for rows in (5120, 20480):
         f = np.random.default_rng(8).uniform(0.0, 1e3, rows)
         active = np.arange(rows, 0, -1)
         trace = ms.ConvergenceTrace(f=f, active_count=active, wall_time=np.zeros(rows))
@@ -333,7 +335,7 @@ def test_trace_writer_peak_memory_grows_with_block_not_trace(tmp_path, traced_pe
         peaks[rows] = traced_peak(lambda: bench.write_trace_csv(trace, path))
         assert path.read_text(encoding="utf-8") == "iter,f,active_count\n" + "".join(
             f"{k},{x!r},{a}\n" for k, x, a in zip(range(rows), f.tolist(), active.tolist()))
-    assert peaks[10 * gm._WRITE_BLOCK] <= 1.5 * peaks[5 * gm._WRITE_BLOCK // 2]
+    assert peaks[20480] <= 1.5 * peaks[5120]
 
 
 def test_montecarlo_timing_csv_means_over_runs(tmp_path, monkeypatch):
@@ -544,7 +546,7 @@ def test_bundle_matches_pinned_bytes(tmp_path, monkeypatch):
     assert cli.main(["bench", "--graph", "gen/edges_true.csv", "--n", "100", "--seed", "3", "--runs", "3",
                      "--out", str(tmp_path / "graph")]) == cli.EXIT_OK
     assert cli.main(["plotdata", str(tmp_path / "mc"), "--out", str(tmp_path / "plot.csv")]) == cli.EXIT_OK
-    assert bundle_digests(tmp_path) == PINNED_BUNDLE
+    assert bundle_digests(tmp_path) == PINNED_BUNDLE, pin_note()
 
 
 def bundle_digests(root):

@@ -8,6 +8,7 @@ import pytest
 from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 
+from conftest import pin_note
 from oracles import laplacian_pinv
 
 
@@ -210,7 +211,7 @@ def test_smoothness_ordering_over_seeds():
 # sha256 of gen_signals(...).tobytes() for (family, p, n, sigma, seed), with
 # the graph drawn from the same seed (ER q=0.1; SBM 0.3/0.05) and the signals
 # from seed + 1. Recorded with numpy's bundled OpenBLAS 0.3.31 (AVX2 double
-# kernels); these cases give the same bits at 1, 2 and 4 BLAS threads. A BLAS
+# kernels) on its SkylakeX core (conftest.PINNED_CORE); these cases give the same bits at 1, 2 and 4 BLAS threads. A BLAS
 # that rounds the root or the product differently moves the digests, while
 # the test's check against the two-draw formula still holds.
 PINNED_SIGNALS = {
@@ -230,7 +231,7 @@ def test_gen_signals_matches_pinned_bytes():
         Z = rng.standard_normal((p, n))
         E = rng.standard_normal((p, n))
         np.testing.assert_array_equal(X, g.signal_root @ Z + sigma * E)
-        assert hashlib.sha256(X.tobytes()).hexdigest() == digest, (family, p, n, sigma, seed)
+        assert hashlib.sha256(X.tobytes()).hexdigest() == digest, pin_note(family, p, n, sigma, seed)
 
 
 def test_gen_signals_holds_two_signal_buffers(traced_peak):

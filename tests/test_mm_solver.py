@@ -12,6 +12,7 @@ from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
+from conftest import pin_note
 from oracles import brute_force, compute_c, make_problem, mm_update, objective_gradient, surrogate_value
 
 
@@ -420,12 +421,12 @@ def test_iterates_match_pinned_bytes():
     for name, prob in problems.items():
         res = ms.solve(prob, cfg)
         assert res.iters == 60
-        assert run_digests(res) == PINNED_RUNS[name], name
+        assert run_digests(res) == PINNED_RUNS[name], pin_note(name)
         if name == "gapped-14":
             assert res.trace.active_count[-1] < 0.5 * prob.m  # compaction ran
     res = ms.newton_solve(problems["uniform-3"], ms.SolverConfig(max_iters=200))
     assert res.converged
-    assert run_digests(res) == PINNED_RUNS["newton-uniform-3"]
+    assert run_digests(res) == PINNED_RUNS["newton-uniform-3"], pin_note("newton-uniform-3")
 
 
 # sha256 of (w_star, trace.iterations, trace.active_count) after exactly 60
@@ -443,7 +444,7 @@ def test_iterates_above_the_blas_thread_threshold_match_pinned_bytes():
     res = ms.solve(prob, ms.SolverConfig(epsilon=1e-300, max_iters=60))
     assert res.iters == 60
     w_star, _, iterations, active_count = run_digests(res)
-    assert (w_star, iterations, active_count) == PINNED_WIDE_RUN
+    assert (w_star, iterations, active_count) == PINNED_WIDE_RUN, pin_note()
 
 
 def test_callback_sees_full_length_arrays_after_compaction():

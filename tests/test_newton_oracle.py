@@ -55,6 +55,15 @@ def test_newton_solve_converged_on_its_last_allowed_step():
     assert ms.newton_solve(prob, ms.SolverConfig(tol=1e-5, max_iters=9)).reason == "max_iters"
 
 
+def test_newton_solve_line_search_takes_the_armijo_decrease_along_the_step():
+    # the sufficient decrease is sigma g.(w_new - w); measured along w_new + w,
+    # the line search refuses steps it should take, and this run stops
+    # stationary after 50 steps
+    prob = dg.assemble(dg.gen_signals(dg.gen_er(30, 0.3, 0), dg.SignalModel(0.1, 200), 0), 1e-3, 1e-3)
+    res = ms.newton_solve(prob, ms.SolverConfig(tol=1e-10))
+    assert (res.reason, res.iters) == ("converged", 55)
+
+
 def er_or_sbm(family, p, seed, alpha, beta):
     g = dg.gen_er(p, 0.1, seed) if family == "er" else dg.gen_sbm(p, 0.3, 0.05, seed)
     return dg.assemble(dg.gen_signals(g, dg.SignalModel(0.1, 1200), seed), alpha, beta)

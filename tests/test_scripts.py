@@ -1,10 +1,16 @@
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mmgl import bench
+from mmgl import graph_model as gm
+from mmgl import mm_solver as ms
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,26 +29,64 @@ def script_process(name, *args):
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
 
 
+def script_module(name):
+    """scripts/<name>, imported as a module; its main() does not run."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# seed (or mean), k, alpha = beta, MM's iterations and exact F1, the oracle's
+# support F1, gap and stop reason (none on the row of means)
+ROW = r"\s+(\d+|mean)\s+[\d.]+\s+\S+\s+[\d.]+\s+[01]\.\d{3}\s+[01]\.\d{3}\s+\S+\s*(converged|stationary|max_iters|non_finite)?"
+
+
 def test_tune_hyperparams_smoke():
-    lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "1")
-    assert lines[0].split() == ["alpha", "beta", "F1", "iters"]
-    grid = lines[1:50]
-    assert all(re.fullmatch(r"\s+\S+\s+\S+\s+[01]\.\d{3}\s+\d+\.\d", row) for row in grid)
-    assert lines[50] == ""
-    assert lines[51].startswith("best recovery overall:     alpha=")
-    assert lines[52].startswith(("best within iter budget:   alpha=", "no grid point meets"))
-    assert len(lines) == 53
+    lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "2")
+    assert lines[0].split() == ["seed", "k", "alpha=beta", "iters", "F1", "oracle", "F1", "gap", "oracle", "stop"]
+    assert [line.split()[0] for line in lines[1:]] == ["1000", "1001", "mean"]
+    assert all(re.fullmatch(ROW, line) for line in lines[1:]), lines
+    # one rule picks both weights, and k is held to [2, p - 2]
+    assert all(2 <= float(line.split()[1]) <= 18 for line in lines[1:])
 
 
-def test_tune_hyperparams_budget_pick_needs_converged_runs():
-    # at alpha 1e300 and beta 1e-300, f overflows and the run stops
-    # non_finite after 1 iteration: cheap, but no pick; every point that
-    # converges takes more than 15 iterations
-    lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "1",
-                       "--alphas", "1e300", "10", "--betas", "1e-300", "1")
-    row = lines[1].split()
-    assert (row[0], row[1], row[3]) == ("1e+300", "1e-300", "1.0")
-    assert lines[-1] == "no grid point meets the 15-iteration budget"
+def test_tune_hyperparams_leaves_tied_nodes_out_of_the_mean():
+    # at sigma 0, two isolated nodes of seed 1000 have all-zero signals: a
+    # zero distance, so the k or k + 1 nearest distances of these and of a
+    # third node tie, and their intervals are unbounded
+    lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "2", "--sigma", "0")
+    assert [line.split()[0] for line in lines[1:]] == ["1000", "1001", "mean"]
+    # with no edge in the truth every node's distances tie: the seed is
+    # refused, naming it, after the header
+    out = script_process("tune_hyperparams.py", "--p", "20", "--prob-edge", "0", "--sigma", "0", "--seeds", "1")
+    assert out.returncode == 1 and len(out.stdout.splitlines()) == 1
+    assert out.stderr == "seed 1000: every node's 2 or 3 nearest distances tie, so the rule gives no theta\n"
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_tune_hyperparams_refuses_fewer_than_4_nodes(p):
+    # k is held to [2, p - 2], and the rule reads the k + 1 nearest distances
+    out = script_process("tune_hyperparams.py", "--p", p, "--seeds", "1")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert f"error: need --p >= 4, got {p}" in out.stderr, out.stderr
+
+
+def test_tune_hyperparams_rule_at_10_edges_per_node():
+    # ER p=100, n=1200, sigma 0.1 at seeds 1000-1002 (true mean degrees 10.2,
+    # 9.9 and 9.2): the rule's alpha = beta for k = 10, and the mean degree
+    # of the certified optimum there
+    kp_theta = script_module("tune_hyperparams.py").kp_theta
+    picks, degrees = [], []
+    spec = bench.ExperimentSpec(p=100, n=1200, monte_carlo_runs=3, seed=1000)
+    for g, X in bench.run_data(spec):
+        d = gm.pairwise_distances(X)
+        alpha = 1 / kp_theta(d, 100, 10)
+        res = ms.newton_solve(gm.ProblemInstance(p=100, d=d, alpha=alpha, beta=alpha), ms.SolverConfig(tol=1e-9))
+        assert res.converged
+        picks.append(round(alpha, 1))
+        degrees.append(round(2 * np.count_nonzero(res.w_star) / 100, 1))
+    assert (picks, degrees) == ([147.5, 162.7, 177.8], [10.6, 10.9, 10.7])
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
@@ -58,18 +102,3 @@ def test_tune_hyperparams_refuses_a_negative_base_seed():
     out = script_process("tune_hyperparams.py", "--p", "20", "--seeds", "1", "--base-seed", "-1")
     assert (out.returncode, out.stdout) == (2, "")
     assert "error: need --base-seed >= 0, got -1" in out.stderr, out.stderr
-
-
-@pytest.mark.parametrize("flags", [
-    ["--alphas", "1", "-1"], ["--betas", "10", "0"], ["--betas", "nan"],
-    # a budget no mean can meet once ran the whole grid for nothing
-    ["--iter-budget", "nan"], ["--iter-budget", "-1"],
-])
-def test_tune_hyperparams_refuses_grid_values_before_any_row(flags):
-    # check_reals, run on every grid value and the budget before the grid
-    # prints; the refusal names the flag and the value
-    out = script_process("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "1", *flags)
-    assert (out.returncode, out.stdout) == (2, "")
-    value = float(flags[-1])
-    rule = {"--alphas": "alpha > 0", "--betas": "beta > 0", "--iter-budget": "iter_budget >= 0"}[flags[0]]
-    assert f"error: {flags[0]} {value}: need finite {rule}, got {value}" in out.stderr, out.stderr
