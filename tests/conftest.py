@@ -38,6 +38,17 @@ def pin_note(*case):
     return " ".join(map(str, (*case, f"(OpenBLAS core {blas_core()}; pins recorded under {PINNED_CORE})")))
 
 
+def assert_same_text(got, want, *note):
+    """assert got == want, naming the first line that differs. pytest's own
+    diff of two megabyte texts takes minutes to print; this takes
+    milliseconds, and is raised directly so that pytest does not rewrite it."""
+    if got != want:
+        a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        k = next((k for k, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+        raise AssertionError(" ".join(map(str, (
+            *note, f"line {k + 1} of {len(a)} (want {len(b)}):", a[k:k + 1], "!=", b[k:k + 1]))))
+
+
 @pytest.fixture
 def traced_peak():
     """Return peak(fn): the bytes traced by tracemalloc at fn()'s peak,

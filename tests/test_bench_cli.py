@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from mmgl import data_gen as dg
 from mmgl import graph_model as gm
 from mmgl import mm_solver as ms
 
-from conftest import pin_note
+from conftest import assert_same_text, pin_note
 
 
 def toy_signals_csv(path, rows):
@@ -126,9 +127,11 @@ def test_experiment_spec_refuses_settings_the_solver_does_not_read(tmp_path):
 
 def test_run_single_writes_trace_and_edges(tmp_path):
     spec = small_spec(tmp_path)
+    t0 = time.perf_counter()
     result, wall = run_first(spec)
     assert result.converged
-    assert wall >= 0
+    # the solve's own duration, inside the caller's timing of the run
+    assert 0 <= wall <= time.perf_counter() - t0
     out = tmp_path / "exp"
     # repr(float(f)) round-trips, so the text pins f bit for bit
     assert (out / "trace_run0.csv").read_text(encoding="utf-8") == "iter,f,active_count\n" + "".join(
@@ -155,16 +158,6 @@ def test_empty_ground_truth_still_converges(tmp_path):
     result, _ = run_first(spec)
     assert result.converged
     assert np.all(gm.degrees(result.w_star, spec.p) > 0)
-
-
-def test_montecarlo_single_run_matches_run_single(tmp_path):
-    spec = small_spec(tmp_path, monte_carlo_runs=1)
-    summary = bench.run_montecarlo(spec)
-    result, _ = run_first(small_spec(tmp_path, out_dir=str(tmp_path / "solo")))
-    assert summary.runs == 1
-    assert summary.mean_iterations == result.iters
-    assert summary.median_iterations == result.iters
-    assert summary.convergence_rate == 1.0
 
 
 def test_montecarlo_even_batch_median_is_the_mean_of_its_middle_pair(tmp_path):
@@ -333,8 +326,8 @@ def test_trace_writer_peak_memory_grows_with_block_not_trace(tmp_path, traced_pe
         trace = ms.ConvergenceTrace(f=f, active_count=active, wall_time=np.zeros(rows))
         path = tmp_path / "trace.csv"
         peaks[rows] = traced_peak(lambda: bench.write_trace_csv(trace, path))
-        assert path.read_text(encoding="utf-8") == "iter,f,active_count\n" + "".join(
-            f"{k},{x!r},{a}\n" for k, x, a in zip(range(rows), f.tolist(), active.tolist()))
+        assert_same_text(path.read_text(encoding="utf-8"), "iter,f,active_count\n" + "".join(
+            f"{k},{x!r},{a}\n" for k, x, a in zip(range(rows), f.tolist(), active.tolist())))
     assert peaks[20480] <= 1.5 * peaks[5120]
 
 
@@ -1030,6 +1023,7 @@ def test_cli_echoes_the_instance_it_built_from_one_read(tmp_path, monkeypatch):
         assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == cli.EXIT_OK
         assert (len(reads), eighs) == (1, [(4, 4)]), argv[0]
     assert len(list((tmp_path / "bench").glob("trace_run*.csv"))) == 5
+    assert gm.load_signals_csv(tmp_path / "gen" / "signals.csv").shape == (4, 50)
     assert "p=4" in (tmp_path / "bench" / "spec.echo").read_text(encoding="utf-8").splitlines()
 
 
@@ -1052,16 +1046,6 @@ def test_cli_signals_echo_leaves_out_generation_settings(tmp_path):
         "alpha", "beta", "family", "graph_path", "monte_carlo_runs", "n", "out_dir", "p", "seed", "sigma",
         "solver", "solver_config.elimination_threshold", "solver_config.epsilon", "solver_config.max_iters"]
     assert {"seed=1", "sigma=0.1"} <= set(echo)
-
-
-def test_cli_gen_from_loaded_graph(tmp_path):
-    src = tmp_path / "g.csv"
-    src.write_text("i,j,weight\n0,1,1.0\n1,2,2.0\n", encoding="utf-8")
-    out = tmp_path / "from-file"
-    rc = cli.main(["gen", "--graph", str(src), "--n", "25", "--seed", "4", "--out", str(out)])
-    assert rc == 0
-    X = gm.load_signals_csv(out / "signals.csv")
-    assert X.shape == (3, 25)
 
 
 def test_cli_solve_from_loaded_graph(tmp_path, capsys):

@@ -39,15 +39,6 @@ def test_gen_er_draws_match_their_formula(p, q):
         np.testing.assert_array_equal(dg.gen_er(p, q, seed).w_true, expected)
 
 
-def test_gen_er_edge_count_within_binomial_bound():
-    # m*q = 4950*0.1 = 495, sigma = sqrt(m q (1-q)) ~ 21.1
-    m, q = gm.num_edges(100), 0.1
-    sigma = np.sqrt(m * q * (1 - q))
-    for seed in range(5):
-        count = dg.gen_er(100, q, seed).w_true.sum()
-        assert abs(count - m * q) <= 4 * sigma
-
-
 def test_gen_sbm_blocks():
     g = dg.gen_sbm(10, 1.0, 0.0, 3)
     W = gm.weights_to_matrix(g.w_true, 10)
@@ -88,18 +79,6 @@ def test_gen_sbm_rejects_bad_arguments():
         dg.gen_sbm(10, True, 0.1, 0)
     with pytest.raises(ValueError, match=re.escape("need p_out in [0, 1], got False")):
         dg.gen_sbm(10, 0.5, False, 0)
-
-
-def test_generators_are_deterministic():
-    a = dg.gen_er(50, 0.3, 123).w_true
-    b = dg.gen_er(50, 0.3, 123).w_true
-    np.testing.assert_array_equal(a, b)
-    g = dg.gen_er(20, 0.4, 5)
-    X1 = dg.gen_signals(g, dg.SignalModel(0.1, 30), 77)
-    X2 = dg.gen_signals(g, dg.SignalModel(0.1, 30), 77)
-    np.testing.assert_array_equal(X1, X2)
-    X3 = dg.gen_signals(g, dg.SignalModel(0.1, 30), 78)
-    assert not np.array_equal(X1, X3)
 
 
 def test_ground_truth_keeps_a_private_read_only_copy():
@@ -165,12 +144,6 @@ def test_connected_graph_has_one_null_mode():
 
 # -------------------------------------------------------------------- signals
 
-def test_gen_signals_zero_noise_empty_graph_is_zero():
-    g = dg.GroundTruthGraph(p=5, w_true=np.zeros(10))
-    X = dg.gen_signals(g, dg.SignalModel(sigma=0.0, n=20), 4)
-    np.testing.assert_array_equal(X, np.zeros((5, 20)))
-
-
 def test_gen_signals_pure_noise_variance():
     g = dg.GroundTruthGraph(p=50, w_true=np.zeros(gm.num_edges(50)))
     X = dg.gen_signals(g, dg.SignalModel(sigma=0.1, n=2500), 6)
@@ -184,13 +157,6 @@ def test_gen_signals_p2_covariance_matches_pinv():
     X = dg.gen_signals(g, dg.SignalModel(sigma=0.0, n=100_000), 8)
     cov = X @ X.T / X.shape[1]
     np.testing.assert_allclose(cov, 0.25 * np.array([[1, -1], [-1, 1]]), atol=0.01)
-
-
-def test_covariance_is_psd():
-    for seed in range(5):
-        g = dg.gen_er(20, 0.2, seed)
-        Sigma = squared_signal_root(g) + 0.1 ** 2 * np.eye(20)
-        assert np.linalg.eigvalsh(Sigma).min() >= -1e-10
 
 
 def test_smoothness_ordering_over_seeds():
@@ -266,6 +232,7 @@ def test_assemble_from_signals():
 
     same = np.tile([1.0, 2.0], (4, 1))
     np.testing.assert_array_equal(dg.assemble(same, 1.0, 1.0).d, np.zeros(6))
+    np.testing.assert_allclose(dg.assemble(np.eye(2), 1.0, 1.0).d, [2.0])
 
 
 def test_signal_model_validation():

@@ -84,18 +84,13 @@ def test_compute_c_sum_is_alpha_p(seed):
     assert c.sum() == pytest.approx(prob.alpha * prob.p, rel=1e-12)
 
 
-def test_compute_c_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        compute_c(np.array([-1.0]), make_problem(2, [0.0]))
-
-
 @pytest.mark.parametrize("entry", [
     lambda w, prob: compute_c(w, prob),
     lambda w, prob: mm_update(w, prob),
 ], ids=["compute_c", "mm_update-c"])
 def test_kernels_reject_non_finite_weights(entry):
     prob = make_problem(3, [1.0, 2.0, 3.0])
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
         with pytest.raises(ValueError, match="finite"):
             entry(np.array([bad, 1.0, 1.0]), prob)
 
@@ -112,12 +107,6 @@ def test_mm_update_examples():
     assert 2 * 1 * w[0] + 2 * w[0] ** 2 - 2 == pytest.approx(0.0, abs=1e-14)
 
 
-def test_mm_update_zero_coefficient_gives_exact_zero():
-    prob = make_problem(2, [3.7])
-    w = mm_update(np.array([0.0]), prob)
-    assert w[0] == 0.0
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_mm_update_quadratic_residual(seed):
     rng = np.random.default_rng(seed)
@@ -132,16 +121,11 @@ def test_mm_update_quadratic_residual(seed):
 
 # ----------------------------------------------------------- surrogate value
 
-def test_surrogate_equals_objective_at_expansion_point():
-    prob = make_problem(2, [0.0])
-    w = np.array([1.0])
-    assert surrogate_value(w, w, prob) == pytest.approx(gm.objective(w, prob), abs=1e-14)
-
-
 def test_surrogate_p2_hand_value():
     prob = make_problem(2, [0.0])
     g = surrogate_value(np.array([2.0]), np.array([1.0]), prob)
     assert g == pytest.approx(-2 * np.log(2) + 4, abs=1e-12)
+    assert surrogate_value(np.ones(1), np.ones(1), prob) == pytest.approx(1.0, abs=1e-14)  # f(1)
     # for p=2 the bound is tight everywhere
     assert g == pytest.approx(gm.objective(np.array([2.0]), prob), abs=1e-12)
 
@@ -174,23 +158,6 @@ def test_solve_p2_fixed_point():
     assert res.iters == 1  # relative change is exactly zero at the first step
 
 
-def test_solve_matches_oracle_on_p3():
-    prob = make_problem(3, [1.0, 2.0, 3.0])
-    res = ms.solve(prob, ms.SolverConfig(epsilon=1e-12, max_iters=100000))
-    oracle = ms.newton_solve(prob)
-    gap = abs(res.f_star - oracle.f_star) / abs(oracle.f_star)
-    assert gap <= 1e-6
-
-
-def test_solve_max_iters_cap():
-    rng = np.random.default_rng(4)
-    prob = make_problem(6, rng.uniform(0.5, 2.0, 15))
-    res = ms.solve(prob, ms.SolverConfig(epsilon=1e-14, max_iters=3))
-    assert not res.converged
-    assert res.iters == 3
-    assert len(res.trace.f) == 4  # starting point plus three iterations
-
-
 def test_stationarity_at_convergence_on_gapped_instances():
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -214,15 +181,6 @@ def test_stop_test_absolute_fallback_at_zero():
     assert ms._stop_test(-0.0, -5e-5, 1e-4)
     assert not ms._stop_test(0.0, 5e-3, 1e-4)
     assert ms._stop_test(100.0, 100.001, 1e-4)
-
-
-def test_elimination_disabled_keeps_all_edges_positive():
-    rng = np.random.default_rng(2)
-    prob = make_problem(8, rng.uniform(0.5, 4.0, 28))
-    cfg = ms.SolverConfig(epsilon=1e-10, max_iters=50000, elimination_threshold=0.0)
-    res = ms.solve(prob, cfg)
-    assert np.all(res.w_star > 0)
-    assert np.all(res.trace.active_count == prob.m)
 
 
 @pytest.mark.parametrize("solve", [ms.solve, ms.newton_solve])
@@ -349,12 +307,6 @@ def test_retired_zero_distance_edge_stays_zero_in_working_arrays():
         warnings.simplefilter("error")
         w = mm_update(np.zeros(1), make_problem(2, [0.0]))
     assert w[0] == 0.0
-
-
-def test_auto_compaction_matches_uncompacted_run():
-    prob = gapped_problem(14, 10)
-    res = solve_against_full_length_reference(prob, ms.SolverConfig(epsilon=1e-12, max_iters=100000))
-    assert np.count_nonzero(res.w_star) < 0.5 * prob.m  # compaction really triggered
 
 
 def test_repeated_compaction_matches_uncompacted_run():

@@ -36,6 +36,8 @@ def test_newton_solve_p2_closed_forms():
     res = ms.newton_solve(make_problem(2, [0.0]))
     assert res.converged
     assert res.w_star[0] == pytest.approx(1.0, abs=1e-6)
+    assert brute_force(make_problem(2, [0.0]))[0] == pytest.approx(1.0, abs=1e-8)
+    assert brute_force(make_problem(2, [1.0]))[0] == pytest.approx(0.6180, abs=1e-4)
 
     res = ms.newton_solve(make_problem(2, [1.0]))
     assert res.w_star[0] == pytest.approx(0.618034, abs=1e-6)
@@ -199,6 +201,15 @@ def test_newton_solve_p3_symmetric():
     np.testing.assert_allclose(res.w_star, np.full(3, 0.707107), atol=1e-5)
 
 
+def test_newton_solve_binds_only_the_edges_its_step_pushes_below_zero():
+    # from w = 1 the Newton step is (0.6, -1, -2.6), with g = (0, 2, 4): edge
+    # (1, 2) is bound at 0, while edge (0, 2) lands exactly on 0 and stays
+    # free, as it is at the optimum; binding it too takes 4 steps
+    res = ms.newton_solve(make_problem(3, [0.0, 1.0, 2.0], alpha=1.0, beta=0.5))
+    assert (res.reason, res.iters) == ("converged", 5)
+    assert res.w_star[1] > 0.5 and res.w_star[2] == 0.0
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_newton_solve_trace_monotone(seed):
     rng = np.random.default_rng(seed)
@@ -210,13 +221,6 @@ def test_newton_solve_trace_monotone(seed):
     assert not res.converged or kkt(res.w_star, prob) <= ms.SolverConfig.tol
     assert res.f_star == res.trace.f[-1]
     assert res.iters == len(res.trace) - 1
-
-
-def test_brute_force_p2():
-    w = brute_force(make_problem(2, [0.0]))
-    assert w[0] == pytest.approx(1.0, abs=1e-8)
-    w = brute_force(make_problem(2, [1.0]))
-    assert w[0] == pytest.approx(0.6180, abs=1e-4)
 
 
 def test_brute_force_is_exact_at_any_scale():

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import re
@@ -102,3 +103,41 @@ def test_tune_hyperparams_refuses_a_negative_base_seed():
     out = script_process("tune_hyperparams.py", "--p", "20", "--seeds", "1", "--base-seed", "-1")
     assert (out.returncode, out.stdout) == (2, "")
     assert "error: need --base-seed >= 0, got -1" in out.stderr, out.stderr
+
+
+def test_mutation_score_prints_the_kill_matrix_of_a_toy_tree(tmp_path):
+    # one site that test_add kills and one that no test kills; the tool
+    # scores a copy, so the toy tree is left as it was
+    files = {
+        "src/mmgl/__init__.py": "",
+        "src/mmgl/toy.py": "def add(a, b):\n    return a + b\n\n\ndef smaller(a, b):\n    return a < b\n",
+        "tests/test_toy.py": "from mmgl.toy import add, smaller\n\n\ndef test_add():\n    assert add(2, 3) == 5\n\n\n"
+                             "def test_smaller():\n    assert smaller(1, 2)\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    lines = run_script("mutation_score.py", str(tmp_path))
+    assert re.fullmatch(r"src/mmgl/toy\.py:2:13 \+ -> - \([\d.]+ s\): tests/test_toy\.py::test_add", lines[1]), lines
+    assert re.fullmatch(r"src/mmgl/toy\.py:6:13 < -> <= \([\d.]+ s\): survived", lines[2]), lines
+    assert (len(lines), lines[-1]) == (4, "score: 1 of 2 killed (50.0%)")
+    assert {str(f.relative_to(tmp_path)): f.read_text(encoding="utf-8")
+            for f in tmp_path.rglob("*") if f.is_file()} == files
+    # a failing unmutated run scores nothing
+    (tmp_path / "tests/test_toy.py").write_text("def test_fails():\n    assert False\n", encoding="utf-8")
+    out = script_process("mutation_score.py", str(tmp_path))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "the unmutated tests fail, so no mutant is scored: tests/test_toy.py::test_fails\n"
+
+
+def test_every_test_the_workflow_names_exists():
+    # CI names tests by id: a renamed or folded test fails here, not only on
+    # the hosted runner
+    workflow = (ROOT / ".github/workflows/tests.yml").read_text(encoding="utf-8")
+    defined = {path.name: {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                           if isinstance(node, ast.FunctionDef)} for path in (ROOT / "tests").glob("test_*.py")}
+    qualified = re.findall(r"tests/(test_\w+\.py)::(test_\w+)", workflow)
+    named = re.findall(r"\btest_\w+\b(?!\.py)", workflow)
+    assert (len(qualified), len(named)) == (5, 12)
+    assert [f"{file}::{name}" for file, name in qualified if name not in defined.get(file, ())] == []
+    assert [name for name in named if not any(name in names for names in defined.values())] == []
