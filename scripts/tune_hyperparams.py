@@ -12,10 +12,12 @@ when theta lies in
     (1/sqrt(k z_{k+1}^2 - b_k z_{k+1}), 1/sqrt(k z_k^2 - b_k z_k)].
 
 Per seed, k is the ground truth's mean degree, rounded and held to
-[2, p - 2]. Theta is the mean over nodes of the geometric midpoint of each
-node's interval, and alpha = beta = 1/theta. A node whose k or k + 1
-nearest distances tie has an unbounded interval and is left out of the
-mean. The rule sets a graph-wide density, not each node's degree.
+[2, p - 2]. Theta is the median over nodes of the geometric midpoint of
+each node's interval, and alpha = beta = 1/theta: a node with a near
+duplicate has a near-zero distance and a midpoint many orders of magnitude
+above the others', which would set a mean alone. A node whose k or k + 1
+nearest distances tie has an unbounded interval and is left out. The rule
+sets a graph-wide density, not each node's degree.
 
 At the pick the script runs MM at --epsilon and reports its iterations and
 the exact best-cut F1 of its weights against the ground truth
@@ -48,7 +50,7 @@ def kp_theta(d, p, k):
     root = np.sqrt(ends * (ends[:, :, None] - z[:, None, :k]).sum(axis=2)).prod(axis=1)
     if not root.any():
         raise ValueError(f"every node's {k} or {k + 1} nearest distances tie, so the rule gives no theta")
-    return np.mean(1 / np.sqrt(root[root > 0]))
+    return np.median(1 / np.sqrt(root[root > 0]))
 
 
 def main():

@@ -448,14 +448,13 @@ def _shortest_digits(x):
     N = hi.astype(np.int64) + rl.astype(np.int64)
     # the nearest multiples of 10 and 100 to X are N + a1 and N + a2, a tie
     # between two multiples of 10 going to the even one, as repr's does; with
-    # r1 and r2 integers and |f| <= 1/2, the signs of r1 - 5 + f and
-    # r2 - 50 + f are exact
+    # r1 an integer and |f| <= 1/2, the sign of r1 - 5 + f is exact; at r2 = 50
+    # both a2 = +-50 are more than H (< 12) from f, so in2 is false either way
     r2 = N % 100
     r1 = _LAST_DIGIT.take(r2)
     s1 = (r1 - 5) + f
     a1 = ((s1 > 0) | (s1 == 0) & _ODD_TENS.take(r2)) * 10.0 - r1
-    r2 = r2.astype(np.float64)
-    a2 = ((r2 - 50) + f > 0) * 100.0 - r2
+    a2 = (r2 > 50) * 100.0 - r2
     in1, in2 = np.abs(a1 - f) < H, np.abs(a2 - f) < H  # in2 only where in1
     D = N + np.where(in2, a2, np.where(in1, a1, 0.0)).astype(np.int64)
     # a multiple of 100 that reads back is the only one, so its zeros all count

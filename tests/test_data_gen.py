@@ -32,11 +32,13 @@ def test_gen_er_rejects_bad_arguments():
 @pytest.mark.parametrize("p", [2, 7, 100])
 @pytest.mark.parametrize("q", [0.0, 0.1, 1.0])
 def test_gen_er_draws_match_their_formula(p, q):
-    # ER bits are one uniform draw per edge, compared with q; a change to
-    # gen_sbm's draw that moves every ER bundle is named here
+    # ER bits are one uniform draw per edge, compared with q, and so are an
+    # SBM's when p_in == p_out; a change to gen_sbm's draw that moves every
+    # ER bundle is named here
     for seed in (0, 1, 17):
         expected = (np.random.default_rng(seed).random(gm.num_edges(p)) < q).astype(float)
         np.testing.assert_array_equal(dg.gen_er(p, q, seed).w_true, expected)
+        np.testing.assert_array_equal(dg.gen_sbm(p, q, q, seed).w_true, expected)
 
 
 def test_gen_sbm_blocks():
@@ -46,13 +48,6 @@ def test_gen_sbm_blocks():
     assert np.all(W[:5, :5] + np.eye(5) == 1.0)
     assert np.all(W[5:, 5:] + np.eye(5) == 1.0)
     assert np.all(W[:5, 5:] == 0.0)
-
-
-def test_gen_sbm_equal_probabilities_matches_er():
-    # gen_er is the SBM with p_in == p_out, which draws as ER does
-    g_sbm = dg.gen_sbm(40, 0.2, 0.2, 9)
-    g_er = dg.gen_er(40, 0.2, 9)
-    np.testing.assert_array_equal(g_sbm.w_true, g_er.w_true)
 
 
 def test_gen_sbm_edge_counts_within_binomial_bounds():
@@ -143,21 +138,6 @@ def test_connected_graph_has_one_null_mode():
 
 
 # -------------------------------------------------------------------- signals
-
-def test_gen_signals_pure_noise_variance():
-    g = dg.GroundTruthGraph(p=50, w_true=np.zeros(gm.num_edges(50)))
-    X = dg.gen_signals(g, dg.SignalModel(sigma=0.1, n=2500), 6)
-    var = X.var()
-    # n*p = 125000 draws; 3-sigma band around 0.01
-    assert abs(var - 0.01) <= 3 * 0.01 * np.sqrt(2 / X.size)
-
-
-def test_gen_signals_p2_covariance_matches_pinv():
-    g = dg.GroundTruthGraph(p=2, w_true=np.array([1.0]))
-    X = dg.gen_signals(g, dg.SignalModel(sigma=0.0, n=100_000), 8)
-    cov = X @ X.T / X.shape[1]
-    np.testing.assert_allclose(cov, 0.25 * np.array([[1, -1], [-1, 1]]), atol=0.01)
-
 
 def test_smoothness_ordering_over_seeds():
     # smooth signals: distances over true edges are smaller on average

@@ -181,6 +181,7 @@ def test_stop_test_absolute_fallback_at_zero():
     assert ms._stop_test(-0.0, -5e-5, 1e-4)
     assert not ms._stop_test(0.0, 5e-3, 1e-4)
     assert ms._stop_test(100.0, 100.001, 1e-4)
+    assert ms._stop_test(1.0, 0.5, 0.5)  # a change of exactly epsilon stops
 
 
 @pytest.mark.parametrize("solve", [ms.solve, ms.newton_solve])
@@ -321,6 +322,10 @@ def test_repeated_compaction_matches_uncompacted_run():
     cfg = ms.SolverConfig(epsilon=1e-10, max_iters=100000, elimination_threshold=0.0)
     res = solve_against_full_length_reference(prob, cfg)
     assert np.all(res.trace.active_count == prob.m)
+    # a weight of exactly 0 is at the threshold's floor of 0, so it retires:
+    # d = 1e200 overflows d^2, and the root update gives c / inf = 0
+    res = ms.solve(gm.ProblemInstance(p=3, d=np.array([1.0, 1e200, 1.0]), alpha=1.0, beta=1.0), cfg)
+    assert res.trace.active_count.tolist() == [3, 2, 2, 2] and res.w_star[1] == 0.0
 
 
 # sha256 of (w_star, trace.f, trace.iterations, trace.active_count) after

@@ -55,6 +55,12 @@ def test_newton_solve_converged_on_its_last_allowed_step():
     np.testing.assert_array_equal(capped.w_star, free.w_star)
     assert capped.f_star == free.f_star
     assert ms.newton_solve(prob, ms.SolverConfig(tol=1e-5, max_iters=9)).reason == "max_iters"
+    # a residual equal to tol converges: at tol = the 10th step's own residual,
+    # computed as the solver does, the run stops there
+    w, d, deg = free.w_star, prob.d, gm.degrees(free.w_star, prob.p)
+    tol = gm.kkt_residual(w, gm.gradient_value(w, d, deg, *gm.edge_pairs(prob.p), 1.0, 1.0), d, deg, 1.0)
+    tied = ms.newton_solve(prob, ms.SolverConfig(tol=tol))
+    assert (tied.reason, tied.iters) == ("converged", 10)
 
 
 def test_newton_solve_line_search_takes_the_armijo_decrease_along_the_step():
@@ -64,6 +70,10 @@ def test_newton_solve_line_search_takes_the_armijo_decrease_along_the_step():
     prob = dg.assemble(dg.gen_signals(dg.gen_er(30, 0.3, 0), dg.SignalModel(0.1, 200), 0), 1e-3, 1e-3)
     res = ms.newton_solve(prob, ms.SolverConfig(tol=1e-10))
     assert (res.reason, res.iters) == ("converged", 55)
+    # with the decrease's sign flipped, every step that lowers f passes as
+    # sufficient, and this run stops stationary after 161 steps
+    prob = dg.assemble(dg.gen_signals(dg.gen_er(20, 0.3, 11), dg.SignalModel(0.1, 200), 11), 1e-5, 10.0)
+    assert ms.newton_solve(prob, ms.SolverConfig(tol=1e-10)).converged
 
 
 def er_or_sbm(family, p, seed, alpha, beta):

@@ -44,20 +44,19 @@ ROW = r"\s+(\d+|mean)\s+[\d.]+\s+\S+\s+[\d.]+\s+[01]\.\d{3}\s+[01]\.\d{3}\s+\S+\
 
 
 def test_tune_hyperparams_smoke():
-    lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "2")
+    # at sigma 0, two isolated nodes of seed 1000 have all-zero signals: a
+    # zero distance, so the k or k + 1 nearest distances of these and of a
+    # third node tie, and their intervals are unbounded and left out
+    lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "2", "--sigma", "0")
     assert lines[0].split() == ["seed", "k", "alpha=beta", "iters", "F1", "oracle", "F1", "gap", "oracle", "stop"]
     assert [line.split()[0] for line in lines[1:]] == ["1000", "1001", "mean"]
     assert all(re.fullmatch(ROW, line) for line in lines[1:]), lines
     # one rule picks both weights, and k is held to [2, p - 2]
     assert all(2 <= float(line.split()[1]) <= 18 for line in lines[1:])
-
-
-def test_tune_hyperparams_leaves_tied_nodes_out_of_the_mean():
-    # at sigma 0, two isolated nodes of seed 1000 have all-zero signals: a
-    # zero distance, so the k or k + 1 nearest distances of these and of a
-    # third node tie, and their intervals are unbounded
-    lines = run_script("tune_hyperparams.py", "--p", "20", "--n", "200", "--seeds", "2", "--sigma", "0")
-    assert [line.split()[0] for line in lines[1:]] == ["1000", "1001", "mean"]
+    # six nodes of seed 1000 lie 1e-32 to 1e-28 from another, with midpoints
+    # of 1e27 to 2.4e30, which a mean over the nodes follows down to
+    # alpha = beta = 3.4e-30; the median of the 17 midpoints gives 58.3
+    assert float(lines[1].split()[2]) > 1e-20
     # with no edge in the truth every node's distances tie: the seed is
     # refused, naming it, after the header
     out = script_process("tune_hyperparams.py", "--p", "20", "--prob-edge", "0", "--sigma", "0", "--seeds", "1")
@@ -87,7 +86,7 @@ def test_tune_hyperparams_rule_at_10_edges_per_node():
         assert res.converged
         picks.append(round(alpha, 1))
         degrees.append(round(2 * np.count_nonzero(res.w_star) / 100, 1))
-    assert (picks, degrees) == ([147.5, 162.7, 177.8], [10.6, 10.9, 10.7])
+    assert (picks, degrees) == ([147.8, 164.2, 176.3], [10.6, 11.0, 10.6])
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
@@ -106,13 +105,16 @@ def test_tune_hyperparams_refuses_a_negative_base_seed():
 
 
 def test_mutation_score_prints_the_kill_matrix_of_a_toy_tree(tmp_path):
-    # one site that test_add kills and one that no test kills; the tool
-    # scores a copy, so the toy tree is left as it was
+    # one site that test_add kills, one that no test kills and one that
+    # loops forever; the tool scores a copy, so the toy tree is left as it was
     files = {
         "src/mmgl/__init__.py": "",
-        "src/mmgl/toy.py": "def add(a, b):\n    return a + b\n\n\ndef smaller(a, b):\n    return a < b\n",
-        "tests/test_toy.py": "from mmgl.toy import add, smaller\n\n\ndef test_add():\n    assert add(2, 3) == 5\n\n\n"
-                             "def test_smaller():\n    assert smaller(1, 2)\n",
+        "src/mmgl/toy.py": "def add(a, b):\n    return a + b\n\n\ndef smaller(a, b):\n    return a < b\n\n\n"
+                           "def spin(n):\n    while n:\n        n = n - 1\n    return n\n",
+        "tests/test_toy.py": "from mmgl.toy import add, smaller, spin\n\n\n"
+                             "def test_add():\n    assert add(2, 3) == 5\n\n\n"
+                             "def test_smaller():\n    assert smaller(1, 2)\n\n\n"
+                             "def test_spin():\n    assert spin(3) == 0\n",
     }
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
@@ -120,7 +122,8 @@ def test_mutation_score_prints_the_kill_matrix_of_a_toy_tree(tmp_path):
     lines = run_script("mutation_score.py", str(tmp_path))
     assert re.fullmatch(r"src/mmgl/toy\.py:2:13 \+ -> - \([\d.]+ s\): tests/test_toy\.py::test_add", lines[1]), lines
     assert re.fullmatch(r"src/mmgl/toy\.py:6:13 < -> <= \([\d.]+ s\): survived", lines[2]), lines
-    assert (len(lines), lines[-1]) == (4, "score: 1 of 2 killed (50.0%)")
+    assert re.fullmatch(r"src/mmgl/toy\.py:11:14 - -> \+ \([\d.]+ s\): timeout", lines[3]), lines
+    assert (len(lines), lines[-1]) == (5, "score: 2 of 3 killed (66.7%)")
     assert {str(f.relative_to(tmp_path)): f.read_text(encoding="utf-8")
             for f in tmp_path.rglob("*") if f.is_file()} == files
     # a failing unmutated run scores nothing
