@@ -130,19 +130,22 @@ class BenchSummary:
         return "stop reasons: " + ", ".join(f"{r} {n}" for r, n in self.stop_reasons.items())
 
 
-def _blas_threads():
-    """(get, set) of the thread count of the BLAS that numpy loaded, or
-    None when neither numpy's bundled scipy-openblas nor a plain OpenBLAS
-    is found. numpy's core module links that BLAS, so looking a symbol up
-    through its handle finds it."""
+def _openblas():
+    """(get, set, core): the functions of the OpenBLAS that numpy loaded
+    that get and set its thread count and name the CPU core (kernel set) it
+    runs, as bytes; or None when neither numpy's bundled scipy-openblas nor
+    a plain OpenBLAS is found. numpy's core module links that BLAS, so
+    looking a symbol up through its handle finds it."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except OSError:
         return None
-    for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                      ("openblas_get_num_threads", "openblas_set_num_threads")):
-        if hasattr(lib, get) and hasattr(lib, set_):
-            return getattr(lib, get), getattr(lib, set_)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get, set_, core = (getattr(lib, f"{prefix}{name}{suffix}", None)
+                           for name in ("get_num_threads", "set_num_threads", "get_corename"))
+        if None not in (get, set_, core):
+            core.restype = ctypes.c_char_p
+            return get, set_, core
     return None
 
 
@@ -152,18 +155,14 @@ def one_blas_thread():
     afterwards, also when the block raises. Some BLAS products round
     differently with more threads (the signal root at ER p=100, say), so
     this makes a batch's bytes those of one thread wherever the count can
-    be set; where no setter is found, it does nothing."""
-    blas = _blas_threads()
-    if blas is None:
+    be set; where no OpenBLAS is found, it does nothing."""
+    blas = _openblas()
+    with contextlib.ExitStack() as restore:
+        if blas is not None:
+            get, set_, _ = blas
+            restore.callback(set_, get())
+            set_(1)
         yield
-        return
-    get, set_ = blas
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
 
 
 def run_data(spec):

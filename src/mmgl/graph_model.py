@@ -511,7 +511,8 @@ def load_edges_csv(path, p=None):
 
     A header row, the first non-blank line if its first cell is `i`, is
     skipped. p defaults to 1 + the largest node id seen; pass it explicitly
-    when trailing nodes are isolated.
+    when trailing nodes are isolated. With p given, a file with no edge
+    rows, as save_edges_csv writes for an all-zero w, is the edgeless graph.
     """
     entries = {}
     for row, (lineno, cells) in enumerate(_csv_rows(path, ncols=3)):
@@ -523,9 +524,9 @@ def load_edges_csv(path, p=None):
         if (i, j) in entries:
             raise ValueError(f"{path}:{lineno}: duplicate edge ({i},{j})")
         entries[i, j] = wt
-    if not entries:
+    if not entries and p is None:
         raise ValueError(f"{path}: no edges found")
-    max_node = max(j for _, j in entries)
+    max_node = max((j for _, j in entries), default=0)
     if p is None:
         p = max_node + 1
     elif max_node >= p:

@@ -1,9 +1,9 @@
-import ctypes
 import tracemalloc
 
 import hypothesis
-import numpy as np
 import pytest
+
+from mmgl import bench
 
 # Deterministic, CI-friendly hypothesis runs: numeric tolerances in these
 # tests are calibrated, not statistical, so derandomization loses nothing.
@@ -17,19 +17,10 @@ PINNED_CORE = "SkylakeX"
 
 
 def blas_core():
-    """Name of the OpenBLAS core that numpy's BLAS runs, looked up through
-    the library handle that bench._blas_threads opens, or "unknown" when
-    neither numpy's bundled scipy-openblas nor a plain OpenBLAS is found."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except OSError:
-        return "unknown"
-    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-        if hasattr(lib, name):
-            get = getattr(lib, name)
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            return get().decode()
-    return "unknown"
+    """Name of the OpenBLAS core that numpy's BLAS runs, or "unknown" where
+    bench._openblas finds no OpenBLAS."""
+    blas = bench._openblas()
+    return "unknown" if blas is None else blas[2]().decode()
 
 
 def pin_note(*case):

@@ -254,9 +254,9 @@ def test_montecarlo_leaves_no_worker_thread(tmp_path, monkeypatch, runs, fail_ru
 
 
 def test_one_blas_thread_pins_one_thread_and_restores_the_count(tmp_path, monkeypatch):
-    blas = bench._blas_threads()
-    assert blas is not None, "no thread setter found in the BLAS that numpy loaded"
-    get, set_ = blas
+    blas = bench._openblas()
+    assert blas is not None, "no OpenBLAS found in numpy"
+    get, set_, _ = blas
     start = get()
     try:
         set_(2)
@@ -677,21 +677,13 @@ def test_cli_max_iters_caps_the_newton_oracle(tmp_path, capsys):
     assert len((out / "trace_run0.csv").read_text().splitlines()) == 5  # header, start, 3 steps
 
 
-@pytest.mark.parametrize("command", ["solve", "bench"])
-def test_cli_rejects_the_projected_gradient_oracle_name(tmp_path, command):
+@pytest.mark.parametrize("argv", [["solve", "--solver", "pg-oracle"], ["bench", "--solver", "pg-oracle"],
+                                  ["solve", "--elim-enabled", "false"], ["solve", "--initial-step", "1.0"],
+                                  ["solve", "--backtrack-factor", "0.5"], ["solve", "--config", "x.cfg"],
+                                  ["solve", "--oracle-max-iters", "9"]])
+def test_cli_rejects_removed_solver_names_and_flags(tmp_path, argv):
     with pytest.raises(SystemExit) as excinfo:
-        cli.main([command, "--family", "er", "--p", "8", "--seed", "2", "--solver", "pg-oracle",
-                  "--out", str(tmp_path / "x")])
-    assert excinfo.value.code == 2
-
-
-@pytest.mark.parametrize("flag", [["--elim-enabled", "false"], ["--initial-step", "1.0"],
-                                  ["--backtrack-factor", "0.5"], ["--config", "x.cfg"],
-                                  ["--oracle-max-iters", "9"]])
-def test_cli_rejects_removed_solver_flags(tmp_path, flag):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["solve", "--family", "er", "--p", "8", "--seed", "2", *flag,
-                  "--out", str(tmp_path / "x")])
+        cli.main([*argv, "--family", "er", "--p", "8", "--seed", "2", "--out", str(tmp_path / "x")])
     assert excinfo.value.code == 2
 
 
@@ -1095,18 +1087,14 @@ def test_package_exports_the_product_api():
             assert not hasattr(module, name), (module.__name__, name)
 
 
-def test_import_does_not_load_scipy():
-    # numpy is the only runtime dependency; scipy stays off the import path
+def test_import_loads_neither_scipy_nor_the_thread_pool():
+    # numpy is the only runtime dependency, so scipy stays off the import
+    # path; only a batch of two or more runs needs concurrent.futures, so it
+    # is imported there and not with mmgl
     env = dict(os.environ, PYTHONPATH=str(Path(mmgl.__file__).parents[1]))
-    code = "import sys, mmgl, mmgl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, mmgl, mmgl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'));"
+            " print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
-def test_import_does_not_load_the_thread_pool():
-    # only a batch of two or more runs needs concurrent.futures, so it is
-    # imported there and not with mmgl
-    env = dict(os.environ, PYTHONPATH=str(Path(mmgl.__file__).parents[1]))
-    code = "import sys, mmgl, mmgl.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    scipy, pool = out.stdout.splitlines()
+    assert scipy == "[]"
+    assert pool == "False"

@@ -315,6 +315,13 @@ def test_edges_csv_round_trip(tmp_path):
         "i,j,weight", "0,1,1e-05", "0,3,5e-324", "1,2,1e+16", "1,3,0.3333333333333333", "2,3,1.0"]
     np.testing.assert_array_equal(gm.load_edges_csv(path, p=4)[0], w)
 
+    # an all-zero w writes the header alone, which reads back at a given p
+    gm.save_edges_csv(np.zeros(6), 4, path)
+    assert path.read_text(encoding="utf-8") == "i,j,weight\n"
+    w2, p2 = gm.load_edges_csv(path, p=4)
+    assert p2 == 4
+    np.testing.assert_array_equal(w2, np.zeros(6))
+
     with pytest.raises(ValueError):
         gm.save_edges_csv(np.ones(3), 4, path)  # m = 6 for p = 4
     with pytest.raises(ValueError):

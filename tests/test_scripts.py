@@ -1,4 +1,3 @@
-import ast
 import importlib.util
 import os
 import re
@@ -131,16 +130,3 @@ def test_mutation_score_prints_the_kill_matrix_of_a_toy_tree(tmp_path):
     out = script_process("mutation_score.py", str(tmp_path))
     assert (out.returncode, out.stdout) == (1, "")
     assert out.stderr == "the unmutated tests fail, so no mutant is scored: tests/test_toy.py::test_fails\n"
-
-
-def test_every_test_the_workflow_names_exists():
-    # CI names tests by id: a renamed or folded test fails here, not only on
-    # the hosted runner
-    workflow = (ROOT / ".github/workflows/tests.yml").read_text(encoding="utf-8")
-    defined = {path.name: {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
-                           if isinstance(node, ast.FunctionDef)} for path in (ROOT / "tests").glob("test_*.py")}
-    qualified = re.findall(r"tests/(test_\w+\.py)::(test_\w+)", workflow)
-    named = re.findall(r"\btest_\w+\b(?!\.py)", workflow)
-    assert (len(qualified), len(named)) == (5, 12)
-    assert [f"{file}::{name}" for file, name in qualified if name not in defined.get(file, ())] == []
-    assert [name for name in named if not any(name in names for names in defined.values())] == []
