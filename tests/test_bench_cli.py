@@ -1087,14 +1087,23 @@ def test_package_exports_the_product_api():
             assert not hasattr(module, name), (module.__name__, name)
 
 
-def test_import_loads_neither_scipy_nor_the_thread_pool():
-    # numpy is the only runtime dependency, so scipy stays off the import
-    # path; only a batch of two or more runs needs concurrent.futures, so it
-    # is imported there and not with mmgl
+@pytest.fixture(scope="module")
+def import_report():
+    # one child interpreter imports mmgl and mmgl.cli and reports both facts
+    # the two tests below check
     env = dict(os.environ, PYTHONPATH=str(Path(mmgl.__file__).parents[1]))
     code = ("import sys, mmgl, mmgl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'));"
             " print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    scipy, pool = out.stdout.splitlines()
-    assert scipy == "[]"
-    assert pool == "False"
+    return out.stdout.splitlines()
+
+
+def test_import_does_not_load_scipy(import_report):
+    # numpy is the only runtime dependency, so scipy stays off the import path
+    assert import_report[0] == "[]"
+
+
+def test_import_does_not_load_the_thread_pool(import_report):
+    # only a batch of two or more runs needs concurrent.futures, so it is
+    # imported there and not with mmgl
+    assert import_report[1] == "False"
