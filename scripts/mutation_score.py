@@ -18,14 +18,18 @@ the checkout it scores.
 It prints one row per site as it runs (the site, then the failing test ids,
 or "survived"), and then the score. Runs are serial: some tests measure
 time and memory. At 297 sites and a 27 s clean run, a full run took 2 h 23
-min on a 2-core host.
+min on a 2-core host. --sites PATH:FIRST-LAST scores only the sites on
+lines FIRST to LAST of PATH (relative to the checkout), such as the lines
+a change touches.
 
 Example:
-    python3 scripts/mutation_score.py [CHECKOUT]
+    python3 scripts/mutation_score.py [CHECKOUT] [--sites src/mmgl/graph_model.py:370-545]
 """
 
+import argparse
 import io
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -43,17 +47,29 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
          "--hypothesis-seed=0", "-rfE"]
 
 
-def sites(root):
+def line_range(text):
+    """The value of --sites, PATH:FIRST-LAST, as (PATH, FIRST, LAST)."""
+    match = re.fullmatch(r"(.+):(\d+)-(\d+)", text)
+    if not match or int(match[2]) > int(match[3]):
+        raise argparse.ArgumentTypeError(f"need PATH:FIRST-LAST with FIRST <= LAST, got {text!r}")
+    return Path(match[1]).as_posix(), int(match[2]), int(match[3])
+
+
+def sites(root, only=None):
     """(path relative to root, line, column, token, flip) of every flip in
-    src/mmgl/*.py that compiles."""
+    src/mmgl/*.py that compiles; given only, a line_range, just those on
+    its lines."""
     found = []
     for path in sorted((root / "src" / "mmgl").glob("*.py")):
+        if only and path.relative_to(root).as_posix() != only[0]:
+            continue
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True)
         depth = 0  # inside an f-string, which Python 3.12 tokenizes into parts
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             depth += (tok.type == FSTRING_START) - (tok.type == FSTRING_END)
-            if tok.string in FLIPS and tok.type in (tokenize.OP, tokenize.NAME) and not depth:
+            if tok.string in FLIPS and tok.type in (tokenize.OP, tokenize.NAME) and not depth and (
+                    not only or only[1] <= tok.start[0] <= only[2]):
                 (row, col), flip = tok.start, FLIPS[tok.string]
                 try:
                     compile(mutate(lines, row, col, tok.string, flip), str(path), "exec")
@@ -100,7 +116,15 @@ def run_mutant(tree, path, mutant, timeout):
 
 
 def main(argv):
-    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--sites", metavar="PATH:FIRST-LAST", type=line_range,
+                        help="score only the sites on these lines of PATH")
+    args = parser.parse_args(argv)
+    root = args.checkout.resolve()
+    todo = sites(root, args.sites)
+    if args.sites and not todo:
+        parser.error(f"no site on lines {args.sites[1]}-{args.sites[2]} of {args.sites[0]}")
     with tempfile.TemporaryDirectory(prefix="mmgl-mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(root, tree, ignore=shutil.ignore_patterns(
@@ -109,7 +133,6 @@ def main(argv):
         if failed:
             print(f"the unmutated tests fail, so no mutant is scored: {' '.join(failed)}", file=sys.stderr)
             return 1
-        todo = sites(tree)
         print(f"{len(todo)} sites; clean run {clean:.1f} s; timeout {TIMEOUT_FACTOR * clean:.1f} s", flush=True)
         killed = 0
         for rel, row, col, old, new in todo:

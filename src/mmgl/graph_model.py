@@ -26,8 +26,10 @@ through _numbers.
 save_edges_csv writes each weight with repr's digits, _EDGE_BLOCK (8192)
 edges at a time, without calling repr per weight: _shortest_digits finds
 repr's shortest round-trip digits for the whole block with float64 and
-int64 arithmetic, and _edge_rows lays the rows out as uint8 text. A weight
-the arithmetic cannot certify, such as one outside about [1e-6, 1e16), is
+int64 arithmetic, and _edge_rows lays each row out as one fixed uint8
+template, the ids and the weight's digits twice over, from which a keep
+mask per layout class of the weight picks repr's text. A weight the
+arithmetic cannot certify, such as one outside about [1e-6, 1e16), is
 printed by repr itself.
 """
 
@@ -46,8 +48,8 @@ import numpy as np
 _GRAM_GUARD = 1e-2
 
 # save_edges_csv formats and writes the positive weights of this many
-# consecutive edges at a time, so its transient arrays (about 0.5 kB a row,
-# 3.9 MB for a full block) stay bounded however many edges the graph has;
+# consecutive edges at a time, so its transient arrays (about 0.2 kB a row,
+# 1.6 MB for a full block) stay bounded however many edges the graph has;
 # the 4950 edges of a graph on 100 nodes are one block.
 _EDGE_BLOCK = 1 << 13
 
@@ -377,43 +379,55 @@ _TEN_HI, _TEN_LO = _split(_TEN)
 _HALF_ULP = _TEN * 2.0**-53  # half an ulp of 1.0, times 10**q
 _LAST_DIGIT = np.arange(100.0) % 10
 _ODD_TENS = np.arange(100) // 10 % 2 == 1
-# the constant words of _text_tables, after its 2 * 10^4 number words
+# _text_tables' words: each k < 10^4 zero-padded at k and space-padded at
+# _SPACED + k, and four spaces at _BLANK
 _SPACED = 10**4
-_K0, _K1, _COMMA, _BLANK = range(2 * _SPACED, 2 * _SPACED + 4)
-
-
-def _weight_layout(e, n):
-    """The 24 bytes of repr's text of a weight, its "\\n" and then spaces, as
-    offsets into the 28-byte row of _edge_rows that holds the weight's 17
-    digits D at bytes 3-19 ("000" before them) and ".e-56\\n  " after them,
-    for n significant digits and a leading digit at 10**e, e in [-6, 15]."""
-    byte = {"0": 0, ".": 20, "e": 21, "-": 22, "5": 23, "6": 24, "\n": 25, " ": 26}
-    digits = list(range(3, 3 + max(n, e + 2)))  # past n, D's zeros give "x.0"
-    if e < -4:  # repr's exponent form
-        text = digits[:1] + ([byte["."]] + digits[1:n] if n > 1 else []) + [byte[c] for c in f"e{e:03d}"]
-    elif e < 0:
-        text = [byte["0"], byte["."]] + [byte["0"]] * (-e - 1) + digits[:n]
-    else:
-        text = digits[:e + 1] + [byte["."]] + digits[e + 1:]
-    return text + [byte["\n"]] + [byte[" "]] * (23 - len(text))
+_BLANK = 2 * _SPACED
+# a row of _edge_rows holds its ids in at most _IDS bytes, two words and a
+# comma each
+_IDS = 18
+# and then the weight's template of _WIDTH bytes: "0" at 0, D's 17 digits
+# at 1-17, "." at _DOT, "000" at 19-21, D's digits again from _D2, "e-0" at
+# 39-41, the exponent digit at _EXP and "\n" last
+_DOT, _D2, _EXP, _WIDTH = 18, 22, 42, 44
 
 
 @lru_cache(maxsize=None)
 def _text_tables():
-    """(words, layouts) for _edge_rows, built once from uint8 temporaries.
+    """(words, keep) for _edge_rows, built once from uint8 temporaries.
 
     words holds uint32 words of four ASCII bytes: each k < 10^4 zero-padded
-    ("0042") at k and space-padded ("  42", "   0") at _SPACED + k, then
-    _K0 ".e-5", _K1 "6\\n  ", _COMMA ",   " and _BLANK "    ". Row
-    (q - 1) * 17 + n - 1 of layouts is _weight_layout(16 - q, n)."""
+    ("0042") at k and space-padded ("  42", "   0") at _SPACED + k, and
+    "    " at _BLANK. keep[q, n] is the keep mask of a row whose weight has
+    n significant digits and a leading digit at 10**(16 - q), q in [1, 22]:
+    its last _WIDTH bytes mark the bytes of the weight's template that spell
+    repr's text, and its first _IDS, where the ids go, are clear."""
     digits = np.arange(48, 58, dtype=np.uint8)
     text = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
     for k in range(4):
         text[..., k] = digits.reshape((10,) + (1,) * (3 - k))
     text[1, 0, :, :, :, 0] = text[1, 0, 0, :, :, 1] = text[1, 0, 0, 0, :, 2] = ord(" ")
-    words = np.concatenate([text.ravel(), np.frombuffer(b".e-56\n  ,       ", np.uint8)]).view(np.uint32)
-    layouts = np.array([_weight_layout(16 - q, n) for q in range(1, 23) for n in range(1, 18)], np.intp)
-    return read_only(words), read_only(layouts)
+    words = np.concatenate([text.ravel(), np.frombuffer(b"    ", np.uint8)]).view(np.uint32)
+    keep = np.zeros((23, 18, _IDS + _WIDTH), bool)
+    for q, n in itertools.product(range(1, 23), range(1, 18)):
+        e = 16 - q
+        if e < -4:  # repr's exponent form, "1e-05" or "1.25e-05"
+            at = [1] + [_DOT] * (n > 1) + [*range(_D2 + 1, _D2 + n), *range(_EXP - 3, _EXP + 1)]
+        else:  # "0.00125" or "12.5", where past n D's zeros give "x.0"
+            at = ([0] if e < 0 else [*range(1, 2 + e)]) + [_DOT, *range(_D2 + 1 + e, _D2 + max(n, e + 2))]
+        keep[q, n, [_IDS + k for k in at + [_WIDTH - 1]]] = True
+    return read_only(words), read_only(keep)
+
+
+def _exact_product(x, q):
+    """(N, f) with x * 10**q = N + f exactly, N an int64 and |f| <= 1/2, by
+    Dekker's product; its temporaries end with the call."""
+    ten_hi, ten_lo = _TEN_HI.take(q), _TEN_LO.take(q)
+    hi = x * _TEN.take(q)
+    x_hi, x_lo = _split(x)
+    lo = ((x_hi * ten_hi - hi) + x_hi * ten_lo + x_lo * ten_hi) + x_lo * ten_lo
+    rl = np.rint(lo)
+    return hi.astype(np.int64) + rl.astype(np.int64), lo - rl
 
 
 def _shortest_digits(x):
@@ -438,14 +452,8 @@ def _shortest_digits(x):
     """
     xs = x.clip(1.0000001e-6, 9.9e15)
     q = np.subtract(16, np.floor(np.log10(xs))).astype(np.intp)  # in [1, 22]
-    ten_hi, ten_lo = _TEN_HI.take(q), _TEN_LO.take(q)
-    hi = xs * _TEN.take(q)
-    x_hi, x_lo = _split(xs)
-    lo = ((x_hi * ten_hi - hi) + x_hi * ten_lo + x_lo * ten_hi) + x_lo * ten_lo
+    N, f = _exact_product(xs, q)
     H = (xs.view(np.int64) & 0x7FF0000000000000).view(np.float64) * _HALF_ULP.take(q)
-    rl = np.rint(lo)
-    f = lo - rl
-    N = hi.astype(np.int64) + rl.astype(np.int64)
     # the nearest multiples of 10 and 100 to X are N + a1 and N + a2, a tie
     # between two multiples of 10 going to the even one, as repr's does; with
     # r1 an integer and |f| <= 1/2, the sign of r1 - 5 + f is exact; at r2 = 50
@@ -466,44 +474,72 @@ def _shortest_digits(x):
     return D, q, n, (x == xs) & (D >= 10**16) & (D < 10**17)
 
 
-def _id_words(words, v):
-    """Two words for each node id v below 10^8, space-padded on the left."""
+def _id_text(words, v, wide):
+    """The text of each node id v below 10^8 as a uint8 matrix, space-padded
+    on the left to one word, or to two given wide."""
     hi, lo = np.divmod(v, 10**4)
-    return words.take(np.stack([np.where(hi > 0, hi + _SPACED, _BLANK), lo + _SPACED * (hi == 0)], axis=1))
+    high = [np.where(hi > 0, hi + _SPACED, _BLANK)] if wide else []
+    return words.take(np.stack(high + [lo + _SPACED * (hi == 0)], axis=1)).view(np.uint8)
+
+
+def _digit_text(words, D):
+    """The text "000" and the 17 digits of each D in [10^16, 10^17), as a
+    uint8 matrix of 20 columns."""
+    at = np.empty((D.size, 5), np.intp)
+    top, bottom = np.divmod(D, 10**8)
+    np.divmod(top, 10**4, out=(top, at[:, 2]))
+    np.divmod(top, 10**4, out=(at[:, 0], at[:, 1]))
+    np.divmod(bottom, 10**4, out=(at[:, 3], at[:, 4]))
+    return words.take(at).view(np.uint8)
+
+
+def _weight_text(x, a):
+    """(text, keep) for positive finite weights x: uint8 rows of a + _WIDTH
+    bytes whose last _WIDTH hold each weight's template, and a keep mask
+    whose last _WIDTH bytes mark repr's text of the weight there, the row of
+    _text_tables' keep for the weight's layout class (q, n). A weight that
+    _shortest_digits leaves to repr gets repr's text, and the mask its
+    non-space bytes. The first a bytes of both are left to the caller."""
+    words, keep_table = _text_tables()
+    D, q, n, ok = _shortest_digits(x)
+    digits = _digit_text(words, D)
+    text = np.empty((x.size, a + _WIDTH), np.uint8)
+    weight = text[:, a:]
+    weight[:, :_DOT] = digits[:, 2:]
+    weight[:, _DOT] = ord(".")
+    weight[:, _D2 - 3:_D2 + 17] = digits
+    weight[:, _EXP - 3:_EXP] = np.frombuffer(b"e-0", np.uint8)
+    np.add(q, ord("0") - 16, out=weight[:, _EXP], casting="unsafe")  # -e, kept only where e < -4
+    weight[:, -1] = ord("\n")
+    keep = keep_table[q, n, _IDS - a:]
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        weight[redo] = np.frombuffer(
+            "".join([f"{v!r}\n".ljust(_WIDTH) for v in x[redo].tolist()]).encode(), np.uint8).reshape(-1, _WIDTH)
+        keep[redo, a:] = weight[redo] != ord(" ")
+    return text, keep
 
 
 def _edge_rows(I, J, x):
     """The text of f"{i},{j},{x!r}\\n" for each edge, for node ids I and J
     below 10^8 and positive finite weights x.
 
-    Each row is laid out in a uint8 matrix: the id words, a comma word each,
-    and 24 bytes that the weight's layout gathers from its digit row; a mask
-    of the non-space bytes compresses the matrix into the text. A weight
-    that _shortest_digits leaves to repr gets repr's text."""
-    words, layouts = _text_tables()
-    D, q, n, ok = _shortest_digits(x)
-    rows = x.size
-    # D's digit words "000d", then 4 digits each, then _K0 and _K1
-    digit_words = np.empty((rows, 7), np.intp)
-    digit_words[:, 5:] = _K0, _K1
-    top, bottom = np.divmod(D, 10**8)
-    np.divmod(top, 10**4, out=(top, digit_words[:, 2]))
-    np.divmod(top, 10**4, out=(digit_words[:, 0], digit_words[:, 1]))
-    np.divmod(bottom, 10**4, out=(digit_words[:, 3], digit_words[:, 4]))
-    source = words.take(digit_words).view(np.uint8)
-    at = layouts.take((q - 1) * 17 + (n - 1), axis=0)
-    at += np.arange(0, source.size, source.shape[1])[:, None]
-    text = np.empty((rows, 48), np.uint8)
-    text32 = text.view(np.uint32)
-    text32[:, :2] = _id_words(words, I)
-    text32[:, 3:5] = _id_words(words, J)
-    text32[:, [2, 5]] = words[_COMMA]
-    text[:, -24:] = source.ravel().take(at)
-    redo = np.flatnonzero(~ok)
-    if redo.size:
-        text[redo, -24:] = np.frombuffer(
-            "".join([f"{v!r}\n".ljust(24) for v in x[redo].tolist()]).encode(), np.uint8).reshape(-1, 24)
-    return text[text != ord(" ")].tobytes().decode()
+    Each row of a uint8 matrix is one fixed byte template: the ids,
+    space-padded to one word each (two where an id of the block reaches
+    10^4) and each followed by a comma, then the weight's 44-byte template
+    ("0", D's 17 digits, ".", "000", D's digits again, "e-0", the exponent
+    digit and "\\n"), of which every text repr gives a certified weight is
+    a subsequence. One keep mask, the ids' non-space bytes and _weight_text's
+    mask, compresses the matrix into the text, at about 0.2 kB a row."""
+    wide = max(I.max(), J.max()) >= 10**4
+    width = 8 if wide else 4  # bytes of each id's text
+    text, keep = _weight_text(x, 2 * width + 2)
+    words = _text_tables()[0]
+    text[:, :width] = _id_text(words, I, wide)
+    text[:, width + 1:2 * width + 1] = _id_text(words, J, wide)
+    text[:, [width, 2 * width + 1]] = ord(",")
+    np.not_equal(text[:, :2 * width + 2], ord(" "), out=keep[:, :2 * width + 2])
+    return str(text[keep], "ascii")
 
 
 def load_edges_csv(path, p=None):

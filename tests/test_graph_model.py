@@ -364,11 +364,15 @@ def test_edge_rows_give_repr_bytes():
         digits, 10 ** rng.uniform(-7, 17, 10**5)])
     x = x[(x > 0) & (x < np.inf)]  # nextafter steps past both ends
     assert x.size > 10**6
-    for s in range(0, x.size, gm._EDGE_BLOCK):
+    for b, s in enumerate(range(0, x.size, gm._EDGE_BLOCK)):
         w = x[s:s + gm._EDGE_BLOCK]
-        # node ids of 1 to 4 digits or, every other block, 1 to 6
-        width = rng.integers(1, 5 + s // gm._EDGE_BLOCK % 2 * 2, (2, w.size))
+        # node ids of 1 to 4 digits or, every third block, 1 to 8; a block's
+        # largest id is 9999 (one word each), 10000 (just two words each) or
+        # the largest below 10^8
+        top = (9999, 10**4, 10**8 - 1)[b % 3]
+        width = rng.integers(1, (5, 5, 9)[b % 3], (2, w.size))
         I, J = rng.integers(10 ** (width - 1) - (width == 1), 10**width)
+        I[:3], J[:3] = (9999, min(top, 10**4), top), (0, top, 9999)
         assert_same_text(gm._edge_rows(I, J, w), "".join(
             [f"{i},{j},{v!r}\n" for i, j, v in zip(I.tolist(), J.tolist(), w.tolist())]), s)
     # numpy certifies every weight of its working range, powers of two too
@@ -396,6 +400,15 @@ def test_edges_csv_writer_peak_memory_grows_with_block_not_file(tmp_path, traced
         gm.edge_pairs(p)  # cached endpoint arrays are not the writer's
         peaks[p] = traced_peak(lambda: gm.save_edges_csv(w, p, tmp_path / "edges.csv"))
     assert peaks[600] <= 1.5 * peaks[300]
+
+
+def test_edges_csv_writer_peak_memory_per_row(tmp_path, traced_peak):
+    # one 4950-row block (p = 100) of weights in [1e-4, 1): the template and
+    # keep-mask rows peak at about 190 B a row, where a per-row offset
+    # gather peaked at about 470; the bound leaves a 30% margin
+    w = np.random.default_rng(6).uniform(1e-4, 1, gm.num_edges(100))
+    gm.edge_pairs(100), gm._text_tables()  # cached tables are not the writer's
+    assert traced_peak(lambda: gm.save_edges_csv(w, 100, tmp_path / "edges.csv")) <= 250 * w.size
 
 
 def test_edges_csv_rejects_duplicates_and_bad_rows(tmp_path):

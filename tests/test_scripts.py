@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import os
 import re
@@ -88,6 +89,16 @@ def test_tune_hyperparams_rule_at_10_edges_per_node():
     assert (picks, degrees) == ([147.8, 164.2, 176.3], [10.6, 11.0, 10.6])
 
 
+def test_kp_theta_is_the_geometric_midpoint_of_each_nodes_interval():
+    # p = 4, distances in row-major edge order: every node's sort as (1, 2, 3),
+    # so for k = 2 (b_k = 1 + 2) K&P's single-node interval is
+    # (1 / sqrt(2 * 3^2 - 3 * 3), 1 / sqrt(2 * 2^2 - 3 * 2)] = (1/3, 1/sqrt(2)]
+    # at every node, and the rule is its geometric midpoint (3 sqrt(2))^(-1/2)
+    kp_theta = script_module("tune_hyperparams.py").kp_theta
+    theta = kp_theta(np.array([1.0, 2.0, 3.0, 3.0, 2.0, 1.0]), 4, 2)
+    assert theta == pytest.approx(0.4854917717073234, rel=1e-15)
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_tune_hyperparams_refuses_no_seeds(seeds):
     # no instance to score would print a grid of nan; the spec refuses it,
@@ -130,3 +141,25 @@ def test_mutation_score_prints_the_kill_matrix_of_a_toy_tree(tmp_path):
     out = script_process("mutation_score.py", str(tmp_path))
     assert (out.returncode, out.stdout) == (1, "")
     assert out.stderr == "the unmutated tests fail, so no mutant is scored: tests/test_toy.py::test_fails\n"
+
+
+def test_mutation_score_sites_keeps_the_sites_of_a_line_range(tmp_path, capsys):
+    # --sites selects in process, before any test runs
+    tool = script_module("mutation_score.py")
+    toy = "src/mmgl/toy.py"
+    (tmp_path / "src/mmgl").mkdir(parents=True)
+    (tmp_path / toy).write_text(
+        "def add(a, b):\n    return a + b\n\n\ndef smaller(a, b):\n    return a < b and b > 0\n", encoding="utf-8")
+    (tmp_path / "src/mmgl/other.py").write_text("x = 1 + 2\n", encoding="utf-8")
+    assert len(tool.sites(tmp_path)) == 5
+    picked = tool.sites(tmp_path, tool.line_range(f"{toy}:3-6"))
+    assert [site[:4] for site in picked] == [(toy, 6, 13, "<"), (toy, 6, 17, "and"), (toy, 6, 23, ">")]
+    assert [site[1] for site in tool.sites(tmp_path, tool.line_range(f"{toy}:2-2"))] == [2]
+    for text in (f"{toy}:6-3", f"{toy}:6", "6-7"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            tool.line_range(text)
+    # a range with no site is refused as a usage error
+    with pytest.raises(SystemExit) as stop:
+        tool.main([str(tmp_path), "--sites", f"{toy}:3-4"])
+    assert stop.value.code == 2
+    assert f"error: no site on lines 3-4 of {toy}" in capsys.readouterr().err
